@@ -64,16 +64,13 @@ from .moduli import (
     verify_w_rationality,
 )
 from .projgroup import (
-    Mat2,
     MatGroup,
     ProjMat,
     center,
     centralizer,
     closure,
-    hat,
     in_psl2,
     pgl2,
-    proj_normalize,
     psl2,
 )
 from .twists import (

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import Level, lift_sqrt_mod_p2
-from .projgroup import MatGroup, ProjMat, center, closure, psl2
+from .projgroup import MatGroup, ProjMat, closure, psl2
 
 
 @dataclass(frozen=True)
@@ -225,12 +225,3 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
         integer_models=models,
     )
 
-
-def gnp_image(level: Level) -> MatGroup:
-    """Mod-p image of G(N,p) = <T_N, U_N>; always PSL2(F_p)."""
-    gens = build_generators(level)
-    return closure((gens["T_N"].reduce(level.p), gens["U_N"].reduce(level.p)))
-
-
-def center_is_trivial(group: MatGroup) -> bool:
-    return center(group).order == 1

@@ -208,6 +208,11 @@ class FiniteGaloisModel:
     def det_class(self, sigma) -> int:
         return self.rho[sigma].det_class
 
+    def det_is_epsilon(self) -> bool:
+        """Whether det rho = eps as +-1 characters: the parity of the
+        cyclotomic case."""
+        return all(self.det_class(s) == self.epsilon(s) for s in self.group.elements)
+
 
 def validate_model(m: FiniteGaloisModel) -> list[str]:
     """All violations of the model axioms, as human-readable strings."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .arith import is_prime
 from .galmodel import (
     FiniteGaloisModel,
     FiniteGroup,
@@ -42,6 +43,8 @@ class ModelParseError(ValueError):
 
 
 def _build_group(spec: dict) -> FiniteGroup:
+    if not isinstance(spec, dict):
+        raise ModelParseError("group must be a JSON object")
     kind = spec.get("type")
     if kind == "permutation":
         gens = spec.get("generators")
@@ -49,7 +52,11 @@ def _build_group(spec: dict) -> FiniteGroup:
             raise ModelParseError("group.generators must be a non-empty object")
         perms = {}
         for name, perm in gens.items():
-            if not isinstance(perm, list) or sorted(perm) != list(range(len(perm))):
+            if (
+                not isinstance(perm, list)
+                or not all(isinstance(i, int) for i in perm)
+                or sorted(perm) != list(range(len(perm)))
+            ):
                 raise ModelParseError(f"generator {name!r} is not a permutation")
             perms[name] = tuple(perm)
         return FiniteGroup.from_permutations(perms, name=spec.get("name", "G"))
@@ -97,7 +104,7 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
         if key not in doc:
             raise ModelParseError(f"missing required key {key!r}")
     p = doc["p"]
-    if not isinstance(p, int) or p < 3:
+    if not isinstance(p, int) or p < 3 or not is_prime(p):
         raise ModelParseError(f"p must be an odd prime, got {p!r}")
     grp = _build_group(doc["group"])
 
@@ -129,8 +136,11 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
     if "conj" in doc and doc["conj"] is not None:
         conj = _resolve_element(grp, doc["conj"])
     characters = {}
-    for name, spec in (doc.get("characters") or {}).items():
-        if not isinstance(spec, dict) or "values" not in spec:
+    char_specs = doc.get("characters") or {}
+    if not isinstance(char_specs, dict):
+        raise ModelParseError("characters must be a JSON object")
+    for name, spec in char_specs.items():
+        if not isinstance(spec, dict) or not isinstance(spec.get("values"), dict):
             raise ModelParseError(f"character {name!r} needs a 'values' object")
         vals = spec["values"]
         if set(vals) != gen_names or any(v not in (1, -1) for v in vals.values()):
@@ -148,6 +158,8 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
 def _resolve_element(grp: FiniteGroup, label):
     """Map a JSON label to a group element: generator name, or for table
     groups the element label itself."""
+    if not isinstance(label, (str, int)):
+        raise ModelParseError(f"element label {label!r} must be a string or an integer")
     if label in grp.gens:
         return grp.gens[label]
     for x in grp.elements:

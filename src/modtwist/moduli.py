@@ -1,27 +1,29 @@
-"""Normal forms and group actions on moduli-point basis data.
+"""Moduli states and the actions of G(N,p), w and Galois on them.
 
-A moduli state is the normal form of a GL2(F_p)-class modulo +-1 relative to
-a fixed reference basis: a PSL2 part (canonical ProjMat of square
-determinant class) together with a twist bit recording a factor of
-V = [[0, -v], [1, 0]] for a fixed non-square v.
+A moduli state is a PGL2(F_p) class: the class of a basis change relative to
+a fixed reference basis, modulo scalars.  With V = [[0, -v], [1, 0]] for a
+fixed non-square v, V is an involution mod scalars of non-square determinant,
+so PGL2 = PSL2 u PSL2 * V and every class splits uniquely as basis * V^t with
+basis in PSL2 and twist bit t = 0 or 1.
 
-The group G(N,p) ~ PSL2 acts through the hat involution (gamma acts by
-right multiplication with hat(gamma)); w acts trivially on states at
-cyclotomic levels (scalar scaling) and by right multiplication with V at
-non-cyclotomic levels; a Galois element sigma with non-square cyclotomic
-character value acts by right multiplication with V as well.
+Every action is right multiplication of the underlying class followed by that
+split.  G(N,p) ~ PSL2 acts through the hat involution (gamma acts by right
+multiplication with hat(gamma)); w acts trivially on states at cyclotomic
+levels (scalar scaling) and by right multiplication with V at non-cyclotomic
+levels; a Galois element sigma with non-square cyclotomic character value
+acts by right multiplication with V as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Level, kronecker, least_nonsquare, sqrt_mod
-from .projgroup import Mat2, ProjMat, in_psl2, proj_normalize, psl2, v_matrix
+from .arith import Level, kronecker, least_nonsquare
+from .projgroup import ProjMat, in_psl2, psl2, v_matrix
 
 
 @dataclass(frozen=True)
 class ModuliState:
-    """Normal form (basis, twist_bit) of a GL2-class mod +-1."""
+    """The split (basis, twist_bit) of a PGL2 class: basis * V^twist_bit."""
 
     basis: ProjMat  # canonical class with square determinant
     twist_bit: int  # 0 or 1: whether a factor V is split off
@@ -39,29 +41,22 @@ class ModuliState:
     def p(self) -> int:
         return self.basis.p
 
-    def underlying(self) -> Mat2:
-        """A representative matrix of the underlying GL2-class."""
-        m = self.basis.mat()
+    def underlying(self) -> ProjMat:
+        """The underlying PGL2 class basis * V^twist_bit."""
         if self.twist_bit:
-            m = m * v_matrix(self.p, self.v).mat()
-        return m
+            return self.basis * v_matrix(self.p, self.v)
+        return self.basis
 
 
-def normal_form(m: Mat2, v: int | None = None) -> ModuliState:
-    """Normal form of the class of ``m`` mod +-1: scale into PSL2 if det is a
-    square, otherwise split off one factor of V."""
-    p = m.p
+def normal_form(g: ProjMat, v: int | None = None) -> ModuliState:
+    """Split the class ``g`` as basis * V^t: t = 0 and basis = g if g has
+    square determinant class, otherwise t = 1 and basis = g * V (V is its own
+    inverse mod scalars)."""
     if v is None:
-        v = least_nonsquare(p)
-    det = m.det
-    if kronecker(det, p) == 1:
-        r = sqrt_mod(det, p)
-        return ModuliState(basis=proj_normalize(m.scale(pow(r, -1, p))), twist_bit=0, v=v)
-    vm = v_matrix(p, v).mat()
-    m2 = m * vm.inv()
-    r = sqrt_mod(m2.det, p)
-    assert r is not None
-    return ModuliState(basis=proj_normalize(m2.scale(pow(r, -1, p))), twist_bit=1, v=v)
+        v = least_nonsquare(g.p)
+    if in_psl2(g):
+        return ModuliState(basis=g, twist_bit=0, v=v)
+    return ModuliState(basis=g * v_matrix(g.p, v), twist_bit=1, v=v)
 
 
 def act_G(s: ModuliState, gamma: ProjMat) -> ModuliState:
@@ -73,7 +68,7 @@ def act_G(s: ModuliState, gamma: ProjMat) -> ModuliState:
     """
     if not in_psl2(gamma):
         raise ValueError("act_G: gamma must lie in PSL2")
-    return normal_form(s.underlying() * gamma.hat().mat(), s.v)
+    return normal_form(s.underlying() * gamma.hat(), s.v)
 
 
 def act_w(s: ModuliState, level: Level) -> ModuliState:
@@ -91,7 +86,7 @@ def act_w(s: ModuliState, level: Level) -> ModuliState:
     vexp = pow(level.N, -1, level.p)
     if s.v != vexp:
         raise ValueError(f"act_w: state must carry v = N^-1 = {vexp} mod p, got {s.v}")
-    return normal_form(s.underlying() * v_matrix(s.p, s.v).mat(), s.v)
+    return normal_form(s.underlying() * v_matrix(s.p, s.v), s.v)
 
 
 def act_galois(s: ModuliState, chi: int) -> ModuliState:
@@ -102,7 +97,7 @@ def act_galois(s: ModuliState, chi: int) -> ModuliState:
         raise ValueError("act_galois: chi must be a unit mod p")
     if kronecker(chi, s.p) == 1:
         return s
-    return normal_form(s.underlying() * v_matrix(s.p, s.v).mat(), s.v)
+    return normal_form(s.underlying() * v_matrix(s.p, s.v), s.v)
 
 
 def all_states(p: int, v: int | None = None) -> list[ModuliState]:

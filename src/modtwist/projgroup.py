@@ -1,8 +1,11 @@
-"""Exact arithmetic in GL2/PGL2/PSL2 over a prime field.
+"""Exact arithmetic in PGL2/PSL2 over a prime field.
 
-``Mat2`` is a plain 2x2 matrix mod p; ``ProjMat`` is a projective class with a
-canonical representative (first nonzero entry in row-major order scaled to 1)
-plus the square class of the determinant, which is well defined mod scalars.
+``ProjMat`` is the one representation of a PGL2(F_p) element: the class of an
+invertible 2x2 matrix modulo scalars, stored as its canonical representative
+(first nonzero entry in row-major order scaled to 1) plus the square class of
+the determinant, which is well defined mod scalars.  PSL2(F_p) is the subgroup
+of square determinant class.  The prime p is checked where it enters (levels
+and model files), not on every matrix.
 """
 from __future__ import annotations
 
@@ -10,61 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import is_prime, kronecker, least_nonsquare
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """An invertible 2x2 matrix over F_p, entries reduced mod p."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"Mat2: p = {self.p} is not prime")
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % self.p)
-        if self.det == 0:
-            raise ValueError(f"Mat2: singular matrix {self.entries} mod {self.p}")
-
-    @property
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    @property
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.p
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        if self.p != other.p:
-            raise ValueError("Mat2: mixed characteristics")
-        p = self.p
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            p,
-        )
-
-    def inv(self) -> "Mat2":
-        di = pow(self.det, -1, self.p)
-        return Mat2(self.d * di, -self.b * di, -self.c * di, self.a * di, self.p)
-
-    def scale(self, s: int) -> "Mat2":
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s, self.p)
-
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d, self.p)
-
-    def hat(self) -> "Mat2":
-        """The involution (a, b, c, d) -> (d, c, b, a), conjugation by
-        [[0, 1], [1, 0]]; it is multiplicative."""
-        return Mat2(self.d, self.c, self.b, self.a, self.p)
+from .arith import kronecker, least_nonsquare
 
 
 class ProjMat:
@@ -94,14 +43,6 @@ class ProjMat:
     @classmethod
     def identity(cls, p: int) -> "ProjMat":
         return cls(1, 0, 0, 1, p)
-
-    @classmethod
-    def of(cls, m: Mat2) -> "ProjMat":
-        return cls(*m.entries, m.p)
-
-    def mat(self) -> Mat2:
-        """The canonical representative as a Mat2."""
-        return Mat2(*self.rep, self.p)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ProjMat) and self.rep == other.rep and self.p == other.p
@@ -140,6 +81,8 @@ class ProjMat:
         return result
 
     def hat(self) -> "ProjMat":
+        """The involution (a, b, c, d) -> (d, c, b, a), conjugation by
+        [[0, 1], [1, 0]]; it is multiplicative."""
         a, b, c, d = self.rep
         return ProjMat(d, c, b, a, self.p)
 
@@ -166,21 +109,13 @@ class ProjMat:
         return self.rep == (1, 0, 0, 1)
 
 
-def proj_normalize(m: Mat2) -> ProjMat:
-    return ProjMat.of(m)
-
-
 def in_psl2(g: ProjMat) -> bool:
     return g.det_class == 1
 
 
-def hat(m: Mat2) -> Mat2:
-    return m.hat()
-
-
 @dataclass(frozen=True)
 class MatGroup:
-    """A finite set of ProjMat closед under multiplication, with generators."""
+    """A finite set of ProjMat closed under multiplication, with generators."""
 
     p: int
     elements: frozenset
@@ -195,9 +130,6 @@ class MatGroup:
 
     def __iter__(self):
         return iter(sorted(self.elements))
-
-    def is_subgroup_of(self, other: "MatGroup") -> bool:
-        return self.elements <= other.elements
 
     def conjugacy_class(self, g: ProjMat) -> frozenset:
         return frozenset(g.conj_by(h) for h in self.elements)
@@ -262,6 +194,7 @@ def u_matrix(p: int) -> ProjMat:
     return ProjMat(1, 0, 1, 1, p)
 
 
+@lru_cache(maxsize=None)
 def v_matrix(p: int, v: int | None = None) -> ProjMat:
     """The order-2 class V = [[0, -v], [1, 0]] with v a non-square mod p."""
     if v is None:

@@ -19,7 +19,6 @@ from .projgroup import pgl2, psl2
 from .twists import (
     build_xi,
     check_cocycle,
-    corpus_is_cyclotomic_compatible,
     model_corpus,
 )
 
@@ -115,7 +114,7 @@ def _suite_twists(quick: bool, rng: random.Random):
     if quick:
         corpus = corpus[:: max(1, len(corpus) // 25)]
     for m in corpus:
-        if corpus_is_cyclotomic_compatible(m):
+        if m.det_is_epsilon():
             if not check_cocycle(build_xi(m, "plain")):
                 return False, "plain cocycle fails"
             if not check_cocycle(build_xi(m, "primed")):

@@ -120,9 +120,7 @@ def build_xi(
         v = least_nonsquare(m.p)
     star = rho_star(m, primed=(variant == "primed"), v=v)
     et = eta(m, v=v)
-    cyclotomic_compatible = all(
-        m.det_class(s) == m.epsilon(s) for s in m.group.elements
-    )
+    cyclotomic_compatible = m.det_is_epsilon()
     if k_char is not None and not cyclotomic_compatible:
         raise ValueError("build_xi: chi_k components require det rho = eps (cyclotomic)")
     values = {}
@@ -253,7 +251,7 @@ def twist_plan(
     if m.p != level.p:
         raise ValueError(f"twist_plan: model characteristic {m.p} != level p {level.p}")
     N, p = level.N, level.p
-    det_eq_eps = all(m.det_class(s) == m.epsilon(s) for s in m.group.elements)
+    det_eq_eps = m.det_is_epsilon()
     v = least_nonsquare(p) if level.cyclotomic else pow(N, -1, p)
     if level.cyclotomic:
         if not det_eq_eps:
@@ -333,10 +331,6 @@ def model_corpus(p: int = 3) -> list[FiniteGaloisModel]:
                 )
                 out.append(m)
     return out
-
-
-def corpus_is_cyclotomic_compatible(m: FiniteGaloisModel) -> bool:
-    return all(m.det_class(s) == m.epsilon(s) for s in m.group.elements)
 
 
 def perturbation_breaks(c: Cocycle) -> bool:

@@ -26,20 +26,18 @@ from modtwist.curves import (
 )
 from modtwist.extgroup import (
     build_generators,
-    center_is_trivial,
     involutions_extending_wN,
     verify_relations,
     wgroup,
 )
 from modtwist.moduli import verify_galois_conjugation, verify_w_rationality
-from modtwist.projgroup import pgl2, psl2
+from modtwist.projgroup import center, pgl2, psl2
 from modtwist.twists import (
     CentralizerVerdict,
     build_xi,
     centralizer_verdict,
     check_cocycle,
     cohomologous,
-    corpus_is_cyclotomic_compatible,
     model_corpus,
     perturbation_breaks,
 )
@@ -175,7 +173,7 @@ def test_acceptance_07_w_group_structure():
             else:
                 ok = ok and rep.structure == "FullPGL2"
                 ok = ok and rep.image_group.elements == pgl2(p).elements
-                ok = ok and center_is_trivial(rep.image_group)
+                ok = ok and center(rep.image_group).order == 1
                 inv = involutions_extending_wN(lv)
                 ok = ok and inv.single_conjugacy_class
                 ok = ok and all(m is not None for m in inv.integer_models.values())
@@ -225,7 +223,7 @@ def test_acceptance_10_cocycle_corpus():
         xi = build_xi(m, "plain")
         xi_p = build_xi(m, "primed")
         ok = ok and check_cocycle(xi) and check_cocycle(xi_p)
-        if corpus_is_cyclotomic_compatible(m):
+        if m.det_is_epsilon():
             k = {s: m.epsilon(s) for s in m.group.elements}
             ok = ok and check_cocycle(build_xi(m, k_char=k))
     # perturbation robustness over the small-group part of the corpus
@@ -244,7 +242,7 @@ def test_acceptance_11_equivalence_criterion():
     ok = True
     checked = 0
     for m in model_corpus(3):
-        if not corpus_is_cyclotomic_compatible(m):
+        if not m.det_is_epsilon():
             continue
         equivalent = (
             cohomologous(build_xi(m, "plain"), build_xi(m, "primed")) is not None

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every subcommand, the exit-code contract
 and JSON report round-trips."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,10 @@ from modtwist.cli import (
     Report,
     main,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDENS = ROOT / "perfbench" / "data" / "goldens_cli.json"
+MALFORMED = sorted((ROOT / "perfbench" / "data" / "malformed").glob("*.json"))
 
 GOOD_MODEL = {
     "p": 3,
@@ -245,3 +250,43 @@ def test_plain_output_lines(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "X(4,3): genus 1" in out
+
+
+@pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
+@pytest.mark.parametrize("command", ["centralizer", "cocycle-check"])
+def test_malformed_model_is_usage_error(capsys, command, path):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path)])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _strip_timing(obj):
+    """Drop timing fields (keys ending in _s or _ms) at any depth."""
+    if isinstance(obj, dict):
+        return {
+            k: _strip_timing(v)
+            for k, v in obj.items()
+            if not (k.endswith("_s") or k.endswith("_ms"))
+        }
+    if isinstance(obj, list):
+        return [_strip_timing(v) for v in obj]
+    return obj
+
+
+def test_cli_goldens_replay(capsys, monkeypatch):
+    # golden argv name model files relative to the repository root
+    monkeypatch.chdir(ROOT)
+    calls = json.loads(GOLDENS.read_text())["calls"]
+    differing = []
+    for entry in calls:
+        try:
+            code = main(["--json", *entry["argv"]])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out.strip()
+        report = _strip_timing(json.loads(out)) if out else None
+        if code != entry["exit"] or report != entry["stdout"]:
+            differing.append(" ".join(entry["argv"]))
+    assert len(calls) > 200
+    assert not differing, differing

@@ -124,6 +124,14 @@ def test_epsilon_and_det_class():
     assert m.det_class(s) == -1  # [[0,1],[1,0]] has det -1
 
 
+def test_det_is_epsilon():
+    # det rho and eps are both nontrivial on s, or one of them is
+    assert _c2_model().det_is_epsilon()
+    assert not _c2_model(eps_nontrivial=False).det_is_epsilon()
+    assert not _c2_model(rho_nontrivial=False).det_is_epsilon()
+    assert _c2_model(eps_nontrivial=False, rho_nontrivial=False).det_is_epsilon()
+
+
 def test_deg_p_character():
     m = _c2_model()
     e, s = m.group.identity, m.group.gens["g"]

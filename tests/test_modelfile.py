@@ -98,3 +98,34 @@ def test_s4_permutation_model_roundtrip():
     assert m.group.order == 24
     assert set(m.rho) == set(m.group.elements)
     assert set(m.chi) == set(m.group.elements)
+
+
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_parse_rejects_non_prime_p(p):
+    doc = dict(GOOD_MODEL, p=p)
+    with pytest.raises(ModelParseError):
+        parse_model(json.dumps(doc))
+
+
+def test_parse_rejects_group_list():
+    doc = dict(GOOD_MODEL, group=[], rho={}, chi={})
+    with pytest.raises(ModelParseError):
+        parse_model(json.dumps(doc))
+
+
+def test_parse_rejects_characters_list():
+    doc = dict(GOOD_MODEL, characters=[1])
+    with pytest.raises(ModelParseError):
+        parse_model(json.dumps(doc))
+
+
+def test_parse_rejects_unhashable_conj():
+    doc = dict(GOOD_MODEL, conj=[1])
+    with pytest.raises(ModelParseError):
+        parse_model(json.dumps(doc))
+
+
+def test_parse_rejects_string_permutation_entry():
+    doc = dict(GOOD_MODEL, group={"type": "permutation", "generators": {"s": [1, "0"]}})
+    with pytest.raises(ModelParseError):
+        parse_model(json.dumps(doc))

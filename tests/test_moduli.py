@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modtwist.arith import Level, kronecker, least_nonsquare
+from modtwist.arith import Level, kronecker, least_nonsquare, sqrt_mod
 from modtwist.moduli import (
     ModuliState,
     act_G,
@@ -14,24 +14,40 @@ from modtwist.moduli import (
     verify_galois_conjugation,
     verify_w_rationality,
 )
-from modtwist.projgroup import Mat2, ProjMat, psl2, t_matrix, v_matrix
+from modtwist.projgroup import ProjMat, psl2, t_matrix, v_matrix
 
 
-def random_mat2(p):
+def gl2_tuples(p):
+    """Entries (a, b, c, d) of invertible 2x2 matrices mod p."""
     entries = st.integers(min_value=0, max_value=p - 1)
 
     def ok(t):
         a, b, c, d = t
         return (a * d - b * c) % p != 0
 
-    return st.tuples(entries, entries, entries, entries).filter(ok).map(
-        lambda t: Mat2(*t, p)
-    )
+    return st.tuples(entries, entries, entries, entries).filter(ok)
+
+
+def reference_normal_form(t, p, v):
+    """Reference normal form by scaling, on raw entries: if det is a
+    non-square, first multiply by V^-1 = [[0, 1], [-1/v, 0]]; then scale by
+    1/sqrt(det) into SL2 and make the first nonzero entry 1.  Returns
+    (entries, twist_bit)."""
+    a, b, c, d = t
+    twist = int(kronecker(a * d - b * c, p) == -1)
+    if twist:
+        vi = pow(v, -1, p)
+        a, b, c, d = -b * vi, a, -d * vi, c
+    ri = pow(sqrt_mod((a * d - b * c) % p, p), -1, p)
+    a, b, c, d = (x * ri % p for x in (a, b, c, d))
+    assert (a * d - b * c) % p == 1
+    lead = pow(next(x for x in (a, b, c, d) if x), -1, p)
+    return tuple(x * lead % p for x in (a, b, c, d)), twist
 
 
 def test_normal_form_square_det():
-    # det 4 mod 5 is a square with least root 2: scale by 2^-1 = 3
-    m = Mat2(2, 0, 0, 2, 5)
+    # a scalar matrix with square det 4 mod 5 is the identity class
+    m = ProjMat(2, 0, 0, 2, 5)
     s = normal_form(m)
     assert s.twist_bit == 0
     assert s.basis.is_identity()
@@ -39,7 +55,7 @@ def test_normal_form_square_det():
 
 def test_normal_form_nonsquare_det_splits_V():
     p, v = 5, 2
-    m = v_matrix(p, v).mat()
+    m = v_matrix(p, v)
     s = normal_form(m, v)
     assert s.twist_bit == 1
     assert s.basis.is_identity()
@@ -47,27 +63,35 @@ def test_normal_form_nonsquare_det_splits_V():
 
 @given(st.sampled_from([3, 5, 7]), st.data())
 def test_normal_form_recovers_class(p, data):
-    m = data.draw(random_mat2(p))
-    s = normal_form(m)
-    u = s.underlying()
-    # same projective class: u = lambda * m
+    t = data.draw(gl2_tuples(p))
+    s = normal_form(ProjMat(*t, p))
+    u = s.underlying().rep
+    # same projective class: u = lambda * t
     lam = None
-    for i, (x, y) in enumerate(zip((u.a, u.b, u.c, u.d), (m.a, m.b, m.c, m.d))):
+    for x, y in zip(u, t):
         if y % p:
             lam = (x * pow(y, -1, p)) % p
             break
     assert lam is not None and lam != 0
-    assert all(
-        x % p == (lam * y) % p
-        for x, y in zip((u.a, u.b, u.c, u.d), (m.a, m.b, m.c, m.d))
-    )
+    assert all(x % p == (lam * y) % p for x, y in zip(u, t))
 
 
 @given(st.sampled_from([3, 5, 7]), st.data())
 def test_normal_form_twist_bit_tracks_det_class(p, data):
-    m = data.draw(random_mat2(p))
-    s = normal_form(m)
-    assert s.twist_bit == (0 if kronecker(m.det, p) == 1 else 1)
+    a, b, c, d = t = data.draw(gl2_tuples(p))
+    s = normal_form(ProjMat(*t, p))
+    assert s.twist_bit == (0 if kronecker(a * d - b * c, p) == 1 else 1)
+
+
+@given(st.sampled_from([3, 5, 7]), st.booleans(), st.data())
+def test_normal_form_matches_reference(p, square_det, data):
+    want = 1 if square_det else -1
+    t = data.draw(
+        gl2_tuples(p).filter(lambda t: kronecker(t[0] * t[3] - t[1] * t[2], p) == want)
+    )
+    v = data.draw(st.sampled_from([x for x in range(1, p) if kronecker(x, p) == -1]))
+    s = normal_form(ProjMat(*t, p), v)
+    assert (s.basis.rep, s.twist_bit) == reference_normal_form(t, p, v)
 
 
 def test_moduli_state_validation():

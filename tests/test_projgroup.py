@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from modtwist.arith import kronecker
 from modtwist.projgroup import (
-    Mat2,
     MatGroup,
     ProjMat,
     center,
@@ -13,7 +12,6 @@ from modtwist.projgroup import (
     closure,
     in_psl2,
     pgl2,
-    proj_normalize,
     psl2,
     t_matrix,
     u_matrix,
@@ -31,15 +29,6 @@ def random_projmats(p):
     return st.tuples(entries, entries, entries, entries).filter(ok).map(
         lambda t: ProjMat(*t, p)
     )
-
-
-def test_mat2_arithmetic():
-    m = Mat2(1, 2, 3, 4, 5)
-    assert m.det == (1 * 4 - 2 * 3) % 5
-    assert m * m.inv() == Mat2(1, 0, 0, 1, 5)
-    assert m.transpose() == Mat2(1, 3, 2, 4, 5)
-    with pytest.raises(ValueError):
-        Mat2(1, 2, 2, 4, 5).inv()  # det 0
 
 
 def test_projmat_canonical_representative():

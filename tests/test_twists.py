@@ -14,7 +14,6 @@ from modtwist.twists import (
     centralizer_verdict,
     check_cocycle,
     cohomologous,
-    corpus_is_cyclotomic_compatible,
     eta,
     model_corpus,
     perturbation_breaks,
@@ -23,7 +22,7 @@ from modtwist.twists import (
 )
 
 CORPUS = model_corpus(3)
-COMPATIBLE = [m for m in CORPUS if corpus_is_cyclotomic_compatible(m)]
+COMPATIBLE = [m for m in CORPUS if m.det_is_epsilon()]
 
 
 def test_corpus_size():
@@ -63,7 +62,7 @@ def test_plain_and_primed_cocycles_valid_over_corpus():
 def test_ambient_matches_compatibility():
     for m in CORPUS:
         xi = build_xi(m)
-        if corpus_is_cyclotomic_compatible(m):
+        if m.det_is_epsilon():
             assert xi.ambient is Ambient.G_NP
             assert all(g.det_class == 1 for g, _ in xi.values.values())
         else:
@@ -71,7 +70,7 @@ def test_ambient_matches_compatibility():
 
 
 def test_k_char_requires_compatibility():
-    m = next(m for m in CORPUS if not corpus_is_cyclotomic_compatible(m))
+    m = next(m for m in CORPUS if not m.det_is_epsilon())
     k = {s: 1 for s in m.group.elements}
     with pytest.raises(ValueError):
         build_xi(m, k_char=k)
@@ -106,8 +105,8 @@ def test_cohomologous_reflexive():
 
 
 def test_cohomologous_rejects_mismatched_ambient():
-    m1 = next(m for m in CORPUS if corpus_is_cyclotomic_compatible(m))
-    m2 = next(m for m in CORPUS if not corpus_is_cyclotomic_compatible(m))
+    m1 = next(m for m in CORPUS if m.det_is_epsilon())
+    m2 = next(m for m in CORPUS if not m.det_is_epsilon())
     with pytest.raises(ValueError):
         cohomologous(build_xi(m1), build_xi(m2))
 
@@ -189,7 +188,7 @@ def test_twist_plan_k_fields():
 
 
 def test_twist_plan_parity_errors():
-    incompatible = next(m for m in CORPUS if not corpus_is_cyclotomic_compatible(m))
+    incompatible = next(m for m in CORPUS if not m.det_is_epsilon())
     compatible = COMPATIBLE[0]
     with pytest.raises(ParityError):
         twist_plan(Level(4, 3), incompatible)  # cyclotomic needs det rho = eps
@@ -199,7 +198,7 @@ def test_twist_plan_parity_errors():
 
 def test_twist_plan_non_cyclotomic():
     level = Level(5, 3)
-    m = next(m for m in CORPUS if not corpus_is_cyclotomic_compatible(m))
+    m = next(m for m in CORPUS if not m.det_is_epsilon())
     char = {s: m.epsilon(s) * m.det_class(s) for s in m.group.elements}
     m.characters["k"] = QuadraticCharacter(values=char, field=5)
     plan = twist_plan(level, m)
@@ -211,7 +210,7 @@ def test_twist_plan_non_cyclotomic():
 
 
 def test_twist_plan_non_cyclotomic_excluded_case():
-    m = next(m for m in CORPUS if not corpus_is_cyclotomic_compatible(m))
+    m = next(m for m in CORPUS if not m.det_is_epsilon())
     plan = twist_plan(Level(2, 3), m)
     assert "possibly infinite" in plan.finiteness
 
