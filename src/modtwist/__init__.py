@@ -5,6 +5,7 @@ curves."""
 
 from .arith import (
     Discriminant,
+    InvariantError,
     Level,
     class_number,
     class_number_primitive,

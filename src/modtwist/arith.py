@@ -10,6 +10,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
+class InvariantError(RuntimeError):
+    """A failed internal invariant: a defect, not bad input (CLI exit 3)."""
+
+
+def invariant(holds: bool, message: str) -> None:
+    """Raise InvariantError(message) unless ``holds``; unlike ``assert``,
+    kept under ``python -O``."""
+    if not holds:
+        raise InvariantError(message)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (inputs here are small)."""
     if n < 2:

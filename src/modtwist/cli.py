@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 1 verified-negative result (e.g. a perfect check that
 legitimately reports False); 2 usage or parse errors; 3 internal oracle
-mismatches; 4 model validation failures; 5 parity mismatches between a model
-and a level.
+mismatches and failed invariants; 4 model validation failures; 5 parity
+mismatches between a model and a level.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import selftest as selftest_mod
-from .arith import Level
+from .arith import InvariantError, Level
 from .curves import (
     al_fixed_points,
     cusps_X0,
@@ -254,7 +254,7 @@ def cmd_al_fixed(args) -> int:
         f = al_fixed_points(args.M, args.Q)
         g = genus_X0(args.M)
         gq = genus_AL_quotient(args.M, args.Q)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     outputs = {"M": args.M, "Q": args.Q, "fixed_points": f, "genus_X0": g, "genus_quotient": gq}
@@ -477,7 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
 
 
 if __name__ == "__main__":

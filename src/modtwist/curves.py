@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
+    InvariantError,
     Level,
     class_number_primitive,
     divisors,
     euler_phi,
+    invariant,
     is_squarefree,
     kronecker,
     odd_primes_upto,
@@ -56,7 +58,7 @@ def cusps_X0(N: int) -> list[CuspData]:
             while math.gcd(m, n) != 1:
                 m += h
             out.append(CuspData(n=n, m=m, h=h, ram_degree=ram))
-    assert sum(c.ram_degree for c in out) == psi_index(N)
+    invariant(sum(c.ram_degree for c in out) == psi_index(N), f"cusps_X0({N}): degree sum != psi")
     return out
 
 
@@ -81,7 +83,7 @@ def cusps_oracle(N: int) -> int:
             for u in units:
                 point_id[(u * c % N, u * d % N)] = n_points
             n_points += 1
-    assert n_points == psi_index(N)
+    invariant(n_points == psi_index(N), f"cusps_oracle({N}): |P^1(Z/N)| != psi(N)")
     seen = [False] * n_points
     orbits = 0
     for (c, d), idx in list(point_id.items()):
@@ -119,7 +121,7 @@ def genus_X0(N: int) -> int:
     """Genus of X_0(N) by the standard index/elliptic-point/cusp formula."""
     nu_inf = sum(euler_phi(math.gcd(n, N // n)) for n in divisors(N))
     g = 1 + Fraction(psi_index(N), 12) - Fraction(_nu2(N), 4) - Fraction(_nu3(N), 3) - Fraction(nu_inf, 2)
-    assert g.denominator == 1 and g >= 0
+    invariant(g.denominator == 1 and g >= 0, f"genus_X0({N}) is not a natural number")
     return int(g)
 
 
@@ -128,7 +130,7 @@ def genus_XNp(level: Level) -> int:
     N, p = level.N, level.p
     s = sum(euler_phi(math.gcd(n, N // n)) for n in divisors(N))
     g = 1 + Fraction(psi_index(N) * p * (p * p - 1), 24) - Fraction((p * p - 1) * s, 4)
-    assert g.denominator == 1 and g >= 0, f"non-integral genus at {level}"
+    invariant(g.denominator == 1 and g >= 0, f"non-integral genus at ({N}, {p})")
     return int(g)
 
 
@@ -143,8 +145,7 @@ def genus_XNp_hurwitz(level: Level) -> int:
     """
     N, p = level.N, level.p
     d = psi_index(N) * p * (p * p - 1) // 2
-    if d % 2 != 0 or d % 3 != 0:
-        raise AssertionError("covering degree must be divisible by 6")
+    invariant(d % 6 == 0, "covering degree must be divisible by 6")
     total = Fraction(-2 * d)
     total += Fraction(d, 2)  # over j = 1728: d/2 points with e = 2
     total += Fraction(2 * d, 3)  # over j = 0: d/3 points with e = 3
@@ -153,9 +154,9 @@ def genus_XNp_hurwitz(level: Level) -> int:
     for c in cusps_X0(N):
         cusp_sum += m * (p * c.ram_degree - 1)
     total += cusp_sum
-    assert total % 2 == 0
+    invariant(total % 2 == 0, f"genus_XNp_hurwitz({N}, {p}): odd 2g - 2")
     g = (total + 2) / 2
-    assert g.denominator == 1 and g >= 0
+    invariant(g.denominator == 1 and g >= 0, f"genus_XNp_hurwitz({N}, {p}): bad genus")
     return int(g)
 
 
@@ -172,7 +173,7 @@ def _order_od_cyclic_orders(Q: int) -> list[tuple[int, int]]:
     a scalar mod q exactly when q divides t11."""
     d = squarefree_part(Q)
     msq, m = Q // d, math.isqrt(Q // d)
-    assert m * m == msq
+    invariant(m * m == msq, f"{Q} / squarefree part is not a square")
     if d % 4 == 3:
         dk, cond = -d, 2 * m
     else:
@@ -201,7 +202,7 @@ def _order_od_cyclic_orders(Q: int) -> list[tuple[int, int]]:
         # Smith form of [[t10, t11], [t20, t21]]
         g1 = math.gcd(math.gcd(t10, t11), math.gcd(t20, t21))
         det = abs(t10 * t21 - t11 * t20)
-        assert det == Q, (Q, f, det)
+        invariant(det == Q, f"index {det} != Q = {Q} at conductor {f}")
         if g1 == 1:  # elementary divisors (1, Q) => cyclic quotient
             out.append((f * f * dk, t11))
     return out
@@ -219,7 +220,7 @@ def _al_local_factor(disc: int, t11: int, q: int) -> int:
     """
     if t11 % q == 0:
         if disc == -3:
-            assert q == 2
+            invariant(q == 2, f"disc -3 with a scalar theta at q = {q}")
             return 1
         return q + 1
     return 1 + kronecker(disc, q)
@@ -273,10 +274,10 @@ def genus_AL_quotient(M: int, Q: int) -> int:
     g = genus_X0(M)
     f = al_fixed_points(M, Q)
     num = 2 * g + 2 - f
-    if num % 4 != 0 or num < 0:
-        raise AssertionError(
-            f"genus_AL_quotient({M}, {Q}): fixed points {f} incompatible with genus {g}"
-        )
+    invariant(
+        num % 4 == 0 and num >= 0,
+        f"genus_AL_quotient({M}, {Q}): fixed points {f} incompatible with genus {g}",
+    )
     return num // 4
 
 
@@ -331,19 +332,19 @@ def xplus_verdict(level: Level) -> GenusReport:
     if (N, p) == (4, 3):
         # X(4,3) is elliptic, w has fixed points, and the quotient is
         # rational; consistent with X_0(12)/w_4 being rational.
-        assert genus_XNp(level) == 1 and genus_AL_quotient(12, 4) == 0
+        invariant(genus_XNp(level) == 1 and genus_AL_quotient(12, 4) == 0, "X+(4,3) anchor")
         return GenusReport(curve=name, genus=0, method="paper_case")
     if (N, p) == (4, 5):
         # degree-10 covering of the rational curve X_0(20)/w_4, ramified at
         # four points of degree 5 and ten of degree 2.
         base = genus_AL_quotient(20, 4)
-        assert base == 0
+        invariant(base == 0, "X+(4,5) anchor: X_0(20)/w_4 is not rational")
         rami = 4 * (5 - 1) + 10 * (2 - 1)
-        assert rami == 26
+        invariant(rami == 26, "X+(4,5) anchor: ramification")
         two_g_minus_2 = 10 * (2 * base - 2) + rami
-        assert two_g_minus_2 % 2 == 0
+        invariant(two_g_minus_2 % 2 == 0, "X+(4,5) anchor: odd 2g - 2")
         g = (two_g_minus_2 + 2) // 2
-        assert g == 4
+        invariant(g == 4, "X+(4,5) anchor: genus")
         return GenusReport(curve=name, genus=g, method="paper_case")
     q = genus_AL_quotient(p * N, N)
     if q > 0:
@@ -353,4 +354,4 @@ def xplus_verdict(level: Level) -> GenusReport:
             method="al_quotient",
             note=f"genus > 1 (X_0({p * N})/w_{N} has genus {q})",
         )
-    raise AssertionError(f"unexpected genus-0 quotient at cyclotomic level {level}")
+    raise InvariantError(f"unexpected genus-0 quotient at cyclotomic level {level}")

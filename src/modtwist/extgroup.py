@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Level, lift_sqrt_mod_p2
+from .arith import Level, invariant, lift_sqrt_mod_p2
 from .projgroup import MatGroup, ProjMat, closure, psl2
 
 
@@ -71,7 +71,7 @@ def build_generators(level: Level) -> dict[str, IntMat]:
     if level.cyclotomic:
         a, b = lift_sqrt_mod_p2(N, p)
         z = IntMat(a * N, b * p, p * N, a * N)
-        assert z.det == N, f"Z_N determinant {z.det} != N"
+        invariant(z.det == N, f"Z_N determinant {z.det} != N")
         gens["Z_N"] = z
     else:
         gens["V_N"] = IntMat(0, -1, N, 0)
@@ -104,10 +104,8 @@ def wgroup(level: Level) -> WGroupReport:
         # Z_N reduces to a scalar, hence to the identity class: the image is
         # just PSL2 and w survives only as a formal central generator.
         zred = reductions["Z_N"]
-        if not zred.is_identity():
-            raise AssertionError("cyclotomic Z_N should reduce to a scalar")
-        if image.order != full_order // 2:
-            raise AssertionError("cyclotomic image should be PSL2")
+        invariant(zred.is_identity(), "cyclotomic Z_N should reduce to a scalar")
+        invariant(image.order == full_order // 2, "cyclotomic image should be PSL2")
         from .arith import least_nonsquare
 
         return WGroupReport(
@@ -122,8 +120,7 @@ def wgroup(level: Level) -> WGroupReport:
             central_involution_reduction=zred,
         )
     # non-cyclotomic: reduction is faithful onto PGL2
-    if image.order != full_order:
-        raise AssertionError("non-cyclotomic image should be all of PGL2")
+    invariant(image.order == full_order, "non-cyclotomic image should be all of PGL2")
     return WGroupReport(
         level=level,
         order=full_order,
@@ -213,10 +210,10 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
             found = _integer_involution_model(N, p, g, bound)
             if found is not None:
                 break
-        if found is None:
-            raise AssertionError(
-                f"involutions_extending_wN: no integer model for {g} within bound {25 * p * p}"
-            )
+        invariant(
+            found is not None,
+            f"involutions_extending_wN: no integer model for {g} within bound {25 * p * p}",
+        )
         models[g] = found
     return InvolutionReport(
         level=level,

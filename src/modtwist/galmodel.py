@@ -5,11 +5,15 @@ characters.
 
 Also contains a small finite-group container used throughout: groups are
 stored as multiplication tables over hashable labels, optionally remembering
-generator words so maps defined on generators can be extended.
+a spanning tree of the Cayley graph of their generators, along which maps
+defined on generators are extended.  Cayley-graph criterion (proof in
+``FiniteGroup``): f with f(1) = 1 is a homomorphism exactly when
+f(x*g) = f(x)*f(g) on the |G|*|gens| edges x -> x*g, g a generator.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -21,18 +25,27 @@ from .projgroup import ProjMat, pgl2
 class FiniteGroup:
     """A finite group given by a full multiplication table.
 
-    ``words`` maps each element to a tuple of generator names whose ordered
-    product is the element (present when the group was built from
-    generators); used to extend generator-defined maps.
+    With generators (``set_generators``), ``tree`` is the breadth-first
+    spanning tree of the Cayley graph with edges x -> x*g, g a generator: it
+    maps each element y to (x, name) with y = x * gens[name], the identity to
+    None, in discovery order; ``words`` spells each element, in that order,
+    as the generator names along its tree path.
+
+    Cayley-graph criterion: f into a group, with f(1) = 1, is a homomorphism
+    exactly when f(x*g) = f(x)*f(g) for every element x and generator g.
+    Proof of sufficiency: each y is a word g_1...g_k (its tree path), and by
+    induction on k, f(x*g_1...g_k) = f(x*g_1...g_(k-1)) * f(g_k)
+    = f(x) * f(g_1...g_(k-1)) * f(g_k) = f(x) * f(y), the last step being
+    the case x = 1 of the same induction.
     """
 
-    def __init__(self, elements, mul, identity, name="G", gens=None, words=None):
+    def __init__(self, elements, mul, identity, name="G"):
         self.elements = tuple(elements)
         self._mul = mul
         self.identity = identity
         self.name = name
-        self.gens = dict(gens) if gens else {}  # generator name -> element
-        self.words = dict(words) if words else None
+        self.gens = {}  # generator name -> element
+        self.tree = self.words = None
         self._inv = {}
         for a in self.elements:
             for b in self.elements:
@@ -58,102 +71,125 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {self.order})"
 
+    def set_generators(self, gens: dict) -> None:
+        """Record generators (name -> element) with their spanning tree and
+        words; ValueError unless they generate."""
+        tree = _spanning_tree(self.identity, gens, self.mul)
+        if len(tree) != self.order:
+            raise ValueError("generators do not generate the group")
+        self.gens, self.tree, self.words = dict(gens), tree, {}
+        for y, edge in tree.items():
+            self.words[y] = () if edge is None else self.words[edge[0]] + (edge[1],)
+
     @classmethod
-    def from_table(cls, elements, table, identity, name="G", gens=None):
+    def from_table(cls, elements, table, identity, name="G"):
         """``table``: dict of dicts, table[a][b] = a*b."""
-        mul = {}
-        for a in elements:
-            for b in elements:
-                mul[(a, b)] = table[a][b]
-        g = cls(elements, mul, identity, name=name, gens=gens)
-        if gens:
-            g.words = _generator_words(g, gens)
+        mul = {(a, b): table[a][b] for a in elements for b in elements}
+        g = cls(elements, mul, identity, name=name)
         _check_group_axioms(g)
         return g
 
     @classmethod
     def from_permutations(cls, gen_perms: dict, name="G"):
-        """Group generated by permutations (tuples mapping i -> perm[i])."""
+        """Group generated by permutations (tuples mapping i -> perm[i]);
+        associative by construction."""
         if not gen_perms:
             raise ValueError("from_permutations: need at least one generator")
         n = len(next(iter(gen_perms.values())))
-        ident = tuple(range(n))
         for p in gen_perms.values():
             if sorted(p) != list(range(n)):
                 raise ValueError(f"from_permutations: invalid permutation {p}")
-        words = {ident: ()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gname, p in gen_perms.items():
-                    y = tuple(x[p[i]] for i in range(n))
-                    if y not in words:
-                        words[y] = words[x] + (gname,)
-                        nxt.append(y)
-            frontier = nxt
-        elements = sorted(words)
-        mul = {}
-        for a in elements:
-            for b in elements:
-                mul[(a, b)] = tuple(a[b[i]] for i in range(n))
-        gens = {gname: _perm_as_element(p) for gname, p in gen_perms.items()}
-        g = cls(elements, mul, ident, name=name, gens=gens, words=words)
-        _check_group_axioms(g)
+        gens = {gname: tuple(p) for gname, p in gen_perms.items()}
+        ident = tuple(range(n))
+        elements = sorted(_spanning_tree(ident, gens, _compose))
+        mul = {(a, b): _compose(a, b) for a in elements for b in elements}
+        g = cls(elements, mul, ident, name=name)
+        g.set_generators(gens)
         return g
 
+    def generator_names(self) -> list:
+        """The sorted names of the generators on the tree's edges."""
+        if self.tree is None:
+            raise ValueError(f"{self.name}: group has no generator words")
+        return sorted({edge[1] for edge in self.tree.values() if edge is not None})
+
     def extend_generator_map(self, gen_values: dict, op, one):
-        """Extend a map defined on generator names to the whole group using
-        the stored words: value(g) = product of generator values along g's
-        word.  The result is NOT automatically a homomorphism; validate it.
-        """
-        if self.words is None:
-            raise ValueError("extend_generator_map: group has no generator words")
-        missing = set(w for word in self.words.values() for w in word) - set(gen_values)
+        """Extend a map defined on generator names along the spanning tree:
+        value(1) = one, value(x*g) = op(value(x), gen_values[g]) on each tree
+        edge, that is the product along the word.  The result is NOT always a
+        homomorphism: by the Cayley-graph criterion it is one exactly when
+        this holds on every edge, which ``extend_homomorphism`` tests."""
+        missing = set(self.generator_names()) - set(gen_values)
         if missing:
             raise ValueError(f"extend_generator_map: no value for generator(s) {sorted(missing)}")
         out = {}
-        for g, word in self.words.items():
-            val = one
-            for w in word:
-                val = op(val, gen_values[w])
-            out[g] = val
+        for y, edge in self.tree.items():
+            out[y] = one if edge is None else op(out[edge[0]], gen_values[edge[1]])
         return out
+
+    def extend_homomorphism(self, gen_values: dict, op, one):
+        """The homomorphism with these generator values (``one`` the identity
+        of ``op``), or None.  One walk of the Cayley graph in tree order sets
+        f(x*g) = op(f(x), gen_values[g]) where x*g is new, that is on tree
+        edges, and compares it on every other edge, failing at the first
+        mismatch: exact by the Cayley-graph criterion, and equal to
+        ``extend_generator_map``'s result, keys in ``words`` order."""
+        steps = [(g, gen_values[name]) for name, g in self.gens.items() if name in gen_values]
+        f = {self.identity: one}
+        for x in self.tree:
+            fx = f[x]
+            for g, value in steps:
+                fy = op(fx, value)
+                if f.setdefault(self.mul(x, g), fy) != fy:
+                    return None
+        return f
 
     def is_homomorphism(self, f: dict, op) -> bool:
         return all(f[self.mul(a, b)] == op(f[a], f[b]) for a in self.elements for b in self.elements)
 
 
-def _perm_as_element(p):
-    return tuple(p)
+def _compose(a, b):
+    return tuple(a[i] for i in b)
 
 
-def _generator_words(group: FiniteGroup, gens: dict) -> dict:
-    words = {group.identity: ()}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gname, g in gens.items():
-                y = group.mul(x, g)
-                if y not in words:
-                    words[y] = words[x] + (gname,)
-                    nxt.append(y)
-        frontier = nxt
-    if len(words) != group.order:
-        raise ValueError("generators do not generate the group")
-    return words
+def _spanning_tree(identity, gens: dict, mul) -> dict:
+    """Breadth-first tree of the Cayley graph of ``gens`` (edges
+    x -> mul(x, g) in generator order) from the identity, as in ``FiniteGroup.tree``."""
+    tree = {identity: None}
+    queue = [identity]
+    for x in queue:
+        for gname, g in gens.items():
+            y = mul(x, g)
+            if y not in tree:
+                tree[y] = (x, gname)
+                queue.append(y)
+    return tree
 
 
 def _check_group_axioms(g: FiniteGroup) -> None:
+    """Closure, identity and associativity of a table, the last by Light's
+    test (Clifford-Preston, Algebraic Theory of Semigroups I, 1.2): the a with
+    (x*a)*y = x*(a*y) for all x, y include 1 and are closed under products,
+    so it suffices to check generators, found by the spanning-tree search
+    adding the first element not reached until all are."""
     e = g.identity
+    if not set(g._mul.values()) <= set(g.elements):
+        raise ValueError("FiniteGroup: the table is not closed")
     for a in g.elements:
         if g.mul(a, e) != a or g.mul(e, a) != a:
             raise ValueError("FiniteGroup: identity axiom fails")
-    if g.order <= 16:  # permutation-built groups are associative by construction
-        for a, b, c in itertools.product(g.elements, repeat=3):
-            if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
-                raise ValueError("FiniteGroup: associativity fails")
+    gens = {}
+    tree = _spanning_tree(e, gens, g.mul)
+    for x in g.elements:
+        if x not in tree:
+            gens[x] = x
+            tree = _spanning_tree(e, gens, g.mul)
+    for s in gens.values():
+        for x in g.elements:
+            xs = g.mul(x, s)
+            for y in g.elements:
+                if g.mul(xs, y) != g.mul(x, g.mul(s, y)):
+                    raise ValueError("FiniteGroup: associativity fails")
 
 
 def trivial_group() -> FiniteGroup:
@@ -322,43 +358,35 @@ def verify_splitting(group: FiniteGroup, c2: dict, alpha: dict, degrees: dict | 
 
 
 def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
-    """All homomorphisms group -> PGL2(F_p), by exhaustive search over
-    generator images (the group must carry generator words)."""
-    if group.words is None:
-        raise ValueError("all_homs_to_pgl2: group has no generator words")
-    gen_names = sorted(set(w for word in group.words.values() for w in word))
+    """All homomorphisms group -> PGL2(F_p), in ``itertools.product`` order
+    over the generator images whose order divides the generator's.  By the
+    Cayley-graph criterion each tuple needs at most the |G|*|gens| edge
+    checks of ``FiniteGroup.extend_homomorphism``, which stops at the first
+    failing edge, not |G|^2 pair checks."""
+    one = ProjMat.identity(p)
     target = sorted(pgl2(p).elements)
-    gen_orders = {}
-    for name in gen_names:
+    images = {}
+    for name in group.generator_names():
         elem = group.gens[name]
         n, x = 1, elem
         while x != group.identity:
             x = group.mul(x, elem)
             n += 1
-        gen_orders[name] = n
-    candidates = {
-        name: [g for g in target if g ** gen_orders[name] == ProjMat.identity(p)]
-        for name in gen_names
-    }
-    out = []
-    one = ProjMat.identity(p)
-    for images in itertools.product(*(candidates[n] for n in gen_names)):
-        gen_values = dict(zip(gen_names, images))
-        f = group.extend_generator_map(gen_values, lambda a, b: a * b, one)
-        if group.is_homomorphism(f, lambda a, b: a * b):
-            out.append(f)
-    return out
+        images[name] = [g for g in target if g ** n == one]
+    return _homs_from_images(group, images, one)
 
 
 def all_quadratic_characters(group: FiniteGroup) -> list[dict]:
-    """All homomorphisms group -> {1, -1}."""
-    if group.words is None:
-        raise ValueError("all_quadratic_characters: group has no generator words")
-    gen_names = sorted(set(w for word in group.words.values() for w in word))
+    """All homomorphisms group -> {1, -1}, searched as in ``all_homs_to_pgl2``."""
+    return _homs_from_images(group, {n: (1, -1) for n in group.generator_names()}, 1)
+
+
+def _homs_from_images(group: FiniteGroup, images: dict, one) -> list[dict]:
+    """The homomorphisms with generator values drawn from ``images`` (name
+    -> candidates), in ``itertools.product`` order."""
     out = []
-    for images in itertools.product((1, -1), repeat=len(gen_names)):
-        gen_values = dict(zip(gen_names, images))
-        f = group.extend_generator_map(gen_values, lambda a, b: a * b, 1)
-        if group.is_homomorphism(f, lambda a, b: a * b):
+    for values in itertools.product(*images.values()):
+        f = group.extend_homomorphism(dict(zip(images, values)), operator.mul, one)
+        if f is not None:
             out.append(f)
     return out

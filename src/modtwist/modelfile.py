@@ -32,7 +32,6 @@ from .galmodel import (
     FiniteGaloisModel,
     FiniteGroup,
     QuadraticCharacter,
-    _generator_words,
     validate_model,
 )
 from .projgroup import ProjMat
@@ -73,16 +72,11 @@ def _build_group(spec: dict) -> FiniteGroup:
         except (KeyError, ValueError) as exc:
             raise ModelParseError(f"bad multiplication table: {exc}") from exc
         gen_map = spec.get("generators")
-        if gen_map:
-            grp.gens = dict(gen_map)
-            try:
-                grp.words = _generator_words(grp, grp.gens)
-            except ValueError as exc:
-                raise ModelParseError(str(exc)) from exc
-        else:
-            # every element is its own generator
-            grp.gens = {str(x): x for x in elements}
-            grp.words = _generator_words(grp, grp.gens)
+        try:
+            # without generators every element is its own generator
+            grp.set_generators(dict(gen_map) if gen_map else {str(x): x for x in elements})
+        except (KeyError, ValueError) as exc:
+            raise ModelParseError(f"bad generators: {exc}") from exc
         return grp
     raise ModelParseError(f"unknown group type {kind!r}")
 

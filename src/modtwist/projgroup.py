@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import kronecker, least_nonsquare
+from .arith import invariant, kronecker, least_nonsquare
 
 
 class ProjMat:
@@ -173,7 +173,7 @@ def pgl2(p: int) -> MatGroup:
                         elems.add(ProjMat(a, b, c, d, p))
     v = least_nonsquare(p)
     gens = (t_matrix(p), u_matrix(p), v_matrix(p, v))
-    assert len(elems) == p * (p * p - 1)
+    invariant(len(elems) == p * (p * p - 1), f"|PGL2(F_{p})| != p(p^2-1)")
     return MatGroup(p, frozenset(elems), gens)
 
 
@@ -182,7 +182,7 @@ def psl2(p: int) -> MatGroup:
     """The subgroup PSL2(F_p) of classes with square determinant."""
     full = pgl2(p)
     elems = frozenset(g for g in full.elements if g.det_class == 1)
-    assert len(elems) == p * (p * p - 1) // 2
+    invariant(len(elems) == p * (p * p - 1) // 2, f"|PSL2(F_{p})| != p(p^2-1)/2")
     return MatGroup(p, elems, (t_matrix(p), u_matrix(p)))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import Level, least_nonsquare
+from .arith import Level, invariant, least_nonsquare
 from .curves import genus_XNp, xplus_verdict
 from .galmodel import (
     FiniteGaloisModel,
@@ -133,8 +133,8 @@ def build_xi(
             w = 0 if k_char[s] == 1 else 1
         values[s] = (g, w)
     ambient = Ambient.G_NP if cyclotomic_compatible else Ambient.W_NP
-    if ambient is Ambient.G_NP:
-        assert all(g.det_class == 1 for g, _ in values.values())
+    invariant(ambient is Ambient.W_NP or all(g.det_class == 1 for g, _ in values.values()),
+              "build_xi: a G(N,p) cocycle must take values in PSL2")
     return Cocycle(model=m, ambient=ambient, values=values, v=v)
 
 
@@ -332,43 +332,3 @@ def model_corpus(p: int = 3) -> list[FiniteGaloisModel]:
                 out.append(m)
     return out
 
-
-def perturbation_breaks(c: Cocycle) -> bool:
-    """For every group element, some single-value perturbation of the
-    cocycle is invalid (and perturbing the identity value always is)."""
-    grp = c.model.group
-    candidates = sorted(pgl2(c.p).elements)
-    for s in grp.elements:
-        found_breaking = False
-        for mult in candidates:
-            if mult.is_identity():
-                continue
-            g, w = c.values[s]
-            perturbed = Cocycle(
-                model=c.model,
-                ambient=c.ambient,
-                values={**c.values, s: (g * mult, w)},
-                v=c.v,
-            )
-            if not check_cocycle(perturbed):
-                found_breaking = True
-                if s == grp.identity:
-                    break
-                break
-        if not found_breaking:
-            return False
-        if s == grp.identity:
-            # any nontrivial perturbation at the identity must break it
-            for mult in candidates:
-                if mult.is_identity():
-                    continue
-                g, w = c.values[s]
-                perturbed = Cocycle(
-                    model=c.model,
-                    ambient=c.ambient,
-                    values={**c.values, s: (g * mult, w)},
-                    v=c.v,
-                )
-                if check_cocycle(perturbed):
-                    return False
-    return True

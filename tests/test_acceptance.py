@@ -39,7 +39,6 @@ from modtwist.twists import (
     check_cocycle,
     cohomologous,
     model_corpus,
-    perturbation_breaks,
 )
 
 
@@ -211,7 +210,7 @@ def test_acceptance_09_moduli_actions():
     _verdict(9, ok, time.monotonic() - t0, 120.0)
 
 
-def test_acceptance_10_cocycle_corpus():
+def test_acceptance_10_cocycle_corpus(perturbation_breaks):
     """Over a corpus of >= 50 models at p = 3, the plain and primed twisting
     cocycles (and the chi_k variants where available) all satisfy the
     twisted cocycle identity, and single-value perturbations break it.

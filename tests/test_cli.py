@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from modtwist import cli
+from modtwist.arith import InvariantError
 from modtwist.cli import (
     EXIT_MODEL,
     EXIT_NEGATIVE,
@@ -152,6 +154,26 @@ def test_al_fixed(capsys):
 
 def test_al_fixed_bad_input(capsys):
     assert main(["al-fixed", "12", "5"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["al-fixed", "20", "4"], ["genus", "4", "3"]])
+def test_failed_invariant_is_oracle_exit(capsys, monkeypatch, argv):
+    def broken(*args):
+        raise InvariantError("broken anchor")
+
+    monkeypatch.setattr(cli, "genus_X0", broken)
+    monkeypatch.setattr(cli, "genus_XNp", broken)
+    assert main(argv) == EXIT_ORACLE
+    assert "internal invariant failed: broken anchor" in capsys.readouterr().err
+
+
+def test_non_associative_table_model_is_usage_error(capsys, tmp_path, z18_table_model):
+    path = tmp_path / "latin.json"
+    path.write_text(json.dumps(z18_table_model(True)))
+    with pytest.raises(SystemExit) as exc:
+        main(["centralizer", str(path)])
+    assert exc.value.code == EXIT_USAGE
+    assert "associativity" in capsys.readouterr().err
 
 
 def test_classify(capsys):

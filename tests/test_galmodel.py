@@ -1,5 +1,6 @@
 """Finite group containers, model validation, degree characters, oddness and
 obstruction splitting checks."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from modtwist.galmodel import (
     validate_model,
     verify_splitting,
 )
-from modtwist.projgroup import ProjMat
+from modtwist.projgroup import ProjMat, pgl2
 
 
 def test_group_constructors():
@@ -55,11 +56,59 @@ def test_from_table_rejects_non_group():
         FiniteGroup.from_table(["e", "a"], table, "e")
 
 
+def test_from_table_rejects_non_associative_latin_square(z18_tables):
+    good, bad = z18_tables
+    elements = range(18)
+    assert all(sorted(bad[a].values()) == list(elements) for a in elements)
+    assert all(sorted(bad[a][b] for a in elements) == list(elements) for b in elements)
+    non_associative = sum(
+        bad[bad[x][y]][z] != bad[x][bad[y][z]]
+        for x, y, z in itertools.product(elements, repeat=3)
+    )
+    assert non_associative == 240
+    assert FiniteGroup.from_table(elements, good, 0).order == 18
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteGroup.from_table(elements, bad, 0)
+
+
+def test_from_table_accepts_s3_x_c3():
+    s3 = symmetric_group(3)
+    elements = [(x, k) for x in s3.elements for k in range(3)]
+    table = {
+        (x, k): {(y, l): (s3.mul(x, y), (k + l) % 3) for (y, l) in elements}
+        for (x, k) in elements
+    }
+    g = FiniteGroup.from_table(elements, table, (s3.identity, 0))
+    assert g.order == 18 and g.inv(((1, 2, 0), 1)) == ((2, 0, 1), 2)
+
+
+def test_from_table_rejects_unclosed_table(z18_tables):
+    table = z18_tables[0]
+    table[5][7] = 18
+    with pytest.raises(ValueError, match="closed"):
+        FiniteGroup.from_table(range(18), table, 0)
+
+
 def test_extend_generator_map():
     g = cyclic_group(4)
     vals = g.extend_generator_map({"g": 1j}, lambda a, b: a * b, 1 + 0j)
     assert set(vals.values()) == {1, 1j, -1, -1j}
     assert g.is_homomorphism(vals, lambda a, b: a * b)
+
+
+def test_extend_generator_map_is_the_word_product():
+    # values that define no homomorphism are still the products along words
+    g = symmetric_group(4)
+    values = {"s": ProjMat(1, 1, 0, 1, 5), "t": ProjMat(2, 1, 1, 1, 5)}
+    f = g.extend_generator_map(values, lambda a, b: a * b, ProjMat.identity(5))
+    assert not g.is_homomorphism(f, lambda a, b: a * b)
+    assert list(f) == list(g.words)
+    for x, word in g.words.items():
+        acc = ProjMat.identity(5)
+        for w in word:
+            acc = acc * values[w]
+        assert f[x] == acc
+    assert g.extend_homomorphism(values, lambda a, b: a * b, ProjMat.identity(5)) is None
 
 
 def test_generator_words_cover_group():
@@ -219,3 +268,86 @@ def test_all_quadratic_characters():
     assert len(all_quadratic_characters(klein_four())) == 4
     assert len(all_quadratic_characters(symmetric_group(3))) == 2  # trivial, sign
     assert len(all_quadratic_characters(cyclic_group(3))) == 1
+
+
+def _reference_homs(group, images, one):
+    """Brute force: extend each tuple of generator images along the words
+    and test all |G|^2 pairs."""
+    names = sorted(images)
+    out = []
+    for values in itertools.product(*(images[n] for n in names)):
+        f = group.extend_generator_map(dict(zip(names, values)), lambda a, b: a * b, one)
+        if group.is_homomorphism(f, lambda a, b: a * b):
+            out.append(f)
+    return out
+
+
+def _reference_homs_to_pgl2(group, p):
+    """Candidates: the images whose order divides the generator's."""
+    one = ProjMat.identity(p)
+    images = {}
+    for name in group.generator_names():
+        x, n = group.gens[name], 1
+        while _power(group, x, n) != group.identity:
+            n += 1
+        images[name] = [g for g in sorted(pgl2(p).elements) if g ** n == one]
+    return _reference_homs(group, images, one)
+
+
+def _power(group, x, n):
+    acc = group.identity
+    for _ in range(n):
+        acc = group.mul(acc, x)
+    return acc
+
+
+def _s3_table_group():
+    s3 = symmetric_group(3)
+    label = {x: "".join(map(str, x)) for x in s3.elements}
+    table = {label[x]: {label[y]: label[s3.mul(x, y)] for y in s3} for x in s3}
+    g = FiniteGroup.from_table(list(table), table, label[s3.identity], name="S3table")
+    g.set_generators({"t": "120", "s": "102"})
+    return g
+
+
+SEARCH_GROUPS = [
+    cyclic_group(2), cyclic_group(3), klein_four(), symmetric_group(3),
+    symmetric_group(4), _s3_table_group(),
+]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("group", SEARCH_GROUPS, ids=lambda g: g.name)
+def test_all_homs_to_pgl2_matches_brute_force(group, p):
+    got = all_homs_to_pgl2(group, p)
+    want = _reference_homs_to_pgl2(group, p)
+    assert got == want
+    assert [list(f) for f in got] == [list(f) for f in want]
+    assert all(list(f) == list(group.words) for f in got)
+
+
+@pytest.mark.parametrize("group", SEARCH_GROUPS, ids=lambda g: g.name)
+def test_all_quadratic_characters_matches_brute_force(group):
+    names = group.generator_names()
+    got = all_quadratic_characters(group)
+    want = _reference_homs(group, {n: (1, -1) for n in names}, 1)
+    assert got == want
+    assert [list(f) for f in got] == [list(f) for f in want]
+
+
+def test_s3_images_failing_the_braid_relation_give_no_homomorphism():
+    # s -> involution, t -> order-3 element, but (st)^2 != 1
+    g, p = symmetric_group(3), 5
+    one = ProjMat.identity(p)
+    elems = sorted(pgl2(p).elements)
+    involutions = [a for a in elems if a != one and a * a == one]
+    order3 = [b for b in elems if b != one and b ** 3 == one]
+    bad = [(a, b) for a in involutions for b in order3 if (a * b) ** 2 != one]
+    assert bad
+    for a, b in bad[:20]:
+        values = {"s": a, "t": b}
+        assert g.extend_homomorphism(values, lambda x, y: x * y, one) is None
+        f = g.extend_generator_map(values, lambda x, y: x * y, one)
+        assert not g.is_homomorphism(f, lambda x, y: x * y)
+    homs = all_homs_to_pgl2(g, p)
+    assert not any((f[g.gens["s"]], f[g.gens["t"]]) in set(bad) for f in homs)

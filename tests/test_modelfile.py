@@ -129,3 +129,21 @@ def test_parse_rejects_string_permutation_entry():
     doc = dict(GOOD_MODEL, group={"type": "permutation", "generators": {"s": [1, "0"]}})
     with pytest.raises(ModelParseError):
         parse_model(json.dumps(doc))
+
+
+
+def test_parse_table_group_of_order_18(z18_table_model):
+    m = parse_and_validate(json.dumps(z18_table_model(False)))
+    assert m.group.order == 18 and m.group.words["17"] == ("g",) * 17
+
+
+def test_parse_rejects_non_associative_table(z18_table_model):
+    with pytest.raises(ModelParseError, match="associativity"):
+        parse_model(json.dumps(z18_table_model(True)))
+
+
+def test_parse_rejects_unknown_table_generator(z18_table_model):
+    doc = z18_table_model(False)
+    doc["group"]["generators"] = {"g": "18"}
+    with pytest.raises(ModelParseError, match="bad generators"):
+        parse_model(json.dumps(doc))

@@ -16,7 +16,6 @@ from modtwist.twists import (
     cohomologous,
     eta,
     model_corpus,
-    perturbation_breaks,
     rho_star,
     twist_plan,
 )
@@ -150,7 +149,7 @@ def test_centralizer_verdict_trichotomy():
     }
 
 
-def test_perturbation_breaks_sample():
+def test_perturbation_breaks_sample(perturbation_breaks):
     for m in CORPUS[:12]:
         xi = build_xi(m)
         assert perturbation_breaks(xi)
