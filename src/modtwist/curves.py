@@ -62,40 +62,66 @@ def cusps_X0(N: int) -> list[CuspData]:
     return out
 
 
+def p1_local_T(q: int, e: int) -> list[int]:
+    """T = (c : d) -> (c : c + d) on P^1(Z/q^e) as a list permutation of the
+    local indices: x < q^e is the point (x : 1), q^e + k (k < q^(e-1)) is
+    (1 : q k).  These are the psi(q^e) points: a point with d a unit scales
+    to (c/d : 1), and otherwise c is a unit and it scales to (1 : d/c)."""
+    m = q**e
+    table = []
+    for x in range(m):
+        y = (x + 1) % m
+        if y % q:  # (x : x + 1) = (x / (x + 1) : 1)
+            table.append(x * pow(y, -1, m) % m)
+        else:  # x = -1 is a unit: (x : x + 1) = (1 : (x + 1) / x)
+            table.append(m + y * pow(x, -1, m) % m // q)
+    for k in range(m // q):  # (1 : 1 + q k) = (1 / (1 + q k) : 1)
+        table.append(pow(1 + q * k, -1, m))
+    return table
+
+
 def cusps_oracle(N: int) -> int:
-    """Independent cusp count for X_0(N): orbits of P^1(Z/N) under the
-    parabolic action (c : d) -> (c : c + d)."""
+    """Independent cusp count for X_0(N): the number of orbits of P^1(Z/N)
+    under the parabolic action T = (c : d) -> (c : c + d).
+
+    By CRT, P^1(Z/N) is the product of the P^1(Z/q^e) over q^e || N and T
+    acts coordinate by coordinate (Cremona, Algorithms for Modular Elliptic
+    Curves, 2.2).  ``p1_local_T`` indexes each factor and tabulates T on it;
+    a point of the product is the mixed-radix index of its coordinates, T on
+    the product is tabulated from the local tables, and each T-cycle of the
+    psi(N) points is walked once, counting one orbit per cycle.  The count is
+    a literal orbit walk: it uses neither cycle lengths nor the divisor sum
+    of ``cusps_X0``, the formula it checks."""
     if N <= 0:
         raise ValueError(f"cusps_oracle: need N > 0, got {N}")
     if N == 1:
         return 1
-    units = [u for u in range(1, N) if math.gcd(u, N) == 1]
-    gcd_n = [math.gcd(d, N) for d in range(N)]
-    point_id: dict[tuple[int, int], int] = {}
-    n_points = 0
-    for c in range(N):
-        gc = gcd_n[c]
-        for d in range(N):
-            if math.gcd(gc, gcd_n[d]) != 1:
-                continue
-            if (c, d) in point_id:
-                continue
-            for u in units:
-                point_id[(u * c % N, u * d % N)] = n_points
-            n_points += 1
-    invariant(n_points == psi_index(N), f"cusps_oracle({N}): |P^1(Z/N)| != psi(N)")
-    seen = [False] * n_points
+    # T on the product: a position and its value are mixed-radix indices,
+    # the factor added last giving the most significant digit
+    perm = [0]
+    for q in prime_factors(N):
+        e, rest = 0, N
+        while rest % q == 0:
+            rest //= q
+            e += 1
+        table = p1_local_T(q, e)
+        invariant(
+            sorted(table) == list(range(len(table))),
+            f"cusps_oracle({N}): T on P^1(Z/{q}^{e}) is not a bijection",
+        )
+        stride = len(perm)
+        perm = [t * stride + a for t in table for a in perm]
+    invariant(len(perm) == psi_index(N), f"cusps_oracle({N}): |P^1(Z/N)| != psi(N)")
+    seen = bytearray(len(perm))
     orbits = 0
-    for (c, d), idx in list(point_id.items()):
-        if seen[idx]:
+    for start in range(len(perm)):
+        if seen[start]:
             continue
         orbits += 1
-        x, y = c, d
-        while True:
-            seen[point_id[(x, y)]] = True
-            y = (y + x) % N
-            if seen[point_id[(x, y)]]:
-                break
+        idx = start
+        while not seen[idx]:
+            seen[idx] = 1
+            idx = perm[idx]
     return orbits
 
 

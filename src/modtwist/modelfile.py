@@ -13,7 +13,8 @@ A model file is a JSON document:
     }
 
 The group is either permutation generators (lists mapping i -> g(i)) or an
-explicit multiplication table:
+explicit multiplication table, an object of objects keyed by the string
+element labels with table[a][b] = a*b:
 
     {"type": "table", "elements": ["e", "a"], "identity": "e",
      "table": {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}},
@@ -63,15 +64,30 @@ def _build_group(spec: dict) -> FiniteGroup:
         for key in ("elements", "identity", "table"):
             if key not in spec:
                 raise ModelParseError(f"group.{key} is required for table groups")
-        elements = spec["elements"]
-        table = spec["table"]
+        elements, table, identity = spec["elements"], spec["table"], spec["identity"]
+        gen_map = spec.get("generators")
+        # labels are strings, as the keys of the JSON objects in the table are
+        if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+            raise ModelParseError("group.elements must be a list of string labels")
+        if not isinstance(identity, str):
+            raise ModelParseError("group.identity must be a string label")
+        if not isinstance(table, dict) or not all(
+            isinstance(row, dict) and all(isinstance(v, str) for v in row.values())
+            for row in table.values()
+        ):
+            raise ModelParseError(
+                "group.table must be an object of objects of string labels, keyed by element labels"
+            )
+        if gen_map and not (
+            isinstance(gen_map, dict) and all(isinstance(v, str) for v in gen_map.values())
+        ):
+            raise ModelParseError("group.generators must be an object of element labels")
         try:
             grp = FiniteGroup.from_table(
-                elements, table, spec["identity"], name=spec.get("name", "G")
+                elements, table, identity, name=spec.get("name", "G")
             )
         except (KeyError, ValueError) as exc:
             raise ModelParseError(f"bad multiplication table: {exc}") from exc
-        gen_map = spec.get("generators")
         try:
             # without generators every element is its own generator
             grp.set_generators(dict(gen_map) if gen_map else {str(x): x for x in elements})

@@ -1,5 +1,5 @@
-"""Shared test helpers: the cocycle perturbation check and the order-18
-table groups."""
+"""Shared test helpers: the cocycle perturbation check, the order-18 table
+groups and table-group model files of malformed JSON shapes."""
 import pytest
 
 from modtwist.projgroup import pgl2
@@ -68,3 +68,34 @@ def z18_table_model():
         }
 
     return make
+
+
+def _c2_table_model(**group_changes) -> dict:
+    """A model on the table group C2 = {e, a}, with keys of "group" replaced."""
+    group = {
+        "type": "table",
+        "elements": ["e", "a"],
+        "identity": "e",
+        "table": {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}},
+        "generators": {"a": "a"},
+        **group_changes,
+    }
+    return {"p": 3, "group": group, "rho": {"a": [[0, 1], [1, 0]]}, "chi": {"a": 2}}
+
+
+@pytest.fixture
+def malformed_table_models():
+    """Model documents, by name, whose table group has a JSON shape that is
+    not a list of string labels or an object of objects of labels."""
+    return {
+        "list_labels": _c2_table_model(elements=[["e"], ["a"]]),
+        "string_elements": _c2_table_model(elements="ea"),
+        "integer_elements": _c2_table_model(elements=2),
+        "list_identity": _c2_table_model(identity=["e"]),
+        "list_table": _c2_table_model(table=[["e", "a"], ["a", "e"]]),
+        "string_table": _c2_table_model(table="ea"),
+        "list_rows": _c2_table_model(table={"e": ["e", "a"], "a": ["a", "e"]}),
+        "list_entry": _c2_table_model(table={"e": {"e": "e", "a": ["a"]}, "a": {"e": "a", "a": "e"}}),
+        "list_generator": _c2_table_model(generators={"a": ["a"]}),
+        "generators_list": _c2_table_model(generators=["a"]),
+    }

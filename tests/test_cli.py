@@ -1,6 +1,9 @@
 """End-to-end command-line tests: every subcommand, the exit-code contract
 and JSON report round-trips."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,13 +159,14 @@ def test_al_fixed_bad_input(capsys):
     assert main(["al-fixed", "12", "5"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv", [["al-fixed", "20", "4"], ["genus", "4", "3"]])
+@pytest.mark.parametrize("argv", [["al-fixed", "20", "4"], ["genus", "4", "3"], ["cusps", "20", "--oracle"]])
 def test_failed_invariant_is_oracle_exit(capsys, monkeypatch, argv):
     def broken(*args):
         raise InvariantError("broken anchor")
 
     monkeypatch.setattr(cli, "genus_X0", broken)
     monkeypatch.setattr(cli, "genus_XNp", broken)
+    monkeypatch.setattr(cli, "cusps_oracle", broken)
     assert main(argv) == EXIT_ORACLE
     assert "internal invariant failed: broken anchor" in capsys.readouterr().err
 
@@ -262,6 +266,20 @@ def test_selftest_quick(capsys):
     assert {"arith", "projgroup", "curves", "extgroup", "moduli", "twists"} <= names
 
 
+def test_selftest_report_is_the_same_under_python_O():
+    # invariants are real checks, not asserts that -O strips
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    reports = []
+    for flags in (["-O"], []):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "modtwist.cli", "--json", "selftest", "--quick"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        reports.append(_strip_timing(json.loads(proc.stdout.strip().splitlines()[-1])))
+    assert reports[0] == reports[1]
+
+
 def test_report_json_roundtrip():
     rep = Report(command="x", inputs={"a": 1}, outputs={"b": [1, 2]}, elapsed_s=0.5)
     assert Report.from_json(rep.to_json()) == rep
@@ -274,13 +292,20 @@ def test_plain_output_lines(capsys):
     assert "X(4,3): genus 1" in out
 
 
-@pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", [*MALFORMED, "table_shapes"], ids=lambda p: getattr(p, "stem", p))
 @pytest.mark.parametrize("command", ["centralizer", "cocycle-check"])
-def test_malformed_model_is_usage_error(capsys, command, path):
-    with pytest.raises(SystemExit) as exc:
-        main([command, str(path)])
-    assert exc.value.code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+def test_malformed_model_is_usage_error(capsys, tmp_path, malformed_table_models, command, path):
+    # "table_shapes" stands for every malformed table-group model file
+    paths = [path]
+    if path == "table_shapes":
+        paths = [tmp_path / f"{name}.json" for name in malformed_table_models]
+        for p, doc in zip(paths, malformed_table_models.values()):
+            p.write_text(json.dumps(doc))
+    for p in paths:
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(p)])
+        assert exc.value.code == EXIT_USAGE, p.name
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def _strip_timing(obj):

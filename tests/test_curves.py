@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modtwist.arith import Level, divisors, euler_phi, psi_index
+from modtwist import curves
+from modtwist.arith import InvariantError, Level, divisors, euler_phi, is_prime, psi_index
 from modtwist.curves import (
     al_fixed_points,
     cusps_X0,
@@ -16,6 +17,7 @@ from modtwist.curves import (
     genus_XNp_hurwitz,
     lemma_pairs,
     low_genus_XNp,
+    p1_local_T,
     xplus_verdict,
 )
 
@@ -55,10 +57,78 @@ def test_cusp_data_structure():
     assert sum(c.ram_degree for c in cusps) == psi_index(20)
 
 
-@given(st.integers(min_value=1, max_value=300))
+@given(st.integers(min_value=1, max_value=2000))
 @settings(max_examples=60, deadline=None)
 def test_cusp_formula_matches_orbit_oracle(n):
     assert len(cusps_X0(n)) == cusps_oracle(n)
+
+
+def reference_cusps_oracle(N: int) -> int:
+    """The orbit count by brute force: every pair (c, d) in (Z/N)^2, each new
+    point of P^1(Z/N) keyed with all its unit multiples, then one T-walk."""
+    if N == 1:
+        return 1
+    units = [u for u in range(1, N) if math.gcd(u, N) == 1]
+    gcd_n = [math.gcd(d, N) for d in range(N)]
+    point_id: dict[tuple[int, int], int] = {}
+    n_points = 0
+    for c in range(N):
+        gc = gcd_n[c]
+        for d in range(N):
+            if math.gcd(gc, gcd_n[d]) != 1:
+                continue
+            if (c, d) in point_id:
+                continue
+            for u in units:
+                point_id[(u * c % N, u * d % N)] = n_points
+            n_points += 1
+    assert n_points == psi_index(N)
+    seen = [False] * n_points
+    orbits = 0
+    for (c, d), idx in list(point_id.items()):
+        if seen[idx]:
+            continue
+        orbits += 1
+        x, y = c, d
+        while True:
+            seen[point_id[(x, y)]] = True
+            y = (y + x) % N
+            if seen[point_id[(x, y)]]:
+                break
+    return orbits
+
+
+def test_cusps_oracle_matches_reference():
+    for n in [*range(1, 201), 512, 720, 800]:
+        assert cusps_oracle(n) == reference_cusps_oracle(n), n
+
+
+def _local_point(q, e, i):
+    m = q**e
+    return (i, 1) if i < m else (1, q * (i - m))
+
+
+def test_p1_local_T_is_T_on_all_points():
+    # every prime power q^e <= 1000: the table permutes the psi(q^e) indices
+    # and maps the point (c : d) of each index to (c : c + d); two points
+    # (c1 : d1), (c2 : d2) of P^1(Z/q^e) are equal iff c1 d2 = c2 d1
+    for q in filter(is_prime, range(2, 1001)):
+        for e in range(1, 11):
+            m = q**e
+            if m > 1000:
+                break
+            table = p1_local_T(q, e)
+            assert sorted(table) == list(range(psi_index(m))), (q, e)
+            for i, j in enumerate(table):
+                c, d = _local_point(q, e, i)
+                c2, d2 = _local_point(q, e, j)
+                assert (c * d2 - c2 * (c + d)) % m == 0, (q, e, i)
+
+
+def test_non_bijective_local_T_is_invariant_error(monkeypatch):
+    monkeypatch.setattr(curves, "p1_local_T", lambda q, e: [0] * psi_index(q**e))
+    with pytest.raises(InvariantError, match="not a bijection"):
+        cusps_oracle(20)
 
 
 def test_cusp_labels():

@@ -147,3 +147,9 @@ def test_parse_rejects_unknown_table_generator(z18_table_model):
     doc["group"]["generators"] = {"g": "18"}
     with pytest.raises(ModelParseError, match="bad generators"):
         parse_model(json.dumps(doc))
+
+
+def test_parse_rejects_malformed_table_shapes(malformed_table_models):
+    for doc in malformed_table_models.values():
+        with pytest.raises(ModelParseError, match="^group\\."):
+            parse_model(json.dumps(doc))
