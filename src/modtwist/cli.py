@@ -1,9 +1,15 @@
 """Command-line interface.
 
+Each ``cmd_*`` handler only computes: it returns ``(outputs, lines, exit
+code)`` or raises ``_Exit`` to stop early, and ``main`` prints the JSON
+``Report`` (with ``--json``) or the plain lines.  A report's ``inputs`` are
+the parsed arguments and its ``elapsed_s`` covers the whole command after
+argument parsing: model loading, the computation and its cross-checks.
+
 Exit codes: 0 success; 1 verified-negative result (e.g. a perfect check that
-legitimately reports False); 2 usage or parse errors; 3 internal oracle
-mismatches and failed invariants; 4 model validation failures; 5 parity
-mismatches between a model and a level.
+legitimately reports False); 2 usage or parse errors, including a malformed
+``twist-plan --k``; 3 internal oracle mismatches and failed invariants; 4
+model validation failures; 5 parity mismatches between a model and a level.
 """
 from __future__ import annotations
 
@@ -78,65 +84,59 @@ class Report:
         )
 
 
-def _emit(report: Report, args, lines: list[str]) -> None:
-    if args.json:
-        print(report.to_json())
-    else:
-        for line in lines:
-            print(line)
+class _Exit(Exception):
+    """Stops a command early: ``code`` is the exit code, ``args`` the lines for stderr."""
+
+    def __init__(self, code: int, *lines: str):
+        super().__init__(*lines)
+        self.code = code
 
 
-def _level_or_exit(N: int, p: int) -> Level:
+def _level(N: int, p: int) -> Level:
     try:
         return Level(N, p)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
 
 
-def cmd_genus(args) -> int:
-    level = _level_or_exit(args.N, args.p)
-    t0 = time.perf_counter()
-    outputs: dict = {}
-    lines = []
+def _model(path: str):
+    """The parsed model file, validated: exit 2 on a parse error, 4 on invalid data."""
+    try:
+        model = parse_model(Path(path))
+    except (ModelParseError, OSError) as exc:
+        raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
+    errs = validate_model(model)
+    if errs:
+        raise _Exit(EXIT_MODEL, *(f"model error: {e}" for e in errs))
+    return model
+
+
+def cmd_genus(args):
+    level = _level(args.N, args.p)
     if args.plus:
         if not level.cyclotomic:
-            print(f"error: X+({level.N},{level.p}) requires a cyclotomic level", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Exit(EXIT_USAGE, f"error: X+({level.N},{level.p}) requires a cyclotomic level")
         rep = xplus_verdict(level)
         outputs = {"curve": rep.curve, "genus": rep.genus, "method": rep.method, "note": rep.note}
-        lines.append(
-            f"{rep.curve}: genus {rep.genus if rep.genus is not None else rep.note}"
-        )
-    else:
-        g = genus_XNp(level)
-        outputs = {"curve": f"X({level.N},{level.p})", "genus": g}
-        lines.append(f"X({level.N},{level.p}): genus {g}")
-        if args.oracle:
-            go = genus_XNp_hurwitz(level)
-            outputs["oracle_genus"] = go
-            if go != g:
-                print(
-                    f"error: oracle mismatch: closed form {g}, Riemann-Hurwitz {go}",
-                    file=sys.stderr,
-                )
-                return EXIT_ORACLE
-            lines.append(f"oracle (Riemann-Hurwitz over the j-line): genus {go} [agrees]")
-    report = Report(
-        command="genus",
-        inputs={"N": level.N, "p": level.p, "plus": args.plus, "oracle": args.oracle},
-        outputs=outputs,
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _emit(report, args, lines)
-    return EXIT_OK
+        shown = rep.genus if rep.genus is not None else rep.note
+        return outputs, [f"{rep.curve}: genus {shown}"], EXIT_OK
+    g = genus_XNp(level)
+    outputs = {"curve": f"X({level.N},{level.p})", "genus": g}
+    lines = [f"X({level.N},{level.p}): genus {g}"]
+    if args.oracle:
+        go = genus_XNp_hurwitz(level)
+        outputs["oracle_genus"] = go
+        if go != g:
+            raise _Exit(
+                EXIT_ORACLE, f"error: oracle mismatch: closed form {g}, Riemann-Hurwitz {go}"
+            )
+        lines.append(f"oracle (Riemann-Hurwitz over the j-line): genus {go} [agrees]")
+    return outputs, lines, EXIT_OK
 
 
-def cmd_cusps(args) -> int:
+def cmd_cusps(args):
     if args.N <= 0:
-        print("error: N must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    t0 = time.perf_counter()
+        raise _Exit(EXIT_USAGE, "error: N must be positive")
     cusps = cusps_X0(args.N)
     outputs = {
         "N": args.N,
@@ -153,25 +153,15 @@ def cmd_cusps(args) -> int:
         n_orb = cusps_oracle(args.N)
         outputs["oracle_count"] = n_orb
         if n_orb != len(cusps):
-            print(
-                f"error: oracle mismatch: formula {len(cusps)}, orbit count {n_orb}",
-                file=sys.stderr,
+            raise _Exit(
+                EXIT_ORACLE, f"error: oracle mismatch: formula {len(cusps)}, orbit count {n_orb}"
             )
-            return EXIT_ORACLE
         lines.append(f"oracle (orbit count on P^1(Z/{args.N})): {n_orb} [agrees]")
-    report = Report(
-        command="cusps",
-        inputs={"N": args.N, "oracle": args.oracle},
-        outputs=outputs,
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _emit(report, args, lines)
-    return EXIT_OK
+    return outputs, lines, EXIT_OK
 
 
-def cmd_structure(args) -> int:
-    level = _level_or_exit(args.N, args.p)
-    t0 = time.perf_counter()
+def cmd_structure(args):
+    level = _level(args.N, args.p)
     rep = wgroup(level)
     outputs = {
         "level": {"N": level.N, "p": level.p},
@@ -190,35 +180,22 @@ def cmd_structure(args) -> int:
     ]
     for name, m in rep.generators.items():
         lines.append(f"  {name} = [[{m.a}, {m.b}], [{m.c}, {m.d}]]  (det {m.det})")
-    if not level.cyclotomic:
-        ok = verify_relations(level)
-        inv = involutions_extending_wN(level)
-        outputs["relations_verified"] = ok
-        outputs["extending_involutions"] = len(inv.involutions)
-        outputs["single_conjugacy_class"] = inv.single_conjugacy_class
-        lines.append(f"  relations verified: {ok}")
-        lines.append(
-            f"  involutions extending w_N: {len(inv.involutions)}"
-            f" (single conjugacy class: {inv.single_conjugacy_class})"
-        )
-        if not ok:
-            report = Report(
-                "structure", {"N": level.N, "p": level.p}, outputs, time.perf_counter() - t0
-            )
-            _emit(report, args, lines)
-            return EXIT_ORACLE
-    report = Report(
-        command="structure",
-        inputs={"N": level.N, "p": level.p},
-        outputs=outputs,
-        elapsed_s=time.perf_counter() - t0,
+    if level.cyclotomic:
+        return outputs, lines, EXIT_OK
+    ok = verify_relations(level)
+    inv = involutions_extending_wN(level)
+    outputs["relations_verified"] = ok
+    outputs["extending_involutions"] = len(inv.involutions)
+    outputs["single_conjugacy_class"] = inv.single_conjugacy_class
+    lines.append(f"  relations verified: {ok}")
+    lines.append(
+        f"  involutions extending w_N: {len(inv.involutions)}"
+        f" (single conjugacy class: {inv.single_conjugacy_class})"
     )
-    _emit(report, args, lines)
-    return EXIT_OK
+    return outputs, lines, EXIT_OK if ok else EXIT_ORACLE
 
 
-def cmd_scan(args) -> int:
-    t0 = time.perf_counter()
+def cmd_scan(args):
     if args.lemma:
         pairs = sorted(lemma_pairs(args.max))
         outputs = {"bound": args.max, "pairs": [list(x) for x in pairs]}
@@ -233,88 +210,44 @@ def cmd_scan(args) -> int:
         }
         lines = [f"levels with genus X(N,p) <= 1, N <= {args.max_n}, p <= {args.max_p}:"]
         lines += [f"  X({lv.N},{lv.p}): genus {g}" for lv, g in levels]
-    report = Report(
-        command="scan",
-        inputs={
-            "lemma": args.lemma,
-            "max": args.max,
-            "max_n": args.max_n,
-            "max_p": args.max_p,
-        },
-        outputs=outputs,
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _emit(report, args, lines)
-    return EXIT_OK
+    return outputs, lines, EXIT_OK
 
 
-def cmd_al_fixed(args) -> int:
-    t0 = time.perf_counter()
+def cmd_al_fixed(args):
     try:
         f = al_fixed_points(args.M, args.Q)
         g = genus_X0(args.M)
         gq = genus_AL_quotient(args.M, args.Q)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"error: {exc}") from exc
     outputs = {"M": args.M, "Q": args.Q, "fixed_points": f, "genus_X0": g, "genus_quotient": gq}
     lines = [
         f"w_{args.Q} on X_0({args.M}): {f} fixed points",
         f"genus X_0({args.M}) = {g}; genus X_0({args.M})/w_{args.Q} = {gq}",
     ]
-    report = Report(
-        command="al-fixed",
-        inputs={"M": args.M, "Q": args.Q},
-        outputs=outputs,
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _emit(report, args, lines)
-    return EXIT_OK
+    return outputs, lines, EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    level = _level_or_exit(args.N, args.p)
-    t0 = time.perf_counter()
+def cmd_classify(args):
+    level = _level(args.N, args.p)
     case = classify(level)
     outputs = {"level": {"N": level.N, "p": level.p}, "case": case.value}
-    report = Report(
-        command="classify",
-        inputs={"N": level.N, "p": level.p},
-        outputs=outputs,
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _emit(report, args, [f"level ({level.N}, {level.p}): {case.value}"])
-    return EXIT_OK
+    return outputs, [f"level ({level.N}, {level.p}): {case.value}"], EXIT_OK
 
 
-def _load_model_or_exit(path: str):
+def cmd_twist_plan(args):
+    level = _level(args.N, args.p)
+    model = _model(args.model)
     try:
-        model = parse_model(Path(path))
-    except (ModelParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    errs = validate_model(model)
-    if errs:
-        for e in errs:
-            print(f"model error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_MODEL)
-    return model
-
-
-def cmd_twist_plan(args) -> int:
-    level = _level_or_exit(args.N, args.p)
-    model = _load_model_or_exit(args.model)
-    t0 = time.perf_counter()
-    k_fields = tuple(int(k) for k in args.k.split(",") if k) if args.k else ()
+        k_fields = tuple(int(k) for k in args.k.split(",") if k)
+    except ValueError:
+        raise _Exit(EXIT_USAGE, f"error: --k must be comma-separated integers, got {args.k!r}")
     try:
         plan = twist_plan(level, model, k_fields=k_fields)
     except ParityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARITY
+        raise _Exit(EXIT_PARITY, f"error: {exc}") from exc
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    outputs = plan.to_jsonable()
+        raise _Exit(EXIT_MODEL, f"error: {exc}") from exc
     lines = [
         f"level ({level.N}, {level.p}): {plan.case}",
         f"twisted curves: {', '.join(plan.curves)}",
@@ -324,30 +257,20 @@ def cmd_twist_plan(args) -> int:
     ]
     if plan.field_k is not None:
         lines.insert(2, f"field k: squarefree label {plan.field_k}")
-    report = Report(
-        command="twist-plan",
-        inputs={"N": level.N, "p": level.p, "model": args.model, "k": args.k},
-        outputs=outputs,
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _emit(report, args, lines)
-    return EXIT_OK if plan.cocycles_valid else EXIT_ORACLE
+    return plan.to_jsonable(), lines, EXIT_OK if plan.cocycles_valid else EXIT_ORACLE
 
 
-def cmd_cocycle_check(args) -> int:
-    model = _load_model_or_exit(args.model)
-    t0 = time.perf_counter()
+def cmd_cocycle_check(args):
+    model = _model(args.model)
     k_char = None
     if args.k:
         if args.k not in model.characters:
-            print(f"error: model has no character named {args.k!r}", file=sys.stderr)
-            return EXIT_MODEL
+            raise _Exit(EXIT_MODEL, f"error: model has no character named {args.k!r}")
         k_char = model.characters[args.k].values
     try:
         xi = build_xi(model, variant=args.variant, k_char=k_char)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARITY
+        raise _Exit(EXIT_PARITY, f"error: {exc}") from exc
     valid = check_cocycle(xi)
     outputs = {
         "variant": args.variant,
@@ -358,32 +281,16 @@ def cmd_cocycle_check(args) -> int:
             for s, (g, w) in xi.values.items()
         },
     }
-    report = Report(
-        command="cocycle-check",
-        inputs={"model": args.model, "variant": args.variant, "k": args.k},
-        outputs=outputs,
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _emit(report, args, [f"ambient {xi.ambient.value}: cocycle valid: {valid}"])
-    return EXIT_OK if valid else EXIT_NEGATIVE
+    lines = [f"ambient {xi.ambient.value}: cocycle valid: {valid}"]
+    return outputs, lines, EXIT_OK if valid else EXIT_NEGATIVE
 
 
-def cmd_centralizer(args) -> int:
-    model = _load_model_or_exit(args.model)
-    t0 = time.perf_counter()
-    verdict = centralizer_verdict(model)
-    report = Report(
-        command="centralizer",
-        inputs={"model": args.model},
-        outputs={"verdict": verdict.value},
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _emit(report, args, [f"centralizer verdict: {verdict.value}"])
-    return EXIT_OK
+def cmd_centralizer(args):
+    verdict = centralizer_verdict(_model(args.model))
+    return {"verdict": verdict.value}, [f"centralizer verdict: {verdict.value}"], EXIT_OK
 
 
-def cmd_selftest(args) -> int:
-    t0 = time.perf_counter()
+def cmd_selftest(args):
     results = selftest_mod.run(quick=args.quick, seed=args.seed)
     ok = all(passed for _name, passed, _detail in results)
     lines = []
@@ -391,19 +298,11 @@ def cmd_selftest(args) -> int:
         status = "ok" if passed else "FAIL"
         lines.append(f"[{status}] {name}" + (f": {detail}" if detail else ""))
     lines.append(f"selftest: {'all passed' if ok else 'FAILURES detected'}")
-    report = Report(
-        command="selftest",
-        inputs={"quick": args.quick, "seed": args.seed},
-        outputs={
-            "results": [
-                {"name": n, "passed": p, "detail": d} for n, p, d in results
-            ],
-            "ok": ok,
-        },
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _emit(report, args, lines)
-    return EXIT_OK if ok else EXIT_ORACLE
+    outputs = {
+        "results": [{"name": n, "passed": p, "detail": d} for n, p, d in results],
+        "ok": ok,
+    }
+    return outputs, lines, EXIT_OK if ok else EXIT_ORACLE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,13 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one subcommand and return its exit code; only argparse's own exits
+    (usage errors, --help) raise SystemExit."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        outputs, lines, code = args.func(args)
+    except _Exit as exc:
+        print(*exc.args, sep="\n", file=sys.stderr)
+        return exc.code
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    inputs = {k: v for k, v in vars(args).items() if k not in ("json", "command", "func")}
+    report = Report(args.command, inputs, outputs, time.perf_counter() - t0)
+    print(report.to_json() if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

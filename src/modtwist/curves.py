@@ -262,7 +262,7 @@ def al_fixed_points(M: int, Q: int) -> int:
     the primes dividing R; for Q = 4 the involution additionally fixes the
     cusps m/n with ord_2(n) = 1.
     """
-    if M % Q != 0 or Q <= 1:
+    if Q <= 1 or M % Q != 0:
         raise ValueError(f"al_fixed_points: need Q > 1 dividing M, got ({M}, {Q})")
     R = M // Q
     if math.gcd(Q, R) != 1:

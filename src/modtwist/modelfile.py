@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .arith import is_prime
+from .arith import is_prime, is_squarefree
 from .galmodel import (
     FiniteGaloisModel,
     FiniteGroup,
@@ -122,7 +122,8 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
         if (
             not isinstance(mat, list)
             or len(mat) != 2
-            or any(len(row) != 2 or not all(isinstance(x, int) for x in row) for row in mat)
+            or not all(isinstance(row, list) and len(row) == 2 for row in mat)
+            or not all(isinstance(x, int) for row in mat for x in row)
         ):
             raise ModelParseError(f"rho[{name!r}] is not a 2x2 integer matrix")
         try:
@@ -157,8 +158,14 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
             raise ModelParseError(
                 f"character {name!r} must give +-1 on exactly the generators"
             )
+        # the fixed field Q(sqrt d) is labelled by a squarefree d other than 0 and 1
+        d = spec.get("field")
+        if d is not None and not (type(d) is int and d not in (0, 1) and is_squarefree(abs(d))):
+            raise ModelParseError(
+                f"character {name!r}: field must be null or a squarefree integer other than 0, 1"
+            )
         full = grp.extend_generator_map(dict(vals), lambda a, b: a * b, 1)
-        characters[name] = QuadraticCharacter(values=full, field=spec.get("field"))
+        characters[name] = QuadraticCharacter(values=full, field=d)
     model = FiniteGaloisModel(
         group=grp, p=p, rho=rho, chi=chi, conj=conj, characters=characters
     )

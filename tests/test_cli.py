@@ -1,5 +1,6 @@
 """End-to-end command-line tests: every subcommand, the exit-code contract
 and JSON report round-trips."""
+import argparse
 import json
 import os
 import subprocess
@@ -18,11 +19,13 @@ from modtwist.cli import (
     EXIT_PARITY,
     EXIT_USAGE,
     Report,
+    build_parser,
     main,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "perfbench" / "data" / "goldens_cli.json"
+PLAIN = ROOT / "tests" / "data" / "cli_plain.json"
 MALFORMED = sorted((ROOT / "perfbench" / "data" / "malformed").glob("*.json"))
 
 GOOD_MODEL = {
@@ -104,9 +107,7 @@ def test_genus_plus_non_cyclotomic_is_usage_error(capsys):
 
 
 def test_genus_invalid_level_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["genus", "3", "3"])
-    assert exc.value.code == EXIT_USAGE
+    assert main(["genus", "3", "3"]) == EXIT_USAGE
 
 
 def test_cusps(capsys):
@@ -174,9 +175,7 @@ def test_failed_invariant_is_oracle_exit(capsys, monkeypatch, argv):
 def test_non_associative_table_model_is_usage_error(capsys, tmp_path, z18_table_model):
     path = tmp_path / "latin.json"
     path.write_text(json.dumps(z18_table_model(True)))
-    with pytest.raises(SystemExit) as exc:
-        main(["centralizer", str(path)])
-    assert exc.value.code == EXIT_USAGE
+    assert main(["centralizer", str(path)]) == EXIT_USAGE
     assert "associativity" in capsys.readouterr().err
 
 
@@ -205,15 +204,11 @@ def test_twist_plan_incompatible_at_cyclotomic(capsys, incompatible_model_path):
 
 
 def test_twist_plan_invalid_model_exit(capsys, invalid_model_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["twist-plan", "4", "3", invalid_model_path])
-    assert exc.value.code == EXIT_MODEL
+    assert main(["twist-plan", "4", "3", invalid_model_path]) == EXIT_MODEL
 
 
 def test_twist_plan_missing_file():
-    with pytest.raises(SystemExit) as exc:
-        main(["twist-plan", "4", "3", "/nonexistent/model.json"])
-    assert exc.value.code == EXIT_USAGE
+    assert main(["twist-plan", "4", "3", "/nonexistent/model.json"]) == EXIT_USAGE
 
 
 def test_cocycle_check(capsys, model_path):
@@ -292,20 +287,79 @@ def test_plain_output_lines(capsys):
     assert "X(4,3): genus 1" in out
 
 
-@pytest.mark.parametrize("path", [*MALFORMED, "table_shapes"], ids=lambda p: getattr(p, "stem", p))
+@pytest.mark.parametrize(
+    "path", [*MALFORMED, "table_shapes", "rho_row"], ids=lambda p: getattr(p, "stem", p)
+)
 @pytest.mark.parametrize("command", ["centralizer", "cocycle-check"])
 def test_malformed_model_is_usage_error(capsys, tmp_path, malformed_table_models, command, path):
-    # "table_shapes" stands for every malformed table-group model file
+    # "table_shapes" stands for every malformed table-group model file,
+    # "rho_row" for a rho matrix with a row that is not a list
+    docs = {
+        "table_shapes": malformed_table_models,
+        "rho_row": {"rho_row": dict(GOOD_MODEL, rho={"s": [[0, 1], 5]})},
+    }
     paths = [path]
-    if path == "table_shapes":
-        paths = [tmp_path / f"{name}.json" for name in malformed_table_models]
-        for p, doc in zip(paths, malformed_table_models.values()):
+    if path in docs:
+        paths = [tmp_path / f"{name}.json" for name in docs[path]]
+        for p, doc in zip(paths, docs[path].values()):
             p.write_text(json.dumps(doc))
     for p in paths:
-        with pytest.raises(SystemExit) as exc:
-            main([command, str(p)])
-        assert exc.value.code == EXIT_USAGE, p.name
+        assert main([command, str(p)]) == EXIT_USAGE, p.name
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# conj = s has order 3 and chi(conj) = 1: two validation errors
+TWO_ERROR_MODEL = {
+    "p": 3,
+    "group": {"type": "permutation", "generators": {"s": [1, 2, 0]}},
+    "rho": {"s": [[1, 0], [0, 1]]},
+    "chi": {"s": 1},
+    "conj": "s",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        pytest.param(["genus", "3", "3"], EXIT_USAGE,
+                     "error: Level: need gcd(N, p) = 1, got (3, 3)\n", id="invalid_level"),
+        pytest.param(["genus", "2", "3", "--plus"], EXIT_USAGE,
+                     "error: X+(2,3) requires a cyclotomic level\n", id="plus_non_cyclotomic"),
+        pytest.param(["cusps", "0"], EXIT_USAGE, "error: N must be positive\n", id="cusps_0"),
+        pytest.param(["al-fixed", "12", "5"], EXIT_USAGE,
+                     "error: al_fixed_points: need Q > 1 dividing M, got (12, 5)\n", id="al_fixed_12_5"),
+        pytest.param(["al-fixed", "5", "0"], EXIT_USAGE,
+                     "error: al_fixed_points: need Q > 1 dividing M, got (5, 0)\n", id="al_fixed_5_0"),
+        pytest.param(["al-fixed", "0", "0"], EXIT_USAGE,
+                     "error: al_fixed_points: need Q > 1 dividing M, got (0, 0)\n", id="al_fixed_0_0"),
+        pytest.param(["centralizer", "/nonexistent/model.json"], EXIT_USAGE,
+                     "error: [Errno 2] No such file or directory: '/nonexistent/model.json'\n",
+                     id="missing_model"),
+        pytest.param(["twist-plan", "4", "3", "{dir}/two_errors.json"], EXIT_MODEL,
+                     "model error: conj does not square to the identity\nmodel error: chi(conj) != -1\n",
+                     id="invalid_model"),
+        pytest.param(["cocycle-check", "{dir}/good.json", "--k", "zzz"], EXIT_MODEL,
+                     "error: model has no character named 'zzz'\n", id="unknown_k"),
+        pytest.param(["twist-plan", "2", "3", "{dir}/good.json"], EXIT_PARITY,
+                     "error: non-cyclotomic level (2, 3) requires det rho != eps as characters\n",
+                     id="twist_plan_parity"),
+        pytest.param(["cocycle-check", "{dir}/incompatible_k.json", "--k", "k"], EXIT_PARITY,
+                     "error: build_xi: chi_k components require det rho = eps (cyclotomic)\n",
+                     id="k_parity"),
+        pytest.param(["twist-plan", "4", "3", "{dir}/good.json", "--k", "x"], EXIT_USAGE,
+                     "error: --k must be comma-separated integers, got 'x'\n", id="non_integer_k"),
+    ],
+)
+def test_error_path_exit_code_and_stderr(capsys, tmp_path, argv, code, err):
+    models = {
+        "good": GOOD_MODEL,
+        "incompatible_k": dict(INCOMPATIBLE_MODEL, characters=GOOD_MODEL["characters"]),
+        "two_errors": TWO_ERROR_MODEL,
+    }
+    for name, doc in models.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 def _strip_timing(obj):
@@ -336,4 +390,22 @@ def test_cli_goldens_replay(capsys, monkeypatch):
         if code != entry["exit"] or report != entry["stdout"]:
             differing.append(" ".join(entry["argv"]))
     assert len(calls) > 200
+    assert not differing, differing
+
+
+def test_cli_plain_replay(capsys, monkeypatch):
+    # stdout, stderr and exit code of every golden argv without --json,
+    # recorded before the handlers shared one wrapper in main
+    monkeypatch.chdir(ROOT)
+    calls = json.loads(PLAIN.read_text())["calls"]
+    golden_argv = [entry["argv"] for entry in json.loads(GOLDENS.read_text())["calls"]]
+    assert [entry["argv"] for entry in calls] == golden_argv
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in golden_argv} == set(subparsers.choices)
+    differing = []
+    for entry in calls:
+        code = main(entry["argv"])
+        out, err = capsys.readouterr()
+        if (code, out, err) != (entry["exit"], entry["stdout"], entry["stderr"]):
+            differing.append(" ".join(entry["argv"]))
     assert not differing, differing

@@ -203,6 +203,9 @@ def test_al_fixed_points_errors():
         al_fixed_points(24, 2)  # Q = 2 is not an exact divisor of 24
     with pytest.raises(ValueError):
         al_fixed_points(72, 9)  # M/Q = 8 is not squarefree
+    for m, q in ((5, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            al_fixed_points(m, q)  # Q = 0 is checked before M % Q
 
 
 def test_genus_AL_quotient_anchors():

@@ -132,6 +132,19 @@ def test_parse_rejects_string_permutation_entry():
 
 
 
+@pytest.mark.parametrize("field", [None, -1, 2, 5, -15, 30])
+def test_parse_accepts_character_field(field):
+    doc = dict(GOOD_MODEL, characters={"k": {"values": {"s": -1}, "field": field}})
+    assert parse_model(json.dumps(doc)).characters["k"].field == field
+
+
+@pytest.mark.parametrize("field", [[1], "5", True, False, 2.0, 0, 1, 4, -12])
+def test_parse_rejects_bad_character_field(field):
+    doc = dict(GOOD_MODEL, characters={"k": {"values": {"s": -1}, "field": field}})
+    with pytest.raises(ModelParseError, match="field"):
+        parse_model(json.dumps(doc))
+
+
 def test_parse_table_group_of_order_18(z18_table_model):
     m = parse_and_validate(json.dumps(z18_table_model(False)))
     assert m.group.order == 18 and m.group.words["17"] == ("g",) * 17
