@@ -42,32 +42,23 @@ from .extgroup import (
 )
 from .galmodel import (
     Case,
-    DegreeData,
     FiniteGaloisModel,
     FiniteGroup,
     QuadraticCharacter,
     classify,
-    deg_p_character,
-    det_varrho,
-    oddness_check,
     validate_model,
-    verify_splitting,
 )
 from .modelfile import ModelParseError, parse_and_validate, parse_model
 from .moduli import (
-    ModuliState,
     act_G,
     act_galois,
     act_w,
-    normal_form,
-    rationality_condition,
     verify_galois_conjugation,
     verify_w_rationality,
 )
 from .projgroup import (
     MatGroup,
     ProjMat,
-    center,
     centralizer,
     closure,
     in_psl2,

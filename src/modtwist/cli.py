@@ -52,10 +52,13 @@ EXIT_ORACLE = 3
 EXIT_MODEL = 4
 EXIT_PARITY = 5
 
+SCAN_MAX = 1000  # bound on scan --max-n and --max-p: the scan at (1000, 1000) takes seconds
+
 
 @dataclass
 class Report:
-    """Structured result of one CLI invocation; JSON round-trippable."""
+    """Structured result of one CLI invocation; JSON round-trippable as
+    ``Report(**json.loads(report.to_json()))``."""
 
     command: str
     inputs: dict
@@ -71,16 +74,6 @@ class Report:
                 "elapsed_s": self.elapsed_s,
             },
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        doc = json.loads(text)
-        return cls(
-            command=doc["command"],
-            inputs=doc["inputs"],
-            outputs=doc["outputs"],
-            elapsed_s=doc["elapsed_s"],
         )
 
 
@@ -202,6 +195,9 @@ def cmd_scan(args):
         lines = [f"pairs (N, p) with X_0(pN)/w_N of genus 0, pN <= {args.max}:"]
         lines += [f"  N={n}, p={p}" for n, p in pairs]
     else:
+        for flag, bound in (("--max-n", args.max_n), ("--max-p", args.max_p)):
+            if bound > SCAN_MAX:
+                raise _Exit(EXIT_USAGE, f"error: {flag} must be at most {SCAN_MAX}, got {bound}")
         levels = low_genus_XNp(args.max_n, args.max_p)
         outputs = {
             "max_n": args.max_n,

@@ -335,6 +335,8 @@ class GenusReport:
 
 def low_genus_XNp(max_n: int, max_p: int) -> list[tuple[Level, int]]:
     """All levels (N, p) with N <= max_n, p <= max_p and genus X(N,p) <= 1."""
+    if max_n < 2:
+        return []
     out = []
     for p in odd_primes_upto(max_p):
         for N in range(2, max_n + 1):

@@ -16,7 +16,6 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .arith import Level, kronecker
 from .projgroup import ProjMat, pgl2
@@ -295,38 +294,6 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
     return errs
 
 
-@dataclass(frozen=True)
-class DegreeData:
-    """Local degree data: entries (a_l, d_l, char_l) with char_l a +-1
-    character of the model group; the prime l contributes exactly when d_l
-    is a non-square mod p."""
-
-    entries: tuple  # of (a_l: int, d_l: int, char_values: dict)
-
-
-def deg_p_character(m: FiniteGaloisModel, dd: DegreeData) -> dict:
-    """The product of the local characters at the primes whose d_l is a
-    non-square mod p (the 'degree character' mod p)."""
-    out = {x: 1 for x in m.group.elements}
-    for (_a, d, char) in dd.entries:
-        if kronecker(d, m.p) == -1:
-            for x in m.group.elements:
-                out[x] *= char[x]
-    return out
-
-
-def det_varrho(m: FiniteGaloisModel, degp: dict) -> dict:
-    """Determinant character of the lifted representation: epsilon * deg_p."""
-    return {x: m.epsilon(x) * degp[x] for x in m.group.elements}
-
-
-def oddness_check(m: FiniteGaloisModel, degp: dict) -> bool:
-    """det varrho(conj) must be -1; requires a conjugation element."""
-    if m.conj is None:
-        raise ValueError("oddness_check: model has no conjugation element")
-    return det_varrho(m, degp)[m.conj] == -1
-
-
 class Case(Enum):
     CYCLOTOMIC = "cyclotomic"
     NON_CYCLOTOMIC = "non-cyclotomic"
@@ -334,27 +301,6 @@ class Case(Enum):
 
 def classify(level: Level) -> Case:
     return Case.CYCLOTOMIC if level.cyclotomic else Case.NON_CYCLOTOMIC
-
-
-def verify_splitting(group: FiniteGroup, c2: dict, alpha: dict, degrees: dict | None = None) -> bool:
-    """Check that the 2-cochain ``c2`` (pairs -> nonzero Fractions) is the
-    coboundary of the 1-cochain ``alpha`` (elements -> nonzero Fractions):
-    c2(s, t) = alpha(s) alpha(t) / alpha(st) for all s, t.
-
-    If ``degrees`` is given, additionally check that s -> alpha(s)^2 /
-    degrees(s) is a homomorphism to the value group.
-    """
-    for s in group.elements:
-        for t in group.elements:
-            lhs = Fraction(c2[(s, t)])
-            rhs = Fraction(alpha[s]) * Fraction(alpha[t]) / Fraction(alpha[group.mul(s, t)])
-            if lhs != rhs:
-                return False
-    if degrees is not None:
-        h = {s: Fraction(alpha[s]) ** 2 / Fraction(degrees[s]) for s in group.elements}
-        if not group.is_homomorphism(h, lambda a, b: a * b):
-            return False
-    return True
 
 
 def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:

@@ -212,9 +212,3 @@ def centralizer(s: Iterable[ProjMat], p: int) -> MatGroup:
     )
     return MatGroup(p, elems, tuple(sorted(elems)))
 
-
-def center(group: MatGroup) -> MatGroup:
-    elems = frozenset(
-        g for g in group.elements if all(g * x == x * g for x in group.elements)
-    )
-    return MatGroup(group.p, elems, tuple(sorted(elems)))

@@ -27,7 +27,6 @@ from .galmodel import (
     cyclic_group,
     klein_four,
     symmetric_group,
-    validate_model,
 )
 from .projgroup import ProjMat, centralizer, pgl2, psl2, v_matrix
 
@@ -242,12 +241,10 @@ def twist_plan(
     curves parametrize the lifts, over which field(s), with the centralizer
     verdict and the finiteness consequence.
 
+    The model must be valid, as ``modelfile.parse_and_validate`` ensures.
     Raises ParityError when det rho does not match the case of the level
     (cyclotomic needs det rho = eps; non-cyclotomic needs det rho != eps).
     """
-    errs = validate_model(m)
-    if errs:
-        raise ValueError(f"twist_plan: invalid model: {errs[0]}")
     if m.p != level.p:
         raise ValueError(f"twist_plan: model characteristic {m.p} != level p {level.p}")
     N, p = level.N, level.p

@@ -31,7 +31,7 @@ from modtwist.extgroup import (
     wgroup,
 )
 from modtwist.moduli import verify_galois_conjugation, verify_w_rationality
-from modtwist.projgroup import center, pgl2, psl2
+from modtwist.projgroup import centralizer, pgl2, psl2
 from modtwist.twists import (
     CentralizerVerdict,
     build_xi,
@@ -172,7 +172,7 @@ def test_acceptance_07_w_group_structure():
             else:
                 ok = ok and rep.structure == "FullPGL2"
                 ok = ok and rep.image_group.elements == pgl2(p).elements
-                ok = ok and center(rep.image_group).order == 1
+                ok = ok and centralizer(rep.image_group.elements, p).order == 1
                 inv = involutions_extending_wN(lv)
                 ok = ok and inv.single_conjugacy_class
                 ok = ok and all(m is not None for m in inv.integer_models.values())

@@ -80,7 +80,7 @@ def invalid_model_path(tmp_path):
 def run_json(capsys, argv):
     code = main(["--json"] + argv)
     out = capsys.readouterr().out.strip().splitlines()[-1]
-    return code, Report.from_json(out)
+    return code, Report(**json.loads(out))
 
 
 def test_genus(capsys):
@@ -147,6 +147,10 @@ def test_scan_low_genus(capsys):
     assert code == EXIT_OK
     found = {(row["N"], row["p"]): row["genus"] for row in rep.outputs["levels"]}
     assert found[(4, 3)] == 1
+    # both bounds at their limit, no N to scan
+    code, rep = run_json(capsys, ["scan", "--max-n", "1", "--max-p", "1000"])
+    assert code == EXIT_OK
+    assert rep.outputs["levels"] == []
 
 
 def test_al_fixed(capsys):
@@ -277,7 +281,7 @@ def test_selftest_report_is_the_same_under_python_O():
 
 def test_report_json_roundtrip():
     rep = Report(command="x", inputs={"a": 1}, outputs={"b": [1, 2]}, elapsed_s=0.5)
-    assert Report.from_json(rep.to_json()) == rep
+    assert Report(**json.loads(rep.to_json())) == rep
 
 
 def test_plain_output_lines(capsys):
@@ -348,6 +352,10 @@ TWO_ERROR_MODEL = {
                      id="k_parity"),
         pytest.param(["twist-plan", "4", "3", "{dir}/good.json", "--k", "x"], EXIT_USAGE,
                      "error: --k must be comma-separated integers, got 'x'\n", id="non_integer_k"),
+        pytest.param(["scan", "--max-n", "1001"], EXIT_USAGE,
+                     "error: --max-n must be at most 1000, got 1001\n", id="scan_max_n"),
+        pytest.param(["scan", "--max-n", "1", "--max-p", "1000000000000"], EXIT_USAGE,
+                     "error: --max-p must be at most 1000, got 1000000000000\n", id="scan_max_p"),
     ],
 )
 def test_error_path_exit_code_and_stderr(capsys, tmp_path, argv, code, err):

@@ -257,6 +257,8 @@ def test_low_genus_scan():
     assert found[(4, 3)] == 1
     assert all(g <= 1 for g in found.values())
     assert (4, 5) not in found  # genus 13
+    # no N to scan: returns before listing the primes up to max_p
+    assert low_genus_XNp(1, 10**12) == []
 
 
 def test_xplus_verdict_rational_case():

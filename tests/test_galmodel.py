@@ -1,14 +1,12 @@
-"""Finite group containers, model validation, degree characters, oddness and
-obstruction splitting checks."""
+"""Finite group containers, model validation, the det rho = eps predicate
+and the homomorphism searches."""
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from modtwist.arith import Level
 from modtwist.galmodel import (
     Case,
-    DegreeData,
     FiniteGaloisModel,
     FiniteGroup,
     QuadraticCharacter,
@@ -16,14 +14,10 @@ from modtwist.galmodel import (
     all_quadratic_characters,
     classify,
     cyclic_group,
-    deg_p_character,
-    det_varrho,
     klein_four,
-    oddness_check,
     symmetric_group,
     trivial_group,
     validate_model,
-    verify_splitting,
 )
 from modtwist.projgroup import ProjMat, pgl2
 
@@ -181,71 +175,9 @@ def test_det_is_epsilon():
     assert _c2_model(eps_nontrivial=False, rho_nontrivial=False).det_is_epsilon()
 
 
-def test_deg_p_character():
-    m = _c2_model()
-    e, s = m.group.identity, m.group.gens["g"]
-    char_m = {e: 1, s: -1}
-    # d = 2 is a non-square mod 3 so the local character enters; d = 4 is a
-    # square so it does not
-    dd = DegreeData(entries=((5, 2, char_m), (7, 4, char_m)))
-    degp = deg_p_character(m, dd)
-    assert degp == {e: 1, s: -1}
-    dd2 = DegreeData(entries=((7, 4, char_m),))
-    assert deg_p_character(m, dd2) == {e: 1, s: 1}
-
-
-def test_det_varrho_and_oddness():
-    m = _c2_model()
-    e, s = m.group.identity, m.group.gens["g"]
-    degp = {e: 1, s: 1}
-    dv = det_varrho(m, degp)
-    assert dv == {e: 1, s: -1}
-    assert oddness_check(m, degp)  # det varrho(conj) = -1
-    degp_odd = {e: 1, s: -1}
-    assert not oddness_check(m, degp_odd)
-
-
-def test_oddness_requires_conj():
-    m = _c2_model()
-    m.conj = None
-    with pytest.raises(ValueError):
-        oddness_check(m, {x: 1 for x in m.group.elements})
-
-
 def test_classify():
     assert classify(Level(4, 3)) is Case.CYCLOTOMIC
     assert classify(Level(2, 3)) is Case.NON_CYCLOTOMIC
-
-
-def test_verify_splitting_coboundary():
-    g = cyclic_group(2)
-    e, s = g.identity, g.gens["g"]
-    alpha = {e: Fraction(1), s: Fraction(2)}
-    c2 = {
-        (a, b): alpha[a] * alpha[b] / alpha[g.mul(a, b)]
-        for a in g.elements
-        for b in g.elements
-    }
-    assert verify_splitting(g, c2, alpha)
-    # perturb one value
-    bad = dict(c2)
-    bad[(s, s)] *= 3
-    assert not verify_splitting(g, bad, alpha)
-
-
-def test_verify_splitting_with_degrees():
-    g = cyclic_group(2)
-    e, s = g.identity, g.gens["g"]
-    alpha = {e: Fraction(1), s: Fraction(2)}
-    c2 = {
-        (a, b): alpha[a] * alpha[b] / alpha[g.mul(a, b)]
-        for a in g.elements
-        for b in g.elements
-    }
-    degrees_good = {e: Fraction(1), s: Fraction(4)}  # alpha^2 / deg constant 1
-    assert verify_splitting(g, c2, alpha, degrees=degrees_good)
-    degrees_bad = {e: Fraction(1), s: Fraction(3)}
-    assert not verify_splitting(g, c2, alpha, degrees=degrees_bad)
 
 
 def test_all_homs_to_pgl2_counts():

@@ -1,20 +1,20 @@
-"""Moduli-state normal forms and the actions of G(N,p), w and Galois."""
+"""Moduli states (PGL2(F_p) classes) and the actions of G(N,p), w and Galois,
+checked against the split (basis, twist bit) actions as a reference oracle."""
+import random
+from functools import cache
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from modtwist.arith import Level, kronecker, least_nonsquare, sqrt_mod
 from modtwist.moduli import (
-    ModuliState,
     act_G,
     act_galois,
     act_w,
-    all_states,
-    normal_form,
-    rationality_condition,
     verify_galois_conjugation,
     verify_w_rationality,
 )
-from modtwist.projgroup import ProjMat, psl2, t_matrix, v_matrix
+from modtwist.projgroup import ProjMat, pgl2, psl2, t_matrix, v_matrix
 
 
 def gl2_tuples(p):
@@ -28,11 +28,16 @@ def gl2_tuples(p):
     return st.tuples(entries, entries, entries, entries).filter(ok)
 
 
+def nonsquares(p):
+    return [x for x in range(1, p) if kronecker(x, p) == -1]
+
+
+@cache
 def reference_normal_form(t, p, v):
     """Reference normal form by scaling, on raw entries: if det is a
     non-square, first multiply by V^-1 = [[0, 1], [-1/v, 0]]; then scale by
     1/sqrt(det) into SL2 and make the first nonzero entry 1.  Returns
-    (entries, twist_bit)."""
+    (entries, twist_bit): the class of ``t`` is basis * V^twist_bit."""
     a, b, c, d = t
     twist = int(kronecker(a * d - b * c, p) == -1)
     if twist:
@@ -45,88 +50,148 @@ def reference_normal_form(t, p, v):
     return tuple(x * lead % p for x in (a, b, c, d)), twist
 
 
+# Reference oracle: the actions on split states (basis, twist bit), as they
+# were computed before a state became a plain ProjMat.  Each one multiplies
+# the underlying basis * V^twist_bit by a matrix on raw entries and splits
+# the product again with reference_normal_form; no ProjMat product is used.
+
+
+def _mul(x, y, p):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def _v(v):
+    return (0, -v, 1, 0)
+
+
+def reference_act(state, m, p, v):
+    basis, twist = state
+    underlying = _mul(basis, _v(v), p) if twist else basis
+    return reference_normal_form(_mul(underlying, m, p), p, v)
+
+
+def reference_act_G(state, gamma, p, v):
+    a, b, c, d = gamma
+    if kronecker(a * d - b * c, p) != 1:
+        raise ValueError("gamma must lie in PSL2")
+    return reference_act(state, (d, c, b, a), p, v)
+
+
+def reference_act_w(state, level, v):
+    if level.cyclotomic:
+        return state
+    if v != pow(level.N, -1, level.p):
+        raise ValueError("the state must carry v = N^-1 mod p")
+    return reference_act(state, _v(v), level.p, v)
+
+
+def reference_act_galois(state, chi, p, v):
+    if chi % p == 0:
+        raise ValueError("chi must be a unit mod p")
+    if kronecker(chi, p) == 1:
+        return state
+    return reference_act(state, _v(v), p, v)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_actions_match_split_reference(p):
+    # every state, every gamma, every chi and every non-square v; for w every
+    # N < 30 prime to p, with the v that verify_w_rationality uses
+    states = sorted(pgl2(p).elements)
+    gammas = sorted(psl2(p).elements)
+    for v in nonsquares(p):
+        split = {s: reference_normal_form(s.rep, p, v) for s in states}
+        for s in states:
+            for gamma in gammas:
+                assert split[act_G(s, gamma)] == reference_act_G(split[s], gamma.rep, p, v)
+            for chi in range(1, p):
+                assert split[act_galois(s, chi, v)] == reference_act_galois(split[s], chi, p, v)
+    for N in range(2, 30):
+        if N % p == 0:
+            continue
+        level = Level(N, p)
+        v = least_nonsquare(p) if level.cyclotomic else pow(N, -1, p)
+        split = {s: reference_normal_form(s.rep, p, v) for s in states}
+        for s in states:
+            assert split[act_w(s, level)] == reference_act_w(split[s], level, v)
+
+
 def test_normal_form_square_det():
-    # a scalar matrix with square det 4 mod 5 is the identity class
+    # a scalar matrix with square det 4 mod 5 is the identity state
     m = ProjMat(2, 0, 0, 2, 5)
-    s = normal_form(m)
-    assert s.twist_bit == 0
-    assert s.basis.is_identity()
+    assert m.is_identity()
+    assert reference_normal_form(m.rep, 5, 2) == ((1, 0, 0, 1), 0)
 
 
 def test_normal_form_nonsquare_det_splits_V():
     p, v = 5, 2
-    m = v_matrix(p, v)
-    s = normal_form(m, v)
-    assert s.twist_bit == 1
-    assert s.basis.is_identity()
+    assert reference_normal_form(v_matrix(p, v).rep, p, v) == ((1, 0, 0, 1), 1)
 
 
 @given(st.sampled_from([3, 5, 7]), st.data())
 def test_normal_form_recovers_class(p, data):
     t = data.draw(gl2_tuples(p))
-    s = normal_form(ProjMat(*t, p))
-    u = s.underlying().rep
-    # same projective class: u = lambda * t
-    lam = None
-    for x, y in zip(u, t):
-        if y % p:
-            lam = (x * pow(y, -1, p)) % p
-            break
-    assert lam is not None and lam != 0
-    assert all(x % p == (lam * y) % p for x, y in zip(u, t))
+    v = data.draw(st.sampled_from(nonsquares(p)))
+    basis, twist = reference_normal_form(t, p, v)
+    underlying = ProjMat(*basis, p) * (v_matrix(p, v) if twist else ProjMat.identity(p))
+    assert underlying == ProjMat(*t, p)
 
 
 @given(st.sampled_from([3, 5, 7]), st.data())
 def test_normal_form_twist_bit_tracks_det_class(p, data):
-    a, b, c, d = t = data.draw(gl2_tuples(p))
-    s = normal_form(ProjMat(*t, p))
-    assert s.twist_bit == (0 if kronecker(a * d - b * c, p) == 1 else 1)
+    # the twist bit of a state needs no field: it is (1 - det_class) // 2
+    t = data.draw(gl2_tuples(p))
+    _basis, twist = reference_normal_form(t, p, least_nonsquare(p))
+    assert twist == (1 - ProjMat(*t, p).det_class) // 2
 
 
 @given(st.sampled_from([3, 5, 7]), st.booleans(), st.data())
 def test_normal_form_matches_reference(p, square_det, data):
+    # the split g -> (g or g * V, twist bit) on ProjMat classes gives the
+    # reference basis
     want = 1 if square_det else -1
     t = data.draw(
         gl2_tuples(p).filter(lambda t: kronecker(t[0] * t[3] - t[1] * t[2], p) == want)
     )
-    v = data.draw(st.sampled_from([x for x in range(1, p) if kronecker(x, p) == -1]))
-    s = normal_form(ProjMat(*t, p), v)
-    assert (s.basis.rep, s.twist_bit) == reference_normal_form(t, p, v)
+    v = data.draw(st.sampled_from(nonsquares(p)))
+    g = ProjMat(*t, p)
+    basis = g if g.det_class == 1 else g * v_matrix(p, v)
+    assert reference_normal_form(basis.rep, p, v) == (reference_normal_form(t, p, v)[0], 0)
 
 
-def test_moduli_state_validation():
-    with pytest.raises(ValueError):
-        ModuliState(basis=ProjMat.identity(5), twist_bit=2, v=2)
-    with pytest.raises(ValueError):
-        ModuliState(basis=ProjMat.identity(5), twist_bit=0, v=4)  # 4 is a square
-    with pytest.raises(ValueError):
-        # basis must be in PSL2
-        ModuliState(basis=v_matrix(5, 2), twist_bit=0, v=2)
+def test_all_states_count():
+    # the states walked by the verify_* checks, all of PGL2, split one to one
+    # onto PSL2 x {0, 1}
+    for p in (3, 5):
+        v = least_nonsquare(p)
+        states = sorted(pgl2(p).elements)
+        assert len(states) == 2 * psl2(p).order
+        splits = {reference_normal_form(s.rep, p, v) for s in states}
+        bases = {reference_normal_form(h.rep, p, v)[0] for h in psl2(p).elements}
+        assert splits == {(b, t) for b in bases for t in (0, 1)}
+        assert len(splits) == len(states)
 
 
 def test_act_G_identity_state_example():
     # the reference state acted on by T lands on hat(T)
     p = 5
-    s = ModuliState(basis=ProjMat.identity(p), twist_bit=0, v=2)
-    t = t_matrix(p)
-    out = act_G(s, t)
-    assert out.twist_bit == 0
-    assert out.basis == t.hat()
+    out = act_G(ProjMat.identity(p), t_matrix(p))
+    assert out == t_matrix(p).hat()
+    assert out.det_class == 1
 
 
 def test_act_G_requires_psl2():
-    s = ModuliState(basis=ProjMat.identity(5), twist_bit=0, v=2)
     with pytest.raises(ValueError):
-        act_G(s, v_matrix(5, 2))
+        act_G(ProjMat.identity(5), v_matrix(5, 2))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_act_G_is_right_action(p):
-    import random
-
     rng = random.Random(0)
     els = sorted(psl2(p).elements)
-    states = all_states(p)
+    states = sorted(pgl2(p).elements)
     for _ in range(30):
         s = rng.choice(states)
         g1, g2 = rng.choice(els), rng.choice(els)
@@ -135,7 +200,7 @@ def test_act_G_is_right_action(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_act_G_permutes_states(p):
-    states = all_states(p)
+    states = sorted(pgl2(p).elements)
     g = t_matrix(p)
     images = {act_G(s, g) for s in states}
     assert len(images) == len(states)
@@ -144,49 +209,43 @@ def test_act_G_permutes_states(p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_act_G_preserves_twist_bit(p):
-    for s in all_states(p):
+    for s in sorted(pgl2(p).elements):
         for g in sorted(psl2(p).elements):
-            assert act_G(s, g).twist_bit == s.twist_bit
+            assert act_G(s, g).det_class == s.det_class
 
 
 def test_act_w_cyclotomic_is_trivial():
     level = Level(4, 3)
-    for s in all_states(3):
+    for s in sorted(pgl2(3).elements):
         assert act_w(s, level) == s
+    with pytest.raises(ValueError):
+        act_w(ProjMat.identity(5), level)  # a state mod 5 at a level mod 3
 
 
 @pytest.mark.parametrize("N,p", [(2, 3), (5, 3), (2, 5), (3, 5), (3, 7)])
 def test_act_w_non_cyclotomic_is_involution(N, p):
     level = Level(N, p)
-    v = pow(N, -1, p)
-    for s in all_states(p, v):
+    for s in sorted(pgl2(p).elements):
         t = act_w(s, level)
-        assert t.twist_bit == 1 - s.twist_bit
+        assert t.det_class == -s.det_class
         assert act_w(t, level) == s
-
-
-def test_act_w_checks_v():
-    level = Level(2, 5)  # needs v = 2^-1 = 3 mod 5
-    s = ModuliState(basis=ProjMat.identity(5), twist_bit=0, v=2)
-    with pytest.raises(ValueError):
-        act_w(s, level)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_act_galois_square_chi_trivial(p):
-    for s in all_states(p)[:10]:
+    v = least_nonsquare(p)
+    for s in sorted(pgl2(p).elements)[:10]:
         for chi in range(1, p):
-            out = act_galois(s, chi)
+            out = act_galois(s, chi, v)
             if kronecker(chi, p) == 1:
                 assert out == s
             else:
-                assert out.twist_bit == 1 - s.twist_bit
+                assert out.det_class == -s.det_class
 
 
 def test_act_galois_rejects_non_unit():
-    s = ModuliState(basis=ProjMat.identity(5), twist_bit=0, v=2)
     with pytest.raises(ValueError):
-        act_galois(s, 5)
+        act_galois(ProjMat.identity(5), 5, 2)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -197,32 +256,3 @@ def test_verify_galois_conjugation(p):
 @pytest.mark.parametrize("N,p", [(4, 3), (2, 3), (2, 5), (6, 5), (2, 7), (4, 7)])
 def test_verify_w_rationality(N, p):
     assert verify_w_rationality(Level(N, p))
-
-
-def test_all_states_count():
-    for p in (3, 5):
-        states = all_states(p)
-        assert len(states) == 2 * len(psl2(p).elements)
-        assert len(set(states)) == len(states)
-
-
-def test_rationality_condition_variants():
-    from modtwist.twists import model_corpus
-
-    p, v = 3, least_nonsquare(3)
-    j = ProjMat(0, 1, 1, 0, p)
-    vv = v_matrix(p, v)
-    # need a model whose image is not fixed by conjugation with J, so that
-    # the plain and primed conditions genuinely differ
-    m = next(
-        mm
-        for mm in model_corpus(3)
-        if any(j * g * j != g for g in mm.rho.values())
-    )
-    rho_e_plain = {s: j * g * j for s, g in m.rho.items()}
-    rho_e_primed = {s: vv * j * g * j * vv for s, g in m.rho.items()}
-    assert rationality_condition(m, rho_e_plain, "plain")
-    assert rationality_condition(m, rho_e_primed, "primed")
-    assert not rationality_condition(m, rho_e_primed, "plain")
-    with pytest.raises(ValueError):
-        rationality_condition(m, rho_e_plain, "weird")

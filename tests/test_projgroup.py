@@ -7,7 +7,6 @@ from modtwist.arith import kronecker
 from modtwist.projgroup import (
     MatGroup,
     ProjMat,
-    center,
     centralizer,
     closure,
     in_psl2,
@@ -130,8 +129,8 @@ def test_negative_powers():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_pgl2_center_is_trivial(p):
-    assert center(pgl2(p)).order == 1
-    assert center(psl2(p)).order == 1
+    assert centralizer(pgl2(p).elements, p).order == 1
+    assert centralizer(psl2(p).elements, p).order == 1
 
 
 @pytest.mark.parametrize("p", [3, 5])

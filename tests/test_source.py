@@ -2,7 +2,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "modtwist"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "modtwist"
 
 
 def test_no_assert_statements_in_src():
@@ -14,3 +15,74 @@ def test_no_assert_statements_in_src():
                 found.append(f"{path.name}:{node.lineno}")
     assert len(list(SRC.glob("*.py"))) >= 10
     assert not found, found
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _names(nodes):
+    """The names that code refers to: variables and attributes."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out.update(alias.name for alias in n.names)
+    return out
+
+
+def _refs(node):
+    """The names a definition refers to; a class's methods count apart."""
+    if isinstance(node, ast.ClassDef):
+        body = [s for s in node.body if not isinstance(s, FUNCTIONS)]
+        return _names(node.bases + node.keywords + node.decorator_list + body)
+    return _names([node])
+
+
+def test_no_code_kept_only_for_tests():
+    # Every top-level function, class and method in src/modtwist must be
+    # reached by name from what runs without the tests: module-level code,
+    # cli.main and the names perfbench uses.  Imports and the __init__
+    # exports reach nothing.  Dunder methods are reached with their class.
+    defs = []  # (qualified name, name, node, index of the owning class or None)
+    roots = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if not isinstance(stmt, FUNCTIONS + (ast.ClassDef,)):
+                roots.append(stmt)
+                continue
+            owner = len(defs)
+            defs.append((f"{path.stem}.{stmt.name}", stmt.name, stmt, None))
+            if path.name == "cli.py" and stmt.name == "main":
+                roots.append(stmt)
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, FUNCTIONS):
+                        defs.append((f"{path.stem}.{stmt.name}.{item.name}", item.name, item, owner))
+    used = _names(roots)
+    used |= _names(ast.parse(p.read_text(), filename=str(p)) for p in (ROOT / "perfbench").glob("*.py"))
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for i, (_qual, name, node, owner) in enumerate(defs):
+            dunder_of_reached = owner in reached and _is_dunder(name)
+            if i not in reached and (name in used or dunder_of_reached):
+                reached.add(i)
+                used |= _refs(node)
+                grew = True
+    assert len(defs) >= 100
+    unreached = [qual for i, (qual, name, _n, _o) in enumerate(defs)
+                 if i not in reached and not _is_dunder(name)]
+    assert not unreached, unreached
