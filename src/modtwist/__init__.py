@@ -4,7 +4,6 @@ projective mod-p representations realized by quadratic twists of elliptic
 curves."""
 
 from .arith import (
-    Discriminant,
     InvariantError,
     Level,
     class_number,

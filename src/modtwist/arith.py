@@ -6,7 +6,7 @@ Everything here is pure integer arithmetic; no floats are used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -91,8 +91,8 @@ def psi_index(n: int) -> int:
 
 
 def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor d of n > 0 with n/d a perfect square... not
-    quite: returns the squarefree kernel d such that n = d * m^2."""
+    """The squarefree part of n > 0: the squarefree d with n = d * m^2 for
+    an integer m."""
     if n <= 0:
         raise ValueError(f"squarefree_part: need n > 0, got {n}")
     d = 1
@@ -206,12 +206,12 @@ def lift_sqrt_mod_p2(N: int, p: int) -> tuple[int, int]:
 class Level:
     """A level (N, p): N > 1 prime to the odd prime p.
 
-    ``cyclotomic`` records whether N is a square mod p.
+    ``cyclotomic``, derived from N and p, records whether N is a square mod p.
     """
 
     N: int
     p: int
-    cyclotomic: bool = None  # type: ignore[assignment]  # derived
+    cyclotomic: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.N <= 1:
@@ -220,25 +220,10 @@ class Level:
             raise ValueError(f"Level: need p an odd prime, got p={self.p}")
         if math.gcd(self.N, self.p) != 1:
             raise ValueError(f"Level: need gcd(N, p) = 1, got ({self.N}, {self.p})")
-        cyc = kronecker(self.N, self.p) == 1
-        if self.cyclotomic is None:
-            object.__setattr__(self, "cyclotomic", cyc)
-        elif self.cyclotomic != cyc:
-            raise ValueError(f"Level: cyclotomic flag must be {cyc} for ({self.N}, {self.p})")
+        object.__setattr__(self, "cyclotomic", kronecker(self.N, self.p) == 1)
 
     def __str__(self) -> str:
         return f"({self.N}, {self.p})"
-
-
-@dataclass(frozen=True)
-class Discriminant:
-    """A negative discriminant: D < 0 and D = 0 or 1 (mod 4)."""
-
-    D: int
-
-    def __post_init__(self) -> None:
-        if self.D >= 0 or self.D % 4 not in (0, 1):
-            raise ValueError(f"Discriminant: need D < 0 and D = 0, 1 (mod 4), got {self.D}")
 
 
 def _reduced_forms(D: int, primitive_only: bool) -> list[tuple[int, int, int]]:
@@ -270,18 +255,16 @@ def _reduced_forms(D: int, primitive_only: bool) -> list[tuple[int, int, int]]:
     return sorted(forms)
 
 
-def class_number(D: int | Discriminant) -> int:
+def class_number(D: int) -> int:
     """Number of reduced binary quadratic forms of discriminant D < 0
     (imprimitive forms included, so e.g. class_number(-12) counts (2,2,2))."""
-    d = D.D if isinstance(D, Discriminant) else D
-    return len(_reduced_forms(d, primitive_only=False))
+    return len(_reduced_forms(D, primitive_only=False))
 
 
-def class_number_primitive(D: int | Discriminant) -> int:
+def class_number_primitive(D: int) -> int:
     """Number of classes of primitive forms of discriminant D < 0 (the form
     class number of the quadratic order of discriminant D)."""
-    d = D.D if isinstance(D, Discriminant) else D
-    return len(_reduced_forms(d, primitive_only=True))
+    return len(_reduced_forms(D, primitive_only=True))
 
 
 @lru_cache(maxsize=None)

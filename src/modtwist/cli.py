@@ -10,11 +10,13 @@ Exit codes: 0 success; 1 verified-negative result (e.g. a perfect check that
 legitimately reports False); 2 usage or parse errors, including a malformed
 ``twist-plan --k``; 3 internal oracle mismatches and failed invariants; 4
 model validation failures; 5 parity mismatches between a model and a level.
+A closed stdout does not change the exit code.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -384,7 +386,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ORACLE
     inputs = {k: v for k, v in vars(args).items() if k not in ("json", "command", "func")}
     report = Report(args.command, inputs, outputs, time.perf_counter() - t0)
-    print(report.to_json() if args.json else "\n".join(lines))
+    try:
+        print(report.to_json() if args.json else "\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # The reader has gone: keep the interpreter's exit flush quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -208,17 +208,12 @@ def _order_od_cyclic_orders(Q: int) -> list[tuple[int, int]]:
     for f in divisors(cond):
         # O_f = Z + f O_K with Z-basis (1, f w0); express theta = m sqrt(-d)
         # and theta * f w0 in that basis and take the Smith form.
-        if dk % 4 == 1:  # w0 = (1 + sqrt(-d)) / 2
-            # theta * 1 = -m/?  theta = m sqrt(-d) = m (2 w0 - 1)
-            # coordinates w.r.t. (1, f w0): theta = (-m, 2m/f)
+        if dk % 4 == 1:  # w0 = (1 + sqrt(-d)) / 2, so sqrt(-d) = 2 w0 - 1
+            # theta = -m + 2m w0 = (-m, 2m/f)
             if (2 * m) % f != 0:
                 continue
             t10, t11 = -m, 2 * m // f
-            # theta * f w0 = f m sqrt(-d) w0 = f m (sqrt(-d) + d? ) compute:
-            # sqrt(-d) w0 = (sqrt(-d) - d)/2  => theta f w0 = f m (sqrt(-d)-d)/2
-            #             = -f m d / 2 + (f m / 2) sqrt(-d)
-            # sqrt(-d) = 2 w0 - 1: = -f m d/2 - f m/2 + f m w0
-            # coordinates: (-f m (d + 1) / 2, m)
+            # theta * f w0 = f m (sqrt(-d) - d) / 2 = (-f m (d + 1) / 2, m)
             t20, t21 = -(f * m * (d + 1)) // 2, m
         else:  # w0 = sqrt(-d)
             if m % f != 0:

@@ -5,10 +5,14 @@ characters.
 
 Also contains a small finite-group container used throughout: groups are
 stored as multiplication tables over hashable labels, optionally remembering
-a spanning tree of the Cayley graph of their generators, along which maps
-defined on generators are extended.  Cayley-graph criterion (proof in
-``FiniteGroup``): f with f(1) = 1 is a homomorphism exactly when
-f(x*g) = f(x)*f(g) on the |G|*|gens| edges x -> x*g, g a generator.
+a spanning tree (``projgroup.spanning_tree``) of the Cayley graph of their
+generators, along which maps defined on generators are extended.
+Cayley-graph criterion (proof in ``FiniteGroup``): f into a group is a
+homomorphism exactly when f(x*g) = f(x)*f(g) on the |G|*|gens| edges
+x -> x*g, g a generator.  ``FiniteGroup.is_homomorphism`` walks these edges
+for ``validate_model``'s named characters and, through a semidirect
+product, for ``twists.check_cocycle``.  ``validate_model`` still scans rho
+and chi pair by pair, so that its messages name the first failing pair.
 """
 from __future__ import annotations
 
@@ -18,22 +22,22 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import Level, kronecker
-from .projgroup import ProjMat, pgl2
+from .projgroup import ProjMat, pgl2, spanning_tree
 
 
 class FiniteGroup:
     """A finite group given by a full multiplication table.
 
     With generators (``set_generators``), ``tree`` is the breadth-first
-    spanning tree of the Cayley graph with edges x -> x*g, g a generator: it
-    maps each element y to (x, name) with y = x * gens[name], the identity to
-    None, in discovery order; ``words`` spells each element, in that order,
-    as the generator names along its tree path.
+    spanning tree of the Cayley graph with edges x -> x*g, g a generator
+    (``projgroup.spanning_tree``): it maps each element y to (x, name) with
+    y = x * gens[name], the identity to None, in discovery order.
 
-    Cayley-graph criterion: f into a group, with f(1) = 1, is a homomorphism
-    exactly when f(x*g) = f(x)*f(g) for every element x and generator g.
-    Proof of sufficiency: each y is a word g_1...g_k (its tree path), and by
-    induction on k, f(x*g_1...g_k) = f(x*g_1...g_(k-1)) * f(g_k)
+    Cayley-graph criterion: f into a group is a homomorphism exactly when
+    f(x*g) = f(x)*f(g) for every element x and generator g.  Proof of
+    sufficiency: the edge x = 1 gives f(1) = 1.  Each y is a word
+    g_1...g_k (its tree path), and by induction on k,
+    f(x*g_1...g_k) = f(x*g_1...g_(k-1)) * f(g_k)
     = f(x) * f(g_1...g_(k-1)) * f(g_k) = f(x) * f(y), the last step being
     the case x = 1 of the same induction.
     """
@@ -44,7 +48,7 @@ class FiniteGroup:
         self.identity = identity
         self.name = name
         self.gens = {}  # generator name -> element
-        self.tree = self.words = None
+        self.tree = None
         self._inv = {}
         for a in self.elements:
             for b in self.elements:
@@ -71,14 +75,12 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order {self.order})"
 
     def set_generators(self, gens: dict) -> None:
-        """Record generators (name -> element) with their spanning tree and
-        words; ValueError unless they generate."""
-        tree = _spanning_tree(self.identity, gens, self.mul)
+        """Record generators (name -> element) with their spanning tree;
+        ValueError unless they generate."""
+        tree = spanning_tree(self.identity, gens, self.mul)
         if len(tree) != self.order:
             raise ValueError("generators do not generate the group")
-        self.gens, self.tree, self.words = dict(gens), tree, {}
-        for y, edge in tree.items():
-            self.words[y] = () if edge is None else self.words[edge[0]] + (edge[1],)
+        self.gens, self.tree = dict(gens), tree
 
     @classmethod
     def from_table(cls, elements, table, identity, name="G"):
@@ -100,16 +102,23 @@ class FiniteGroup:
                 raise ValueError(f"from_permutations: invalid permutation {p}")
         gens = {gname: tuple(p) for gname, p in gen_perms.items()}
         ident = tuple(range(n))
-        elements = sorted(_spanning_tree(ident, gens, _compose))
+        elements = sorted(spanning_tree(ident, gens, _compose))
         mul = {(a, b): _compose(a, b) for a in elements for b in elements}
         g = cls(elements, mul, ident, name=name)
         g.set_generators(gens)
         return g
 
+    def generators(self) -> tuple:
+        """The generator elements; ValueError for a group without any, on
+        which a check over generators would pass vacuously."""
+        if not self.gens:
+            raise ValueError(f"{self.name}: group has no generators")
+        return tuple(self.gens.values())
+
     def generator_names(self) -> list:
         """The sorted names of the generators on the tree's edges."""
         if self.tree is None:
-            raise ValueError(f"{self.name}: group has no generator words")
+            raise ValueError(f"{self.name}: group has no generators")
         return sorted({edge[1] for edge in self.tree.values() if edge is not None})
 
     def extend_generator_map(self, gen_values: dict, op, one):
@@ -132,7 +141,7 @@ class FiniteGroup:
         f(x*g) = op(f(x), gen_values[g]) where x*g is new, that is on tree
         edges, and compares it on every other edge, failing at the first
         mismatch: exact by the Cayley-graph criterion, and equal to
-        ``extend_generator_map``'s result, keys in ``words`` order."""
+        ``extend_generator_map``'s result, keys in ``tree`` order."""
         steps = [(g, gen_values[name]) for name, g in self.gens.items() if name in gen_values]
         f = {self.identity: one}
         for x in self.tree:
@@ -144,25 +153,16 @@ class FiniteGroup:
         return f
 
     def is_homomorphism(self, f: dict, op) -> bool:
-        return all(f[self.mul(a, b)] == op(f[a], f[b]) for a in self.elements for b in self.elements)
+        """Whether f (element -> value in a group under ``op``) is a
+        homomorphism: by the Cayley-graph criterion, whether
+        f(x*g) = op(f(x), f(g)) on each of the |G|*|gens| edges, failing at
+        the first mismatch.  ValueError on a group without generators."""
+        gens = self.generators()
+        return all(f[self.mul(x, g)] == op(f[x], f[g]) for x in self.elements for g in gens)
 
 
 def _compose(a, b):
     return tuple(a[i] for i in b)
-
-
-def _spanning_tree(identity, gens: dict, mul) -> dict:
-    """Breadth-first tree of the Cayley graph of ``gens`` (edges
-    x -> mul(x, g) in generator order) from the identity, as in ``FiniteGroup.tree``."""
-    tree = {identity: None}
-    queue = [identity]
-    for x in queue:
-        for gname, g in gens.items():
-            y = mul(x, g)
-            if y not in tree:
-                tree[y] = (x, gname)
-                queue.append(y)
-    return tree
 
 
 def _check_group_axioms(g: FiniteGroup) -> None:
@@ -178,11 +178,11 @@ def _check_group_axioms(g: FiniteGroup) -> None:
         if g.mul(a, e) != a or g.mul(e, a) != a:
             raise ValueError("FiniteGroup: identity axiom fails")
     gens = {}
-    tree = _spanning_tree(e, gens, g.mul)
+    tree = spanning_tree(e, gens, g.mul)
     for x in g.elements:
         if x not in tree:
             gens[x] = x
-            tree = _spanning_tree(e, gens, g.mul)
+            tree = spanning_tree(e, gens, g.mul)
     for s in gens.values():
         for x in g.elements:
             xs = g.mul(x, s)

@@ -52,16 +52,16 @@ def act_galois(s: ProjMat, chi: int, v: int) -> ProjMat:
     return s * v_matrix(s.p, v)
 
 
-def verify_galois_conjugation(p: int, v: int | None = None) -> bool:
+def verify_galois_conjugation(p: int) -> bool:
     """Exhaustive check of the Galois conjugation rule on G(N,p).
 
     For sigma outside the field cut out by the quadratic residue character,
-    the conjugate of gamma is gamma_sigma = hat(V) gamma hat(V), and the
-    action through hat satisfies hat(gamma_sigma) = V hat(gamma) V; on
-    every state, acting by gamma then sigma equals sigma then gamma_sigma.
+    the conjugate of gamma is gamma_sigma = hat(V) gamma hat(V), with v the
+    least non-square mod p, and the action through hat satisfies
+    hat(gamma_sigma) = V hat(gamma) V; on every state, acting by gamma then
+    sigma equals sigma then gamma_sigma.
     """
-    if v is None:
-        v = least_nonsquare(p)
+    v = least_nonsquare(p)
     vv = v_matrix(p, v)
     chi_ns = v  # any non-square value of the cyclotomic character
     states = sorted(pgl2(p).elements)

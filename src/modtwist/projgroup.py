@@ -6,9 +6,14 @@ invertible 2x2 matrix modulo scalars, stored as its canonical representative
 the determinant, which is well defined mod scalars.  PSL2(F_p) is the subgroup
 of square determinant class.  The prime p is checked where it enters (levels
 and model files), not on every matrix.
+
+``spanning_tree`` is the one breadth-first search of a Cayley graph, here and
+for ``galmodel.FiniteGroup``: ``closure`` is its vertex set, and ``pgl2(p)``
+is the closure of T, U and V.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -94,17 +99,6 @@ class ProjMat:
         """h^-1 * self * h."""
         return h.inverse() * self * h
 
-    def order(self) -> int:
-        n = 1
-        g = self
-        ident = ProjMat.identity(self.p)
-        while g != ident:
-            g = g * self
-            n += 1
-            if n > self.p * (self.p * self.p - 1):
-                raise RuntimeError("order: runaway loop")
-        return n
-
     def is_identity(self) -> bool:
         return self.rep == (1, 0, 0, 1)
 
@@ -138,8 +132,24 @@ class MatGroup:
         return [g for g in sorted(self.elements) if not g.is_identity() and (g * g).is_identity()]
 
 
+def spanning_tree(identity, gens: dict, mul) -> dict:
+    """Breadth-first spanning tree of the Cayley graph of ``gens`` (name ->
+    element), edges x -> mul(x, g) in generator order, from the identity:
+    maps each element y reached to (x, name) with y = mul(x, gens[name]), the
+    identity to None, in discovery order."""
+    tree = {identity: None}
+    queue = [identity]
+    for x in queue:
+        for name, g in gens.items():
+            y = mul(x, g)
+            if y not in tree:
+                tree[y] = (x, name)
+                queue.append(y)
+    return tree
+
+
 def closure(gens: Iterable[ProjMat]) -> MatGroup:
-    """Subgroup generated by ``gens`` (breadth-first closure)."""
+    """Subgroup generated by ``gens``: the vertices of their spanning tree."""
     gens = tuple(gens)
     if not gens:
         raise ValueError("closure: need at least one generator")
@@ -147,34 +157,17 @@ def closure(gens: Iterable[ProjMat]) -> MatGroup:
     for g in gens:
         if g.p != p:
             raise ValueError("closure: mixed characteristics")
-    seen = {ProjMat.identity(p)}
-    frontier = [ProjMat.identity(p)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return MatGroup(p, frozenset(seen), gens)
+    tree = spanning_tree(ProjMat.identity(p), dict(enumerate(gens)), operator.mul)
+    return MatGroup(p, frozenset(tree), gens)
 
 
 @lru_cache(maxsize=None)
 def pgl2(p: int) -> MatGroup:
-    """The full group PGL2(F_p), enumerated exhaustively."""
-    elems = set()
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p != 0:
-                        elems.add(ProjMat(a, b, c, d, p))
-    v = least_nonsquare(p)
-    gens = (t_matrix(p), u_matrix(p), v_matrix(p, v))
-    invariant(len(elems) == p * (p * p - 1), f"|PGL2(F_{p})| != p(p^2-1)")
-    return MatGroup(p, frozenset(elems), gens)
+    """The full group PGL2(F_p), generated by T, U and V (v the least
+    non-square mod p)."""
+    full = closure((t_matrix(p), u_matrix(p), v_matrix(p)))
+    invariant(full.order == p * (p * p - 1), f"|PGL2(F_{p})| != p(p^2-1)")
+    return full
 
 
 @lru_cache(maxsize=None)

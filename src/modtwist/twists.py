@@ -11,6 +11,12 @@ formal central w-component.
 
 Cocycle values are pairs (ProjMat, w_bit): the w_bit is the formal central
 component (always 0 outside the cyclotomic chi_k construction).
+
+Every check here runs on the generators of the model group: a cocycle is a
+homomorphism into a semidirect product, decided on the Cayley-graph edges by
+``FiniteGroup.is_homomorphism``; a cohomology witness is checked on the
+generators, and the centralizer of the image of rho is that of the images of
+the generators.
 """
 from __future__ import annotations
 
@@ -63,16 +69,23 @@ class Cocycle:
 
 
 def check_cocycle(c: Cocycle) -> bool:
-    """Exhaustive check of xi(st) = xi(s) * twist_s(xi(t))."""
+    """Whether xi(st) = xi(s) * twist_s(xi(t)) for all s, t, the w-bits
+    adding mod 2.
+
+    Precondition: eps is a homomorphism, so that the twist is an action.
+    Then xi is a cocycle exactly when s -> (xi(s), w(s), s) is a
+    homomorphism into the semidirect product by the twist action (Brown,
+    Cohomology of Groups, IV.2), which ``FiniteGroup.is_homomorphism``
+    decides on the |G|*|gens| Cayley-graph edges.  ValueError on a group
+    without generators.
+    """
     grp = c.model.group
-    for s in grp.elements:
-        for t in grp.elements:
-            gs, ws = c.values[s]
-            gt, wt = c.twist(s, c.values[t])
-            gst, wst = c.values[grp.mul(s, t)]
-            if gst != gs * gt or wst != (ws + wt) % 2:
-                return False
-    return True
+
+    def op(x, y):
+        (gs, ws, s), (gt, wt, t) = x, y
+        return (gs * c.twist(s, (gt, wt))[0], (ws + wt) % 2, grp.mul(s, t))
+
+    return grp.is_homomorphism({s: (*c.values[s], s) for s in grp.elements}, op)
 
 
 def eta(m: FiniteGaloisModel, v: int | None = None) -> Cocycle:
@@ -141,30 +154,26 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
     """Search for a witness c with c2(s) = c^-1 * c1(s) * twist_s(c) for all
     s; returns the witness (ProjMat, w_bit) or None.
 
-    The witness ranges over the ambient group: PSL2 for ambient G(N,p),
-    PGL2 (with a free w-bit when w-components occur) for W(N,p).
+    The witness ranges over the ambient group, in sorted order: PSL2 for
+    ambient G(N,p), PGL2 for W(N,p); the w-bits must agree, being central
+    and untwisted.  Preconditions: c1 and c2 are cocycles and eps is a
+    homomorphism.  Then the s where the identity holds form a subgroup, so
+    each candidate is checked on the generators only.  ValueError on a group
+    without generators.
     """
     if c1.model is not c2.model and c1.model.group is not c2.model.group:
         raise ValueError("cohomologous: cocycles live over different models")
     if c1.ambient != c2.ambient or c1.v != c2.v or c1.p != c2.p:
         raise ValueError("cohomologous: mismatched ambients")
-    grp = c1.model.group
+    gens = c1.model.group.generators()
     pool = psl2(c1.p) if c1.ambient is Ambient.G_NP else pgl2(c1.p)
-    hv = c1.hat_v()
     for cand in sorted(pool.elements):
         ci = cand.inverse()
-        ok = True
-        for s in grp.elements:
+        for s in gens:
             g1, w1 = c1.values[s]
-            g2, w2 = c2.values[s]
-            if w1 != w2:  # the w-component is central and untwisted
-                ok = False
+            if c2.values[s] != (ci * g1 * c1.twist(s, (cand, 0))[0], w1):
                 break
-            tc = hv * cand * hv if c1.model.epsilon(s) == -1 else cand
-            if g2 != ci * g1 * tc:
-                ok = False
-                break
-        if ok:
+        else:
             return (cand, 0)
     return None
 
@@ -176,8 +185,10 @@ class CentralizerVerdict(Enum):
 
 
 def centralizer_verdict(m: FiniteGaloisModel) -> CentralizerVerdict:
-    """Type of the centralizer of the image of rho inside PGL2(F_p)."""
-    cen = centralizer(set(m.rho.values()), m.p)
+    """Type of the centralizer of the image of rho inside PGL2(F_p): that of
+    the images of the generators, which generate the image.  ValueError on a
+    group without generators."""
+    cen = centralizer((m.rho[g] for g in m.group.generators()), m.p)
     if cen.order == 1:
         return CentralizerVerdict.TRIVIAL
     if cen.elements <= psl2(m.p).elements:

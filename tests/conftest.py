@@ -1,29 +1,52 @@
-"""Shared test helpers: the cocycle perturbation check, the order-18 table
-groups and table-group model files of malformed JSON shapes."""
+"""Shared test helpers: generator words, the cocycle perturbations and
+their check, the order-18 table groups and table-group model files of
+malformed JSON shapes."""
 import pytest
 
 from modtwist.projgroup import pgl2
 from modtwist.twists import Cocycle, check_cocycle
 
 
+def _tree_words(group) -> dict:
+    """Each element, in the spanning tree's discovery order, spelled as the
+    generator names along its tree path."""
+    words = {}
+    for y, edge in group.tree.items():
+        words[y] = () if edge is None else words[edge[0]] + (edge[1],)
+    return words
+
+
+@pytest.fixture
+def tree_words():
+    """``_tree_words``, for the tests of maps extended along the tree."""
+    return _tree_words
+
+
+def _perturbations(c: Cocycle, s):
+    """The cochains that differ from c only at s, where the matrix is
+    multiplied by a non-identity class of PGL2."""
+    g, w = c.values[s]
+    for mult in sorted(pgl2(c.p).elements):
+        if not mult.is_identity():
+            values = {**c.values, s: (g * mult, w)}
+            yield Cocycle(model=c.model, ambient=c.ambient, values=values, v=c.v)
+
+
 def _perturbation_breaks(c: Cocycle) -> bool:
     """For every group element some single-value perturbation of the
     cocycle is invalid, and at the identity every nontrivial one is."""
     grp = c.model.group
-    mults = [m for m in sorted(pgl2(c.p).elements) if not m.is_identity()]
-
-    def still_valid(s, mult):
-        g, w = c.values[s]
-        values = {**c.values, s: (g * mult, w)}
-        return check_cocycle(Cocycle(model=c.model, ambient=c.ambient, values=values, v=c.v))
-
     for s in grp.elements:
-        if s == grp.identity:
-            if any(still_valid(s, mult) for mult in mults):
-                return False
-        elif all(still_valid(s, mult) for mult in mults):
+        valid = (check_cocycle(d) for d in _perturbations(c, s))
+        if any(valid) if s == grp.identity else all(valid):
             return False
     return True
+
+
+@pytest.fixture
+def perturbations():
+    """``_perturbations``: the cochains ``perturbation_breaks`` checks."""
+    return _perturbations
 
 
 @pytest.fixture

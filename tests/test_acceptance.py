@@ -30,6 +30,7 @@ from modtwist.extgroup import (
     verify_relations,
     wgroup,
 )
+from modtwist.galmodel import validate_model
 from modtwist.moduli import verify_galois_conjugation, verify_w_rationality
 from modtwist.projgroup import centralizer, pgl2, psl2
 from modtwist.twists import (
@@ -210,15 +211,21 @@ def test_acceptance_09_moduli_actions():
     _verdict(9, ok, time.monotonic() - t0, 120.0)
 
 
+def _valid_corpus() -> list:
+    """model_corpus(3) and the valid models of model_corpus(5)."""
+    return model_corpus(3) + [m for m in model_corpus(5) if not validate_model(m)]
+
+
 def test_acceptance_10_cocycle_corpus(perturbation_breaks):
-    """Over a corpus of >= 50 models at p = 3, the plain and primed twisting
-    cocycles (and the chi_k variants where available) all satisfy the
-    twisted cocycle identity, and single-value perturbations break it.
-    Under 60 seconds."""
+    """Over model_corpus(3) and the valid models of model_corpus(5), the
+    plain and primed twisting cocycles (and the chi_k variants where
+    available) all satisfy the twisted cocycle identity, and at p = 3
+    single-value perturbations break it.  Under 60 seconds."""
     t0 = time.monotonic()
     corpus = model_corpus(3)
-    ok = len(corpus) >= 50
-    for m in corpus:
+    wide = _valid_corpus()
+    ok = len(corpus) >= 50 and len(wide) == len(corpus) + 634
+    for m in wide:
         xi = build_xi(m, "plain")
         xi_p = build_xi(m, "primed")
         ok = ok and check_cocycle(xi) and check_cocycle(xi_p)
@@ -236,11 +243,12 @@ def test_acceptance_10_cocycle_corpus(perturbation_breaks):
 def test_acceptance_11_equivalence_criterion():
     """The plain and primed cocycles are cohomologous precisely when the
     centralizer of the image of rho meets PGL2 outside PSL2, over the whole
-    cyclotomic-compatible part of the p = 3 corpus."""
+    cyclotomic-compatible part of model_corpus(3) and of the valid models of
+    model_corpus(5)."""
     t0 = time.monotonic()
     ok = True
     checked = 0
-    for m in model_corpus(3):
+    for m in _valid_corpus():
         if not m.det_is_epsilon():
             continue
         equivalent = (
@@ -249,7 +257,7 @@ def test_acceptance_11_equivalence_criterion():
         expected = centralizer_verdict(m) is CentralizerVerdict.NONTRIVIAL_OUTSIDE_PSL2
         ok = ok and (equivalent == expected)
         checked += 1
-    ok = ok and checked >= 20
+    ok = ok and checked == 154 + 244
     _verdict(11, ok, time.monotonic() - t0, 60.0)
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modtwist.arith import (
-    Discriminant,
     Level,
     class_number,
     class_number_primitive,
@@ -162,13 +161,11 @@ def test_cyclotomic_iff_square_mod_p():
             assert Level(n, p).cyclotomic == (kronecker(n, p) == 1)
 
 
-def test_discriminant_validation():
-    Discriminant(-4)
-    Discriminant(-3)
-    with pytest.raises(ValueError):
-        Discriminant(-5)  # not 0 or 1 mod 4
-    with pytest.raises(ValueError):
-        Discriminant(4)  # must be negative
+def test_level_cyclotomic_is_derived_not_passed():
+    with pytest.raises(TypeError):
+        Level(5, 3, True)
+    with pytest.raises(TypeError):
+        Level(5, 3, cyclotomic=False)
 
 
 KNOWN_PRIMITIVE_CLASS_NUMBERS = {

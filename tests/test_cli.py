@@ -279,6 +279,23 @@ def test_selftest_report_is_the_same_under_python_O():
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("argv", [["genus", "4", "3"], ["--json", "cusps", "20"]])
+def test_closed_stdout_exits_quietly_with_the_command_code(argv):
+    # stdout is a pipe whose read end is closed before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "modtwist.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == EXIT_OK
+
+
 def test_report_json_roundtrip():
     rep = Report(command="x", inputs={"a": 1}, outputs={"b": [1, 2]}, elapsed_s=0.5)
     assert Report(**json.loads(rep.to_json())) == rep

@@ -1,6 +1,7 @@
 """Finite group containers, model validation, the det rho = eps predicate
 and the homomorphism searches."""
 import itertools
+import operator
 
 import pytest
 
@@ -90,14 +91,15 @@ def test_extend_generator_map():
     assert g.is_homomorphism(vals, lambda a, b: a * b)
 
 
-def test_extend_generator_map_is_the_word_product():
+def test_extend_generator_map_is_the_word_product(tree_words):
     # values that define no homomorphism are still the products along words
     g = symmetric_group(4)
     values = {"s": ProjMat(1, 1, 0, 1, 5), "t": ProjMat(2, 1, 1, 1, 5)}
     f = g.extend_generator_map(values, lambda a, b: a * b, ProjMat.identity(5))
     assert not g.is_homomorphism(f, lambda a, b: a * b)
-    assert list(f) == list(g.words)
-    for x, word in g.words.items():
+    words = tree_words(g)
+    assert list(f) == list(words)
+    for x, word in words.items():
         acc = ProjMat.identity(5)
         for w in word:
             acc = acc * values[w]
@@ -105,14 +107,17 @@ def test_extend_generator_map_is_the_word_product():
     assert g.extend_homomorphism(values, lambda a, b: a * b, ProjMat.identity(5)) is None
 
 
-def test_generator_words_cover_group():
+def test_generator_words_cover_group(tree_words):
     g = symmetric_group(4)
-    assert set(g.words) == set(g.elements)
-    for x, word in g.words.items():
+    words = tree_words(g)
+    assert set(words) == set(g.elements)
+    for x, word in words.items():
         acc = g.identity
         for w in word:
             acc = g.mul(acc, g.gens[w])
         assert acc == x
+    # breadth first: discovery order never shortens a word
+    assert [len(w) for w in words.values()] == sorted(len(w) for w in words.values())
 
 
 def _c2_model(p=3, eps_nontrivial=True, rho_nontrivial=True):
@@ -202,6 +207,11 @@ def test_all_quadratic_characters():
     assert len(all_quadratic_characters(cyclic_group(3))) == 1
 
 
+def _reference_is_homomorphism(group, f, op):
+    """Whether f(ab) = op(f(a), f(b)) on all |G|^2 pairs."""
+    return all(f[group.mul(a, b)] == op(f[a], f[b]) for a in group.elements for b in group.elements)
+
+
 def _reference_homs(group, images, one):
     """Brute force: extend each tuple of generator images along the words
     and test all |G|^2 pairs."""
@@ -209,7 +219,7 @@ def _reference_homs(group, images, one):
     out = []
     for values in itertools.product(*(images[n] for n in names)):
         f = group.extend_generator_map(dict(zip(names, values)), lambda a, b: a * b, one)
-        if group.is_homomorphism(f, lambda a, b: a * b):
+        if _reference_is_homomorphism(group, f, lambda a, b: a * b):
             out.append(f)
     return out
 
@@ -255,7 +265,7 @@ def test_all_homs_to_pgl2_matches_brute_force(group, p):
     want = _reference_homs_to_pgl2(group, p)
     assert got == want
     assert [list(f) for f in got] == [list(f) for f in want]
-    assert all(list(f) == list(group.words) for f in got)
+    assert all(list(f) == list(group.tree) for f in got)
 
 
 @pytest.mark.parametrize("group", SEARCH_GROUPS, ids=lambda g: g.name)
@@ -283,3 +293,45 @@ def test_s3_images_failing_the_braid_relation_give_no_homomorphism():
         assert not g.is_homomorphism(f, lambda x, y: x * y)
     homs = all_homs_to_pgl2(g, p)
     assert not any((f[g.gens["s"]], f[g.gens["t"]]) in set(bad) for f in homs)
+
+
+def _homomorphic_along(group, name, p=5):
+    """A map into PGL2(F_p) with f(x*g) = f(x)*f(g) on the edges of the
+    generator g named ``name`` alone: f(g) has order dividing g's, and every
+    coset x<g> other than <g> starts from T, whose order p = 5 divides no
+    element order of these groups, so f is a homomorphism only when g
+    generates."""
+    one, t = ProjMat.identity(p), ProjMat(1, 1, 0, 1, p)
+    gen = group.gens[name]
+    n, y = 1, gen
+    while y != group.identity:
+        y, n = group.mul(y, gen), n + 1
+    value = next(a for a in sorted(pgl2(p).elements) if a ** n == one and not a.is_identity())
+    f = {}
+    for x in group.elements:
+        fx, y = (one if x == group.identity else t), x
+        while y not in f:
+            f[y], fx, y = fx, fx * value, group.mul(y, gen)
+    return f
+
+
+@pytest.mark.parametrize("group", SEARCH_GROUPS, ids=lambda g: g.name)
+def test_is_homomorphism_walks_every_generator(group):
+    # a map that respects one generator's edges need not be a homomorphism
+    for name in group.gens:
+        f = _homomorphic_along(group, name)
+        assert all(f[group.mul(x, group.gens[name])] == f[x] * f[group.gens[name]] for x in group)
+        want = _reference_is_homomorphism(group, f, operator.mul)
+        assert group.is_homomorphism(f, operator.mul) == want
+        assert want == (len(group.gens) == 1)
+
+
+def test_is_homomorphism_rejects_a_group_without_generators():
+    table = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
+    g = FiniteGroup.from_table(["e", "a"], table, "e")
+    with pytest.raises(ValueError, match="no generators"):
+        g.is_homomorphism({"e": 1, "a": -1}, lambda a, b: a * b)
+    t = trivial_group()
+    t.set_generators({})
+    with pytest.raises(ValueError, match="no generators"):
+        t.is_homomorphism({t.identity: -1}, lambda a, b: a * b)

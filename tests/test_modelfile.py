@@ -145,9 +145,9 @@ def test_parse_rejects_bad_character_field(field):
         parse_model(json.dumps(doc))
 
 
-def test_parse_table_group_of_order_18(z18_table_model):
+def test_parse_table_group_of_order_18(z18_table_model, tree_words):
     m = parse_and_validate(json.dumps(z18_table_model(False)))
-    assert m.group.order == 18 and m.group.words["17"] == ("g",) * 17
+    assert m.group.order == 18 and tree_words(m.group)["17"] == ("g",) * 17
 
 
 def test_parse_rejects_non_associative_table(z18_table_model):

@@ -1,5 +1,7 @@
 """Projective matrix groups over F_p: canonical representatives, PGL2/PSL2
 enumeration, closures and centralizers."""
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -87,6 +89,18 @@ def test_group_orders(p):
     assert sum(1 for g in full.elements if in_psl2(g)) == half.order
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_pgl2_matches_exhaustive_enumeration(p):
+    # every invertible matrix mod scalars, against the closure of T, U, V
+    every = frozenset(
+        ProjMat(a, b, c, d, p)
+        for a, b, c, d in itertools.product(range(p), repeat=4)
+        if (a * d - b * c) % p
+    )
+    assert pgl2(p).elements == every
+    assert pgl2(p).generators == (t_matrix(p), u_matrix(p), v_matrix(p))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_psl2_is_generated_by_t_and_u(p):
     grp = closure([t_matrix(p), u_matrix(p)])
@@ -113,10 +127,9 @@ def test_v_matrix_shape():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_element_orders_divide_group_order(p):
     full = pgl2(p)
+    one = ProjMat.identity(p)
     for g in full.elements:
-        n = g.order()
-        assert n >= 1
-        assert g ** n == ProjMat.identity(p)
+        n = next(n for n in range(1, full.order + 1) if g ** n == one)
         assert full.order % n == 0
 
 
@@ -165,5 +178,5 @@ def test_involutions_are_order_two(p):
     full = pgl2(p)
     invs = full.involutions()
     for g in invs:
-        assert g.order() == 2
+        assert g ** 2 == ProjMat.identity(p)
     assert all(not g.is_identity() for g in invs)

@@ -1,10 +1,18 @@
 """Twisting cocycles, cohomology witnesses, centralizer verdicts and twist
-plans."""
+plans, with the whole-group checks kept as reference oracles."""
+from functools import lru_cache
+
 import pytest
 
 from modtwist.arith import Level, least_nonsquare
-from modtwist.galmodel import QuadraticCharacter, cyclic_group, validate_model
-from modtwist.projgroup import ProjMat, v_matrix
+from modtwist.galmodel import (
+    FiniteGaloisModel,
+    FiniteGroup,
+    QuadraticCharacter,
+    cyclic_group,
+    validate_model,
+)
+from modtwist.projgroup import ProjMat, centralizer, pgl2, psl2, v_matrix
 from modtwist.twists import (
     Ambient,
     CentralizerVerdict,
@@ -22,6 +30,138 @@ from modtwist.twists import (
 
 CORPUS = model_corpus(3)
 COMPATIBLE = [m for m in CORPUS if m.det_is_epsilon()]
+CORPORA = {3: CORPUS, 5: model_corpus(5)}
+
+
+def reference_check_cocycle(c):
+    """Exhaustive check of xi(st) = xi(s) * twist_s(xi(t)) on all |G|^2
+    pairs, the twist by s being conjugation by hat(V) where eps(s) = -1."""
+    grp = c.model.group
+    hv = c.hat_v()
+    for s in grp.elements:
+        gs, ws = c.values[s]
+        twisted = c.model.epsilon(s) == -1
+        for t in grp.elements:
+            gt, wt = c.values[t]
+            if twisted:
+                gt = hv * gt * hv
+            gst, wst = c.values[grp.mul(s, t)]
+            if gst != gs * gt or wst != (ws + wt) % 2:
+                return False
+    return True
+
+
+def reference_cohomologous(c1, c2):
+    """The first witness in sorted order checked on every group element."""
+    grp = c1.model.group
+    pool = psl2(c1.p) if c1.ambient is Ambient.G_NP else pgl2(c1.p)
+    hv = c1.hat_v()
+    for cand in sorted(pool.elements):
+        ci = cand.inverse()
+        ok = True
+        for s in grp.elements:
+            g1, w1 = c1.values[s]
+            g2, w2 = c2.values[s]
+            if w1 != w2:
+                ok = False
+                break
+            tc = hv * cand * hv if c1.model.epsilon(s) == -1 else cand
+            if g2 != ci * g1 * tc:
+                ok = False
+                break
+        if ok:
+            return (cand, 0)
+    return None
+
+
+@lru_cache(maxsize=None)
+def reference_centralizer_verdict(image: frozenset, p: int) -> CentralizerVerdict:
+    """The verdict from the centralizer of every value of rho."""
+    cen = centralizer(image, p)
+    if cen.order == 1:
+        return CentralizerVerdict.TRIVIAL
+    if cen.elements <= psl2(p).elements:
+        return CentralizerVerdict.NONTRIVIAL_IN_PSL2
+    return CentralizerVerdict.NONTRIVIAL_OUTSIDE_PSL2
+
+
+def _cocycles(m):
+    """The plain and primed cocycles, and the chi_k one with k = eps where
+    det rho = eps."""
+    out = [build_xi(m, "plain"), build_xi(m, "primed")]
+    if m.det_is_epsilon():
+        out.append(build_xi(m, k_char={s: m.epsilon(s) for s in m.group.elements}))
+    return out
+
+
+def _with_w_flipped(c, s):
+    g, w = c.values[s]
+    return Cocycle(model=c.model, ambient=c.ambient, values={**c.values, s: (g, 1 - w)}, v=c.v)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_check_cocycle_matches_pair_reference(p):
+    checked = 0
+    for m in CORPORA[p]:
+        for c in _cocycles(m):
+            assert check_cocycle(c) == reference_check_cocycle(c), (m.group.name, p)
+            checked += 1
+    assert checked > 2 * len(CORPORA[p])
+
+
+def test_check_cocycle_matches_pair_reference_on_perturbations(perturbations):
+    # the perturbation_breaks fixture's cochains on groups of order <= 6,
+    # and every single w-bit flip of the plain and chi_k cocycles
+    small = [m for m in CORPUS if m.group.order <= 6]
+    rejected = 0
+    for m in small:
+        xi = build_xi(m)
+        for s in m.group.elements:
+            for d in perturbations(xi, s):
+                valid = check_cocycle(d)
+                assert valid == reference_check_cocycle(d)
+                rejected += not valid
+        for c in _cocycles(m):
+            for s in m.group.elements:
+                d = _with_w_flipped(c, s)
+                valid = check_cocycle(d)
+                assert valid == reference_check_cocycle(d)
+                rejected += not valid
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_cohomologous_matches_whole_group_reference(p):
+    found = 0
+    for m in CORPORA[p]:
+        if not m.det_is_epsilon():
+            continue
+        xi, xi_p = build_xi(m, "plain"), build_xi(m, "primed")
+        wit = cohomologous(xi, xi_p)
+        assert wit == reference_cohomologous(xi, xi_p), (m.group.name, p)
+        found += wit is not None
+    assert found > 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_centralizer_verdict_matches_image_reference(p):
+    for m in CORPORA[p]:
+        want = reference_centralizer_verdict(frozenset(m.rho.values()), p)
+        assert centralizer_verdict(m) is want, (m.group.name, p)
+
+
+def test_checks_on_generators_reject_a_group_without_generators():
+    table = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
+    grp = FiniteGroup.from_table(["e", "a"], table, "e")
+    m = FiniteGaloisModel(
+        group=grp, p=3, rho={"e": ProjMat.identity(3), "a": ProjMat(0, 1, 1, 0, 3)},
+        chi={"e": 1, "a": 2},
+    )
+    xi = build_xi(m)
+    for check in (lambda: check_cocycle(xi), lambda: cohomologous(xi, xi),
+                  lambda: centralizer_verdict(m)):
+        with pytest.raises(ValueError, match="no generators"):
+            check()
 
 
 def test_corpus_size():
@@ -36,8 +176,6 @@ def test_rho_star_example():
     grp = cyclic_group(3)
     e = grp.identity
     s = grp.gens["g"]
-    from modtwist.galmodel import FiniteGaloisModel
-
     t = ProjMat(1, 1, 0, 1, 3)
     rho = {e: ProjMat.identity(3), s: t, grp.mul(s, s): t * t}
     mm = FiniteGaloisModel(group=grp, p=3, rho=rho, chi={x: 1 for x in grp.elements})
