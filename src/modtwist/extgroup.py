@@ -9,14 +9,18 @@ is the index-2 extension by the extra involution w:
   scalar; W(N,p) is abstractly PSL2(F_p) x <w> and w is kept as a formal
   central generator distinguished from its (trivial) reduction.
 * N a non-square mod p: w carries V_N = [[0, -1], [N, 0]] and reduction mod p
-  is a faithful isomorphism W(N,p) -> PGL2(F_p).
+  is a faithful isomorphism W(N,p) -> PGL2(F_p).  The involutions extending
+  w_N are the conjugates of V_N by words in T_N and U_N: integer matrices
+  [[aN, b], [cN, -aN]] of determinant N, one spanning-tree walk of PSL2(F_p)
+  constructing a model for every one of them.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .arith import Level, invariant, lift_sqrt_mod_p2
-from .projgroup import MatGroup, ProjMat, closure, psl2
+from .arith import Level, invariant, least_nonsquare, lift_sqrt_mod_p2
+from .projgroup import MatGroup, ProjMat, closure, in_psl2, pgl2, spanning_tree
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,10 @@ class IntMat:
             raise ValueError(f"IntMat: determinant {self.det} vanishes mod {p}")
         return ProjMat(self.a, self.b, self.c, self.d, p)
 
+    def adj(self) -> "IntMat":
+        """The adjugate, det times the inverse."""
+        return IntMat(self.d, -self.b, -self.c, self.a)
+
     def hat(self) -> "IntMat":
         return IntMat(self.d, self.c, self.b, self.a)
 
@@ -87,7 +95,6 @@ class WGroupReport:
     structure: str  # "DirectProduct" or "FullPGL2"
     v: int  # non-square used for V (non-cyclotomic: N^-1 mod p)
     generators: dict
-    reduction_table: dict
     image_group: MatGroup  # closure of the mod-p reductions
     central_involution: IntMat | None  # Z_N in the cyclotomic case
     central_involution_reduction: ProjMat | None  # its (scalar) reduction
@@ -97,40 +104,27 @@ def wgroup(level: Level) -> WGroupReport:
     """Compute W(N, p) and its structure invariants."""
     N, p = level.N, level.p
     gens = build_generators(level)
-    reductions = {name: m.reduce(p) for name, m in gens.items()}
-    image = closure(tuple(reductions.values()))
+    image = closure(m.reduce(p) for m in gens.values())
     full_order = p * (p * p - 1)
+    z = gens.get("Z_N")
+    zred = None if z is None else z.reduce(p)
     if level.cyclotomic:
         # Z_N reduces to a scalar, hence to the identity class: the image is
         # just PSL2 and w survives only as a formal central generator.
-        zred = reductions["Z_N"]
         invariant(zred.is_identity(), "cyclotomic Z_N should reduce to a scalar")
         invariant(image.order == full_order // 2, "cyclotomic image should be PSL2")
-        from .arith import least_nonsquare
-
-        return WGroupReport(
-            level=level,
-            order=full_order,
-            structure="DirectProduct",
-            v=least_nonsquare(p),
-            generators=gens,
-            reduction_table=reductions,
-            image_group=image,
-            central_involution=gens["Z_N"],
-            central_involution_reduction=zred,
-        )
-    # non-cyclotomic: reduction is faithful onto PGL2
-    invariant(image.order == full_order, "non-cyclotomic image should be all of PGL2")
+    else:
+        # non-cyclotomic: reduction is faithful onto PGL2
+        invariant(image.order == full_order, "non-cyclotomic image should be all of PGL2")
     return WGroupReport(
         level=level,
         order=full_order,
-        structure="FullPGL2",
-        v=pow(N, -1, p),
+        structure="DirectProduct" if level.cyclotomic else "FullPGL2",
+        v=least_nonsquare(p) if level.cyclotomic else pow(N, -1, p),
         generators=gens,
-        reduction_table=reductions,
         image_group=image,
-        central_involution=None,
-        central_involution_reduction=None,
+        central_involution=z,
+        central_involution_reduction=zred,
     )
 
 
@@ -153,72 +147,53 @@ class InvolutionReport:
     level: Level
     involutions: frozenset  # classes in PGL2 \ PSL2 squaring to 1
     single_conjugacy_class: bool
-    integer_models: dict  # ProjMat -> IntMat of shape [[aN, b],[cN, -aN]]
-
-
-def _integer_involution_model(N, p, g, bound):
-    """Search [[aN, b], [cN, -aN]] of determinant +-N reducing to the
-    projective class g mod p; b runs over the divisors of -det - a^2 N.
-
-    Determinant -N is admissible only when -1 is a square mod p, so that
-    the reduction stays in the same PGL2 \\ PSL2 coset as determinant N.
-    """
-    signs = (1, -1) if p % 4 == 1 else (1,)
-    for a in range(-bound, bound + 1):
-        for sign in signs:
-            k = -sign - a * a * N  # need b * c = k for det = sign * N
-            if k == 0:
-                continue
-            ak = abs(k)
-            d = 1
-            while d * d <= ak:
-                if ak % d == 0:
-                    for b in (d, -d, ak // d, -(ak // d)):
-                        if abs(b) > bound:
-                            continue
-                        c = k // b
-                        if abs(c) > bound:
-                            continue
-                        m = IntMat(a * N, b, c * N, -a * N)
-                        if m.det % p != 0 and m.reduce(p) == g:
-                            return m
-                d += 1
-    return None
+    integer_models: dict  # ProjMat -> conjugate of V_N by a word in T_N, U_N
 
 
 def involutions_extending_wN(level: Level) -> InvolutionReport:
-    """Involutions of W(N,p) outside G(N,p) in the non-cyclotomic case.
+    """Involutions of W(N,p) outside G(N,p) in the non-cyclotomic case, each
+    with an integer model gamma^-1 V_N gamma, gamma a word in T_N, U_N.
 
-    Each is realized by an integer matrix [[aN, b], [cN, -aN]] of
-    determinant +-N (the minus sign only when -1 is a square mod p), found
-    by bounded search (escalating the bound on |a|, |b|, |c| up to 25 p^2).
+    V_N normalizes Gamma_0(N) (Atkin-Lehner, Math. Ann. 185, 1970), so every
+    such conjugate has trace 0, determinant N and the shape
+    [[aN, b], [cN, -aN]].  V's class in PGL2(F_p) is its PSL2-conjugation
+    orbit, since V centralizes itself, so one walk of the spanning tree of
+    PSL2 = <T, U> reaches every involution outside PSL2 that is conjugate to
+    V; the involutions form a single class exactly when it reaches all.
+    The walk takes T_N, U_N and their inverses as steps and carries the
+    integer word gamma_h of each element h along the tree edges; the first
+    h in breadth-first order gives each reduction its model.
     """
     if level.cyclotomic:
         raise ValueError("involutions_extending_wN: non-cyclotomic levels only")
     N, p = level.N, level.p
-    rep = wgroup(level)
-    group = rep.image_group
-    psl = psl2(p)
-    invs = [g for g in group.involutions() if g not in psl]
-    # single conjugacy class under W(N,p) ~ PGL2
-    cls = group.conjugacy_class(invs[0])
-    single = frozenset(invs) == cls
+    gens = build_generators(level)
+    steps = {}
+    for name in ("T_N", "U_N"):
+        steps[name] = gens[name]
+        steps[name + "^-1"] = gens[name].adj()
+    tree = spanning_tree(
+        ProjMat.identity(p), {name: m.reduce(p) for name, m in steps.items()}, operator.mul
+    )
+    invs = frozenset(g for g in pgl2(p).involutions() if not in_psl2(g))
+    words = {}
     models = {}
-    for g in invs:
-        found = None
-        for bound in (p * p, 6 * p * p, 12 * p * p, 25 * p * p):
-            found = _integer_involution_model(N, p, g, bound)
-            if found is not None:
-                break
-        invariant(
-            found is not None,
-            f"involutions_extending_wN: no integer model for {g} within bound {25 * p * p}",
-        )
-        models[g] = found
+    for h, edge in tree.items():
+        gamma = IntMat(1, 0, 0, 1) if edge is None else words[edge[0]] * steps[edge[1]]
+        words[h] = gamma
+        m = gamma.adj() * gens["V_N"] * gamma
+        g = m.reduce(p)
+        if g not in models:
+            invariant(
+                m.det == N and g in invs,
+                f"involutions_extending_wN: {m} is not a model of determinant N of an involution outside PSL2",
+            )
+            models[g] = m
+    missing = invs - models.keys()
+    invariant(not missing, f"involutions_extending_wN: no integer model for {sorted(missing)}")
     return InvolutionReport(
         level=level,
-        involutions=frozenset(invs),
-        single_conjugacy_class=single,
+        involutions=invs,
+        single_conjugacy_class=models.keys() == invs,
         integer_models=models,
     )
-

@@ -98,12 +98,9 @@ def _build_group(spec: dict) -> FiniteGroup:
 
 
 def parse_model(source: str | Path) -> FiniteGaloisModel:
-    """Parse a model file (path or raw JSON text) and validate it."""
-    text = source
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and "\n" not in source and source.endswith(".json"):
-        text = Path(source).read_text()
+    """Parse a model: a ``Path`` is read as a file, a ``str`` is the JSON
+    text itself."""
+    text = source.read_text() if isinstance(source, Path) else source
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -95,10 +95,6 @@ class ProjMat:
         a, b, c, d = self.rep
         return ProjMat(a, c, b, d, self.p)
 
-    def conj_by(self, h: "ProjMat") -> "ProjMat":
-        """h^-1 * self * h."""
-        return h.inverse() * self * h
-
     def is_identity(self) -> bool:
         return self.rep == (1, 0, 0, 1)
 
@@ -125,11 +121,10 @@ class MatGroup:
     def __iter__(self):
         return iter(sorted(self.elements))
 
-    def conjugacy_class(self, g: ProjMat) -> frozenset:
-        return frozenset(g.conj_by(h) for h in self.elements)
-
     def involutions(self) -> list[ProjMat]:
-        return [g for g in sorted(self.elements) if not g.is_identity() and (g * g).is_identity()]
+        """The elements of order 2, sorted: by Cayley-Hamilton g^2 =
+        tr(g) g - det(g), a scalar for non-scalar g exactly when tr(g) = 0."""
+        return sorted(g for g in self.elements if (g.rep[0] + g.rep[3]) % self.p == 0)
 
 
 def spanning_tree(identity, gens: dict, mul) -> dict:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .arith import Level, invariant, least_nonsquare
 from .curves import genus_XNp, xplus_verdict
@@ -55,16 +56,22 @@ class Cocycle:
     def p(self) -> int:
         return self.model.p
 
-    def hat_v(self) -> ProjMat:
+    # hat(V) and the sigma with eps(sigma) = -1 are read once per cocycle, on
+    # its first twist: check_cocycle twists once per Cayley-graph edge
+    @cached_property
+    def _hv(self) -> ProjMat:
         return v_matrix(self.p, self.v).hat()
+
+    @cached_property
+    def _flips(self) -> frozenset:
+        return frozenset(s for s in self.model.group.elements if self.model.epsilon(s) == -1)
 
     def twist(self, sigma, value):
         """The Galois twist of a value by sigma: conjugation by hat(V) when
         eps(sigma) = -1, trivial otherwise; w-bits are untouched."""
         g, w = value
-        if self.model.epsilon(sigma) == -1:
-            hv = self.hat_v()
-            g = hv * g * hv  # hat(V) is an involution mod scalars
+        if sigma in self._flips:
+            g = self._hv * g * self._hv  # hat(V) is an involution mod scalars
         return (g, w)
 
 

@@ -1,6 +1,6 @@
-"""Shared test helpers: generator words, the cocycle perturbations and
-their check, the order-18 table groups and table-group model files of
-malformed JSON shapes."""
+"""Shared test helpers: generator words, conjugacy classes, the cocycle
+perturbations and their check, the order-18 table groups and table-group
+model files of malformed JSON shapes."""
 import pytest
 
 from modtwist.projgroup import pgl2
@@ -20,6 +20,19 @@ def _tree_words(group) -> dict:
 def tree_words():
     """``_tree_words``, for the tests of maps extended along the tree."""
     return _tree_words
+
+
+def _conjugacy_class(group, g) -> frozenset:
+    """The conjugacy class of g in a ``MatGroup``: h^-1 g h over every
+    element h."""
+    return frozenset(h.inverse() * g * h for h in group.elements)
+
+
+@pytest.fixture
+def conjugacy_class():
+    """``_conjugacy_class``, the reference for the single-class verdict of
+    ``involutions_extending_wN``."""
+    return _conjugacy_class
 
 
 def _perturbations(c: Cocycle, s):

@@ -156,7 +156,8 @@ def test_acceptance_07_w_group_structure():
     """Structure of W(N,p) for p in {3,5,7} and coprime N <= 20: order
     p(p^2-1), direct product with central involution exactly at cyclotomic
     levels, full PGL2 with trivial center and a single class of extending
-    involutions otherwise.  Under 60 seconds."""
+    involutions otherwise, each with an integer model [[aN, b], [cN, -aN]] of
+    determinant N.  Under 60 seconds."""
     t0 = time.monotonic()
     ok = True
     for p in (3, 5, 7):
@@ -176,7 +177,12 @@ def test_acceptance_07_w_group_structure():
                 ok = ok and centralizer(rep.image_group.elements, p).order == 1
                 inv = involutions_extending_wN(lv)
                 ok = ok and inv.single_conjugacy_class
-                ok = ok and all(m is not None for m in inv.integer_models.values())
+                ok = ok and len(inv.involutions) == p * (p - kronecker(-1, p)) // 2
+                ok = ok and set(inv.integer_models) == inv.involutions
+                ok = ok and all(
+                    m.det == n and m.a % n == 0 and m.c % n == 0 and m.d == -m.a and m.reduce(p) == g
+                    for g, m in inv.integer_models.items()
+                )
     _verdict(7, ok, time.monotonic() - t0, 60.0)
 
 

@@ -14,6 +14,10 @@ from modtwist.projgroup import ProjMat, centralizer, closure, pgl2, psl2
 
 CYCLOTOMIC_LEVELS = [(4, 3), (7, 3), (4, 5), (6, 5), (9, 5), (2, 7), (4, 7)]
 NON_CYCLOTOMIC_LEVELS = [(2, 3), (5, 3), (8, 3), (2, 5), (3, 5), (3, 7), (5, 7)]
+# every non-cyclotomic level with p <= 13 and N <= 40, (28, 11) among them
+ALL_NON_CYCLOTOMIC_LEVELS = [
+    (N, p) for p in (3, 5, 7, 11, 13) for N in range(2, 41) if kronecker(N, p) == -1
+]
 
 
 def test_intmat_arithmetic():
@@ -67,22 +71,28 @@ def test_relations(N, p):
     assert verify_relations(Level(N, p))
 
 
-@pytest.mark.parametrize("N,p", NON_CYCLOTOMIC_LEVELS)
-def test_involutions_extending_wN(N, p):
+@pytest.mark.parametrize("N,p", ALL_NON_CYCLOTOMIC_LEVELS)
+def test_involutions_extending_wN(N, p, conjugacy_class):
     rep = involutions_extending_wN(Level(N, p))
-    assert len(rep.involutions) >= 1
-    assert rep.single_conjugacy_class
+    full = pgl2(p)
+    # the involutions outside PSL2, by squaring every element: PGL2 \ PSL2
+    # holds p(p - (-1|p))/2 of them
+    one = ProjMat.identity(p)
+    invs = {g for g in full.elements if g != one and g * g == one and g.det_class == -1}
+    assert rep.involutions == invs
+    assert len(invs) == p * (p - kronecker(-1, p)) // 2
+    # one class under W(N,p) ~ PGL2, as the whole-group conjugation finds
     vN = build_generators(Level(N, p))["V_N"].reduce(p)
-    for g in rep.involutions:
-        # an involution in PGL2 extending w_N: same class as V_N modulo PSL2
-        assert (g * g).is_identity()
-        assert g.det_class == vN.det_class
-    # each involution has an integer model [[aN, b], [cN, -aN]] of det +-N
-    # (the minus sign is admissible only when -1 is a square mod p)
+    assert rep.single_conjugacy_class == (conjugacy_class(full, vN) == invs)
+    assert rep.single_conjugacy_class
+    # every involution has an integer model [[aN, b], [cN, -aN]] of
+    # determinant exactly N
+    assert set(rep.integer_models) == invs
     for g, m in rep.integer_models.items():
-        assert m.det == N or (p % 4 == 1 and m.det == -N)
+        assert m.det == N
         assert m.a % N == 0 and m.c % N == 0 and m.d == -m.a
         assert m.reduce(p) == g
+        assert max(abs(x) for x in m.entries) < 10**13
 
 
 @pytest.mark.parametrize("N,p", CYCLOTOMIC_LEVELS + NON_CYCLOTOMIC_LEVELS)

@@ -1,5 +1,6 @@
 """Parsing and validation of JSON model files."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,15 @@ def test_parse_rejects_missing_rho_generator():
 def test_parse_rejects_invalid_json():
     with pytest.raises(ModelParseError):
         parse_model("{not json")
+
+
+def test_parse_reads_a_str_as_json_text_never_as_a_path(tmp_path, monkeypatch):
+    # a str is always the document itself, even when a file of that name exists
+    (tmp_path / "model.json").write_text(json.dumps(GOOD_MODEL))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ModelParseError):
+        parse_model("model.json")
+    assert parse_model(Path("model.json")).group.order == 2
 
 
 def test_parse_and_validate_rejects_non_hom():

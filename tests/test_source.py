@@ -20,6 +20,17 @@ def test_no_assert_statements_in_src():
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def test_no_imports_inside_functions_in_src():
+    # imports sit at module level, where the import graph can be read
+    found = set()  # a set: ast.walk meets an import in a nested function twice
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, FUNCTIONS):
+                found |= {f"{path.name}:{n.lineno}" for n in ast.walk(node)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))}
+    assert not found, sorted(found)
+
+
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 

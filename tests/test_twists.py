@@ -37,7 +37,7 @@ def reference_check_cocycle(c):
     """Exhaustive check of xi(st) = xi(s) * twist_s(xi(t)) on all |G|^2
     pairs, the twist by s being conjugation by hat(V) where eps(s) = -1."""
     grp = c.model.group
-    hv = c.hat_v()
+    hv = v_matrix(c.p, c.v).hat()
     for s in grp.elements:
         gs, ws = c.values[s]
         twisted = c.model.epsilon(s) == -1
@@ -55,7 +55,7 @@ def reference_cohomologous(c1, c2):
     """The first witness in sorted order checked on every group element."""
     grp = c1.model.group
     pool = psl2(c1.p) if c1.ambient is Ambient.G_NP else pgl2(c1.p)
-    hv = c1.hat_v()
+    hv = v_matrix(c1.p, c1.v).hat()
     for cand in sorted(pool.elements):
         ci = cand.inverse()
         ok = True
@@ -258,7 +258,7 @@ def test_cohomologous_witness_property():
         if wit is None:
             continue
         cand, _ = wit
-        hv = xi.hat_v()
+        hv = v_matrix(xi.p, xi.v).hat()
         for s in m.group.elements:
             tc = hv * cand * hv if m.epsilon(s) == -1 else cand
             assert xi_p.values[s][0] == cand.inverse() * xi.values[s][0] * tc
@@ -365,6 +365,6 @@ def test_twist_value_conjugation():
     sigma = next(s for s in m.group.elements if m.epsilon(s) == -1)
     tau = next(s for s in m.group.elements if m.epsilon(s) == 1)
     g = ProjMat(1, 1, 0, 1, 3)
-    hv = xi.hat_v()
+    hv = v_matrix(xi.p, xi.v).hat()
     assert xi.twist(sigma, (g, 0)) == (hv * g * hv, 0)
     assert xi.twist(tau, (g, 0)) == (g, 0)
