@@ -48,13 +48,7 @@ from .galmodel import (
     validate_model,
 )
 from .modelfile import ModelParseError, parse_and_validate, parse_model
-from .moduli import (
-    act_G,
-    act_galois,
-    act_w,
-    verify_galois_conjugation,
-    verify_w_rationality,
-)
+from .moduli import verify_galois_conjugation, verify_w_rationality
 from .projgroup import (
     MatGroup,
     ProjMat,

@@ -24,6 +24,8 @@ from enum import Enum
 from .arith import Level, kronecker
 from .projgroup import ProjMat, pgl2, spanning_tree
 
+MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
+
 
 class FiniteGroup:
     """A finite group given by a full multiplication table.
@@ -49,12 +51,8 @@ class FiniteGroup:
         self.name = name
         self.gens = {}  # generator name -> element
         self.tree = None
-        self._inv = {}
-        for a in self.elements:
-            for b in self.elements:
-                if self.mul(a, b) == self.identity:
-                    self._inv[a] = b
-                    break
+        # one pass over the table; a group has exactly one b with a * b = 1
+        self._inv = {a: b for (a, b), ab in mul.items() if ab == identity}
         if len(self._inv) != len(self.elements):
             raise ValueError("FiniteGroup: not every element has an inverse")
 
@@ -93,7 +91,8 @@ class FiniteGroup:
     @classmethod
     def from_permutations(cls, gen_perms: dict, name="G"):
         """Group generated by permutations (tuples mapping i -> perm[i]);
-        associative by construction."""
+        associative by construction.  ValueError for a group of order above
+        MAX_GROUP_ORDER, raised while it is enumerated, before the table."""
         if not gen_perms:
             raise ValueError("from_permutations: need at least one generator")
         n = len(next(iter(gen_perms.values())))
@@ -102,8 +101,9 @@ class FiniteGroup:
                 raise ValueError(f"from_permutations: invalid permutation {p}")
         gens = {gname: tuple(p) for gname, p in gen_perms.items()}
         ident = tuple(range(n))
-        elements = sorted(spanning_tree(ident, gens, _compose))
-        mul = {(a, b): _compose(a, b) for a in elements for b in elements}
+        elements = sorted(spanning_tree(ident, gens, _compose, max_order=MAX_GROUP_ORDER))
+        canonical = {x: x for x in elements}  # |G|^2 values sharing |G| tuples
+        mul = {(a, b): canonical[_compose(a, b)] for a in elements for b in elements}
         g = cls(elements, mul, ident, name=name)
         g.set_generators(gens)
         return g

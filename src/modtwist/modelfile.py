@@ -59,7 +59,10 @@ def _build_group(spec: dict) -> FiniteGroup:
             ):
                 raise ModelParseError(f"generator {name!r} is not a permutation")
             perms[name] = tuple(perm)
-        return FiniteGroup.from_permutations(perms, name=spec.get("name", "G"))
+        try:
+            return FiniteGroup.from_permutations(perms, name=spec.get("name", "G"))
+        except ValueError as exc:
+            raise ModelParseError(f"bad permutation group: {exc}") from exc
     if kind == "table":
         for key in ("elements", "identity", "table"):
             if key not in spec:

@@ -11,45 +11,44 @@ the hat involution; w acts trivially at cyclotomic levels (it rescales the
 basis by a square root of N^-1, a scalar) and by V with v = N^-1 mod p at
 non-cyclotomic levels; a Galois element sigma with non-square cyclotomic
 character value acts by V as well.
+
+The exhaustive checks take a state as its index in PGL2(F_p) and an action
+as a lookup in a ``projgroup.right_table``.  R_hat(gamma) is carried
+depth-first along the spanning tree of PSL2 = <T, U>, one composition per
+tree edge, since hat is multiplicative and swaps T and U.
 """
 from __future__ import annotations
 
-from .arith import Level, kronecker, least_nonsquare
-from .projgroup import ProjMat, in_psl2, pgl2, psl2, v_matrix
+import operator
+
+from .arith import Level, invariant, kronecker, least_nonsquare
+from .projgroup import (ProjMat, in_psl2, pgl2_index, right_table, spanning_tree,
+                        t_matrix, u_matrix, v_matrix)
 
 
-def act_G(s: ProjMat, gamma: ProjMat) -> ProjMat:
-    """Action of gamma in G(N,p) ~ PSL2 on a state: right multiplication by
-    hat(gamma).
-
-    Since hat is multiplicative this is a right action:
-    act_G(act_G(s, g1), g2) equals act_G(s, g1 * g2).
-    """
-    if not in_psl2(gamma):
-        raise ValueError("act_G: gamma must lie in PSL2")
-    return s * gamma.hat()
-
-
-def act_w(s: ProjMat, level: Level) -> ProjMat:
-    """Action of the extra involution w on a state: trivial at cyclotomic
-    levels, where w rescales the basis by a square root of N^-1; right
-    multiplication by V with v = N^-1 mod p otherwise."""
-    if level.p != s.p:
-        raise ValueError("act_w: level and state characteristics differ")
-    if level.cyclotomic:
-        return s
-    return s * v_matrix(level.p, pow(level.N, -1, level.p))
-
-
-def act_galois(s: ProjMat, chi: int, v: int) -> ProjMat:
-    """Action of a Galois element with cyclotomic character value chi on a
-    state: trivial when chi is a square mod p, otherwise right multiplication
-    by V for the non-square v."""
-    if chi % s.p == 0:
-        raise ValueError("act_galois: chi must be a unit mod p")
-    if kronecker(chi, s.p) == 1:
-        return s
-    return s * v_matrix(s.p, v)
+def hat_table_walk(p: int):
+    """Yield (gamma, R_hat(gamma), R_hat(gamma_sigma)) for every gamma in
+    PSL2(F_p), gamma_sigma = hat(V) gamma hat(V), depth-first along the
+    spanning tree of <T, U>, keeping only the current path's tables.  The
+    child gamma * g has hat(gamma) hat(g) and conjugate gamma_sigma g_sigma,
+    as hat(V) is an involution: one composition with a step table each."""
+    hv = v_matrix(p, least_nonsquare(p)).hat()
+    gens = {"T": t_matrix(p), "U": u_matrix(p)}
+    steps = {name: (right_table(g.hat()), right_table((hv * g * hv).hat()))
+             for name, g in gens.items()}
+    children = {}
+    for y, edge in spanning_tree(ProjMat.identity(p), gens, operator.mul).items():
+        if edge is not None:
+            children.setdefault(edge[0], []).append((y, edge[1]))
+    identity = tuple(range(len(pgl2_index(p)[0])))
+    stack = [(ProjMat.identity(p), None, identity, identity)]
+    while stack:
+        gamma, name, r, r_sigma = stack.pop()
+        if name is not None:
+            step, step_sigma = steps[name]
+            r, r_sigma = [step[x] for x in r], [step_sigma[x] for x in r_sigma]
+        yield gamma, r, r_sigma
+        stack.extend((y, g, r, r_sigma) for y, g in children.get(gamma, ()))
 
 
 def verify_galois_conjugation(p: int) -> bool:
@@ -59,39 +58,39 @@ def verify_galois_conjugation(p: int) -> bool:
     the conjugate of gamma is gamma_sigma = hat(V) gamma hat(V), with v the
     least non-square mod p, and the action through hat satisfies
     hat(gamma_sigma) = V hat(gamma) V; on every state, acting by gamma then
-    sigma equals sigma then gamma_sigma.
+    sigma equals sigma then gamma_sigma: s hat(gamma) V = s V hat(gamma_sigma).
     """
-    v = least_nonsquare(p)
-    vv = v_matrix(p, v)
-    chi_ns = v  # any non-square value of the cyclotomic character
-    states = sorted(pgl2(p).elements)
-    for gamma in psl2(p).elements:
-        gamma_sigma = vv.hat() * gamma * vv.hat()
+    vv = v_matrix(p, least_nonsquare(p))
+    hv = vv.hat()
+    r_v = right_table(vv)
+    reached = 0
+    for gamma, r, r_sigma in hat_table_walk(p):
+        gamma_sigma = hv * gamma * hv
         if not in_psl2(gamma_sigma):
             return False
         if gamma_sigma.hat() != vv * gamma.hat() * vv:
             return False
-        for s in states:
-            lhs = act_galois(act_G(s, gamma), chi_ns, v)
-            rhs = act_G(act_galois(s, chi_ns, v), gamma_sigma)
-            if lhs != rhs:
-                return False
+        if [r_v[x] for x in r] != [r_sigma[x] for x in r_v]:
+            return False
+        reached += 1
+    invariant(reached == p * (p * p - 1) // 2,
+              f"verify_galois_conjugation: the walk reached {reached} elements of PSL2(F_{p})")
     return True
 
 
 def verify_w_rationality(level: Level) -> bool:
     """Exhaustive check that w commutes with the Galois action on states:
     for every character value chi, (galois) o act_w o (galois)^-1 o act_w^-1
-    is the identity on every state."""
+    is the identity on every state.  Each action is the identity or R_V, v
+    being N^-1 mod p at non-cyclotomic levels and the least non-square else."""
     p = level.p
     v = least_nonsquare(p) if level.cyclotomic else pow(level.N, -1, p)
-    states = sorted(pgl2(p).elements)
+    r_v = right_table(v_matrix(p, v))
+    states = tuple(range(len(r_v)))
+    w = states if level.cyclotomic else r_v  # an involution, so also w^-1
     for chi in range(1, p):
-        for s in states:
-            t = act_w(s, level)  # act_w is an involution, so this inverts w too
-            t = act_galois(t, pow(chi, -1, p), v)
-            t = act_w(t, level)
-            t = act_galois(t, chi, v)
-            if t != s:
-                return False
+        galois = states if kronecker(chi, p) == 1 else r_v
+        galois_inv = states if kronecker(pow(chi, -1, p), p) == 1 else r_v
+        if tuple(galois[w[galois_inv[w[s]]]] for s in states) != states:
+            return False
     return True

@@ -10,6 +10,11 @@ and model files), not on every matrix.
 ``spanning_tree`` is the one breadth-first search of a Cayley graph, here and
 for ``galmodel.FiniteGroup``: ``closure`` is its vertex set, and ``pgl2(p)``
 is the closure of T, U and V.
+
+Sweeps over all of PGL2(F_p) move indices: ``pgl2_index(p)`` numbers the
+sorted elements, and ``right_table(g)``, built on first use from |G| products
+and cached, is right multiplication by g as a permutation of those numbers
+(the right regular representation), so R_(gh) is s -> R_h[R_g[s]].
 """
 from __future__ import annotations
 
@@ -127,11 +132,12 @@ class MatGroup:
         return sorted(g for g in self.elements if (g.rep[0] + g.rep[3]) % self.p == 0)
 
 
-def spanning_tree(identity, gens: dict, mul) -> dict:
+def spanning_tree(identity, gens: dict, mul, max_order: int | None = None) -> dict:
     """Breadth-first spanning tree of the Cayley graph of ``gens`` (name ->
     element), edges x -> mul(x, g) in generator order, from the identity:
     maps each element y reached to (x, name) with y = mul(x, gens[name]), the
-    identity to None, in discovery order."""
+    identity to None, in discovery order.  ValueError as soon as it reaches
+    more than ``max_order`` elements, if given."""
     tree = {identity: None}
     queue = [identity]
     for x in queue:
@@ -140,6 +146,8 @@ def spanning_tree(identity, gens: dict, mul) -> dict:
             if y not in tree:
                 tree[y] = (x, name)
                 queue.append(y)
+        if max_order is not None and len(tree) > max_order:
+            raise ValueError(f"the generators give a group of order above {max_order}")
     return tree
 
 
@@ -192,11 +200,32 @@ def v_matrix(p: int, v: int | None = None) -> ProjMat:
     return ProjMat(0, -v, 1, 0, p)
 
 
+@lru_cache(maxsize=None)
+def pgl2_index(p: int) -> tuple[tuple[ProjMat, ...], dict]:
+    """The elements of PGL2(F_p) in sorted order, and each one's position."""
+    elems = tuple(sorted(pgl2(p).elements))
+    return elems, {g: i for i, g in enumerate(elems)}
+
+
+@lru_cache(maxsize=None)
+def right_table(g: ProjMat) -> tuple[int, ...]:
+    """Right multiplication by g on the indexed PGL2(F_p): entry i is the
+    index of elements[i] * g."""
+    elems, index = pgl2_index(g.p)
+    return tuple(index[x * g] for x in elems)
+
+
+@lru_cache(maxsize=None)
+def _element_centralizer(x: ProjMat, p: int) -> frozenset:
+    return frozenset(g for g in pgl2(p).elements if g * x == x * g)
+
+
 def centralizer(s: Iterable[ProjMat], p: int) -> MatGroup:
-    """Centralizer of the set ``s`` inside PGL2(F_p)."""
+    """Centralizer of the set ``s`` inside PGL2(F_p): the cached one of its
+    first element (only that: caching a whole group costs |G|^2 products),
+    cut down by the others."""
     s = tuple(s)
-    elems = frozenset(
-        g for g in pgl2(p).elements if all(g * x == x * g for x in s)
-    )
+    elems = _element_centralizer(s[0], p) if s else pgl2(p).elements
+    elems = frozenset(g for g in elems if all(g * x == x * g for x in s[1:]))
     return MatGroup(p, elems, tuple(sorted(elems)))
 

@@ -206,10 +206,10 @@ def test_acceptance_08_defining_relations():
 
 def test_acceptance_09_moduli_actions():
     """Galois conjugation and w-rationality on moduli states hold
-    exhaustively for p in {3,5,7} and coprime N <= 20."""
+    exhaustively for p in {3,5,7,11,13} and coprime N <= 20."""
     t0 = time.monotonic()
-    ok = all(verify_galois_conjugation(p) for p in (3, 5, 7))
-    for p in (3, 5, 7):
+    ok = all(verify_galois_conjugation(p) for p in (3, 5, 7, 11, 13))
+    for p in (3, 5, 7, 11, 13):
         for n in range(2, 21):
             if math.gcd(n, p) != 1:
                 continue

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from modtwist import cli
+from modtwist import cli, galmodel
 from modtwist.arith import InvariantError
 from modtwist.cli import (
     EXIT_MODEL,
@@ -181,6 +181,30 @@ def test_non_associative_table_model_is_usage_error(capsys, tmp_path, z18_table_
     path.write_text(json.dumps(z18_table_model(True)))
     assert main(["centralizer", str(path)]) == EXIT_USAGE
     assert "associativity" in capsys.readouterr().err
+
+
+def test_group_above_max_order_is_usage_error(capsys, tmp_path, monkeypatch):
+    # a 60-byte model of S7 (order 5040) stops while its elements are
+    # enumerated: no |G|^2 table, so few permutation products
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        if len(calls) > 4 * galmodel.MAX_GROUP_ORDER:
+            raise AssertionError("the multiplication table is being built")
+        return compose(a, b)
+
+    compose = galmodel._compose
+    monkeypatch.setattr(galmodel, "_compose", counted)
+    gens = {"s": [1, 0, 2, 3, 4, 5, 6], "t": [1, 2, 3, 4, 5, 6, 0]}
+    doc = dict(GOOD_MODEL, group={"type": "permutation", "generators": gens},
+               rho={"s": [[1, 0], [0, 1]], "t": [[1, 0], [0, 1]]}, chi={"s": 1, "t": 1})
+    doc.pop("conj"), doc.pop("characters")
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps(doc))
+    assert main(["centralizer", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"order above {galmodel.MAX_GROUP_ORDER}" in err
 
 
 def test_classify(capsys):

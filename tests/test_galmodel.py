@@ -7,6 +7,7 @@ import pytest
 
 from modtwist.arith import Level
 from modtwist.galmodel import (
+    MAX_GROUP_ORDER,
     Case,
     FiniteGaloisModel,
     FiniteGroup,
@@ -29,6 +30,23 @@ def test_group_constructors():
     assert klein_four().order == 4
     assert symmetric_group(3).order == 6
     assert symmetric_group(4).order == 24
+
+
+def test_permutation_table_is_composition():
+    # a * b = (i -> a[b[i]]) on every pair, stored as the group's own tuple
+    for g in (cyclic_group(5), klein_four(), symmetric_group(3), symmetric_group(4)):
+        own = {id(x) for x in g}
+        assert all(g.mul(a, b) == tuple(a[i] for i in b) for a in g for b in g)
+        assert all(id(g.mul(a, b)) in own for a in g for b in g)
+
+
+def test_from_permutations_stops_above_max_order():
+    # S6 is admitted; a cycle of length MAX_GROUP_ORDER + 1 is rejected while
+    # its elements are enumerated
+    assert MAX_GROUP_ORDER >= 720 and symmetric_group(6).order == 720
+    n = MAX_GROUP_ORDER + 1
+    with pytest.raises(ValueError, match=f"order above {MAX_GROUP_ORDER}"):
+        FiniteGroup.from_permutations({"g": tuple((i + 1) % n for i in range(n))})
 
 
 def test_group_inverses_and_identity():

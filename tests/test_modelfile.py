@@ -55,6 +55,13 @@ def test_parse_table_group():
     assert m.rho["a"] == ProjMat(0, 1, 1, 0, 3)
 
 
+def test_parse_rejects_permutations_of_different_degrees():
+    gens = {"s": [1, 0], "t": [0, 2, 1]}
+    doc = dict(GOOD_MODEL, group={"type": "permutation", "generators": gens})
+    with pytest.raises(ModelParseError, match="bad permutation group"):
+        parse_model(json.dumps(doc))
+
+
 def test_parse_rejects_bad_permutation():
     doc = dict(GOOD_MODEL, group={"type": "permutation", "generators": {"s": [1, 1]}})
     with pytest.raises(ModelParseError):

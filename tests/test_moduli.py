@@ -1,20 +1,91 @@
-"""Moduli states (PGL2(F_p) classes) and the actions of G(N,p), w and Galois,
-checked against the split (basis, twist bit) actions as a reference oracle."""
+"""Moduli states (PGL2(F_p) classes) and the actions of G(N,p), w and Galois.
+
+The exhaustive checks in ``modtwist.moduli`` act on state indices through
+right-multiplication tables.  The reference oracle here is the ProjMat form
+they replaced: one ProjMat product per action and state (``act_G``,
+``act_w``, ``act_galois`` and the two loops), itself checked against the
+split (basis, twist bit) actions."""
 import random
 from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from modtwist.arith import Level, kronecker, least_nonsquare, sqrt_mod
-from modtwist.moduli import (
-    act_G,
-    act_galois,
-    act_w,
-    verify_galois_conjugation,
-    verify_w_rationality,
+from modtwist import moduli
+from modtwist.arith import InvariantError, Level, kronecker, least_nonsquare, sqrt_mod
+from modtwist.moduli import hat_table_walk, verify_galois_conjugation, verify_w_rationality
+from modtwist.projgroup import (
+    ProjMat,
+    in_psl2,
+    pgl2,
+    pgl2_index,
+    psl2,
+    right_table,
+    t_matrix,
+    v_matrix,
 )
-from modtwist.projgroup import ProjMat, pgl2, psl2, t_matrix, v_matrix
+
+
+def act_G(s, gamma):
+    """Action of gamma in G(N,p) ~ PSL2 on a state: right multiplication by
+    hat(gamma), a right action since hat is multiplicative."""
+    if not in_psl2(gamma):
+        raise ValueError("act_G: gamma must lie in PSL2")
+    return s * gamma.hat()
+
+
+def act_w(s, level):
+    """Action of w on a state: trivial at cyclotomic levels, right
+    multiplication by V with v = N^-1 mod p otherwise."""
+    if level.p != s.p:
+        raise ValueError("act_w: level and state characteristics differ")
+    if level.cyclotomic:
+        return s
+    return s * v_matrix(level.p, pow(level.N, -1, level.p))
+
+
+def act_galois(s, chi, v):
+    """Action of a Galois element with cyclotomic character value chi:
+    trivial for square chi, right multiplication by V otherwise."""
+    if chi % s.p == 0:
+        raise ValueError("act_galois: chi must be a unit mod p")
+    if kronecker(chi, s.p) == 1:
+        return s
+    return s * v_matrix(s.p, v)
+
+
+def reference_verify_galois_conjugation(p):
+    """The ProjMat loop over every gamma in PSL2 and every state."""
+    v = least_nonsquare(p)
+    vv = v_matrix(p, v)
+    states = sorted(pgl2(p).elements)
+    for gamma in psl2(p).elements:
+        gamma_sigma = vv.hat() * gamma * vv.hat()
+        if not in_psl2(gamma_sigma):
+            return False
+        if gamma_sigma.hat() != vv * gamma.hat() * vv:
+            return False
+        for s in states:
+            lhs = act_galois(act_G(s, gamma), v, v)
+            rhs = act_G(act_galois(s, v, v), gamma_sigma)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def reference_verify_w_rationality(level):
+    """The ProjMat loop over every chi and every state."""
+    p = level.p
+    v = least_nonsquare(p) if level.cyclotomic else pow(level.N, -1, p)
+    for chi in range(1, p):
+        for s in sorted(pgl2(p).elements):
+            t = act_w(s, level)
+            t = act_galois(t, pow(chi, -1, p), v)
+            t = act_w(t, level)
+            t = act_galois(t, chi, v)
+            if t != s:
+                return False
+    return True
 
 
 def gl2_tuples(p):
@@ -256,3 +327,50 @@ def test_verify_galois_conjugation(p):
 @pytest.mark.parametrize("N,p", [(4, 3), (2, 3), (2, 5), (6, 5), (2, 7), (4, 7)])
 def test_verify_w_rationality(N, p):
     assert verify_w_rationality(Level(N, p))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hat_table_walk_matches_right_table(p):
+    # every gamma of PSL2 once, each carrying R_hat(gamma) and
+    # R_hat(gamma_sigma) as right_table would build them from ProjMat products
+    hv = v_matrix(p, least_nonsquare(p)).hat()
+    seen = []
+    for gamma, r, r_sigma in hat_table_walk(p):
+        seen.append(gamma)
+        assert tuple(r) == right_table(gamma.hat())
+        assert tuple(r_sigma) == right_table((hv * gamma * hv).hat())
+    assert sorted(seen) == sorted(psl2(p).elements)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_indexed_actions_match_projmat_actions(p):
+    # the w and Galois lookups of verify_w_rationality are the ProjMat
+    # actions, at every N < 30 prime to p
+    elems, index = pgl2_index(p)
+    for N in range(2, 30):
+        if N % p == 0:
+            continue
+        level = Level(N, p)
+        v = least_nonsquare(p) if level.cyclotomic else pow(N, -1, p)
+        r_v = right_table(v_matrix(p, v))
+        for i, s in enumerate(elems):
+            assert index[act_w(s, level)] == (i if level.cyclotomic else r_v[i])
+            for chi in range(1, p):
+                assert index[act_galois(s, chi, v)] == (i if kronecker(chi, p) == 1 else r_v[i])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_verify_matches_projmat_reference(p):
+    assert verify_galois_conjugation(p) is reference_verify_galois_conjugation(p) is True
+    for N in range(2, 30):
+        if N % p:
+            level = Level(N, p)
+            assert verify_w_rationality(level) is reference_verify_w_rationality(level) is True
+
+
+def test_verify_galois_conjugation_checks_walk_reaches_psl2(monkeypatch):
+    # a walk that misses part of PSL2 is a defect, not a verified result
+    walk = moduli.hat_table_walk
+    monkeypatch.setattr(moduli, "hat_table_walk", lambda p: list(walk(p))[:-1])
+    with pytest.raises(InvariantError):
+        verify_galois_conjugation(5)

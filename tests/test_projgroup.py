@@ -13,7 +13,9 @@ from modtwist.projgroup import (
     closure,
     in_psl2,
     pgl2,
+    pgl2_index,
     psl2,
+    right_table,
     t_matrix,
     u_matrix,
     v_matrix,
@@ -141,9 +143,38 @@ def test_negative_powers():
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
+def test_right_table_is_right_multiplication(p):
+    # entry i of right_table(g) indexes elements[i] * g, on all of PGL2
+    elems, index = pgl2_index(p)
+    assert list(elems) == sorted(pgl2(p).elements)
+    assert all(index[g] == i for i, g in enumerate(elems))
+    for g in (t_matrix(p), u_matrix(p), v_matrix(p)):
+        table = right_table(g)
+        assert sorted(table) == list(range(len(elems)))
+        assert all(elems[j] == x * g for x, j in zip(elems, table))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_right_tables_compose(p):
+    # R_(gh) is R_g followed by R_h
+    t, u = right_table(t_matrix(p)), right_table(u_matrix(p))
+    assert right_table(t_matrix(p) * u_matrix(p)) == tuple(u[i] for i in t)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_pgl2_center_is_trivial(p):
     assert centralizer(pgl2(p).elements, p).order == 1
     assert centralizer(psl2(p).elements, p).order == 1
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([3, 5, 7]), st.data())
+def test_centralizer_matches_full_scan(p, data):
+    # the cached centralizer of the first element, cut down by the rest, is
+    # the scan of all of PGL2 against every element
+    s = data.draw(st.lists(random_projmats(p), min_size=1, max_size=3))
+    want = {g for g in pgl2(p).elements if all(g * x == x * g for x in s)}
+    assert centralizer(s, p).elements == want
 
 
 @pytest.mark.parametrize("p", [3, 5])

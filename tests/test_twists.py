@@ -12,7 +12,7 @@ from modtwist.galmodel import (
     cyclic_group,
     validate_model,
 )
-from modtwist.projgroup import ProjMat, centralizer, pgl2, psl2, v_matrix
+from modtwist.projgroup import ProjMat, pgl2, psl2, v_matrix
 from modtwist.twists import (
     Ambient,
     CentralizerVerdict,
@@ -76,11 +76,12 @@ def reference_cohomologous(c1, c2):
 
 @lru_cache(maxsize=None)
 def reference_centralizer_verdict(image: frozenset, p: int) -> CentralizerVerdict:
-    """The verdict from the centralizer of every value of rho."""
-    cen = centralizer(image, p)
-    if cen.order == 1:
+    """The verdict from the centralizer of every value of rho, scanning all
+    of PGL2 against each value."""
+    cen = frozenset(g for g in pgl2(p).elements if all(g * x == x * g for x in image))
+    if len(cen) == 1:
         return CentralizerVerdict.TRIVIAL
-    if cen.elements <= psl2(p).elements:
+    if cen <= psl2(p).elements:
         return CentralizerVerdict.NONTRIVIAL_IN_PSL2
     return CentralizerVerdict.NONTRIVIAL_OUTSIDE_PSL2
 
