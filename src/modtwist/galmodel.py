@@ -11,18 +11,18 @@ Cayley-graph criterion (proof in ``FiniteGroup``): f into a group is a
 homomorphism exactly when f(x*g) = f(x)*f(g) on the |G|*|gens| edges
 x -> x*g, g a generator.  ``FiniteGroup.is_homomorphism`` walks these edges
 for ``validate_model``'s named characters and, through a semidirect
-product, for ``twists.check_cocycle``.  ``validate_model`` still scans rho
-and chi pair by pair, so that its messages name the first failing pair.
+product, for ``twists.check_cocycle``; the homomorphism searches walk them
+in indices.  ``validate_model`` scans pairs, so that its messages name the
+first failing pair, each rho pair one lookup in a ``projgroup.right_table``.
 """
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import Level, kronecker
-from .projgroup import ProjMat, pgl2, spanning_tree
+from .projgroup import ProjMat, pgl2_index, right_table, spanning_tree
 
 MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
 
@@ -92,7 +92,9 @@ class FiniteGroup:
     def from_permutations(cls, gen_perms: dict, name="G"):
         """Group generated by permutations (tuples mapping i -> perm[i]);
         associative by construction.  ValueError for a group of order above
-        MAX_GROUP_ORDER, raised while it is enumerated, before the table."""
+        MAX_GROUP_ORDER, raised while it is enumerated, before the table.
+        Only the spanning-tree walk composes; the table is read off the right
+        regular representation composed along the tree, in |G|^2 lookups."""
         if not gen_perms:
             raise ValueError("from_permutations: need at least one generator")
         n = len(next(iter(gen_perms.values())))
@@ -101,10 +103,22 @@ class FiniteGroup:
                 raise ValueError(f"from_permutations: invalid permutation {p}")
         gens = {gname: tuple(p) for gname, p in gen_perms.items()}
         ident = tuple(range(n))
-        elements = sorted(spanning_tree(ident, gens, _compose, max_order=MAX_GROUP_ORDER))
-        canonical = {x: x for x in elements}  # |G|^2 values sharing |G| tuples
-        mul = {(a, b): canonical[_compose(a, b)] for a in elements for b in elements}
-        g = cls(elements, mul, ident, name=name)
+        targets = []  # x * g for x in discovery order, g in generator order
+
+        def compose(x, g):
+            targets.append(_compose(x, g))
+            return targets[-1]
+
+        tree = spanning_tree(ident, gens, compose, max_order=MAX_GROUP_ORDER)
+        order = list(tree)
+        pos = {x: i for i, x in enumerate(order)}
+        step = {gname: [pos[y] for y in targets[k::len(gens)]] for k, gname in enumerate(gens)}
+        right = [range(len(order))]  # right[j][i] = pos(order[i] * order[j])
+        for x, gname in list(tree.values())[1:]:
+            right.append(list(map(step[gname].__getitem__, right[pos[x]])))
+        ranks = sorted(range(len(order)), key=order.__getitem__)
+        mul = {(order[i], order[j]): order[right[j][i]] for i in ranks for j in ranks}
+        g = cls([order[i] for i in ranks], mul, ident, name=name)
         g.set_generators(gens)
         return g
 
@@ -126,7 +140,7 @@ class FiniteGroup:
         value(1) = one, value(x*g) = op(value(x), gen_values[g]) on each tree
         edge, that is the product along the word.  The result is NOT always a
         homomorphism: by the Cayley-graph criterion it is one exactly when
-        this holds on every edge, which ``extend_homomorphism`` tests."""
+        this holds on every edge, which ``is_homomorphism`` tests."""
         missing = set(self.generator_names()) - set(gen_values)
         if missing:
             raise ValueError(f"extend_generator_map: no value for generator(s) {sorted(missing)}")
@@ -134,23 +148,6 @@ class FiniteGroup:
         for y, edge in self.tree.items():
             out[y] = one if edge is None else op(out[edge[0]], gen_values[edge[1]])
         return out
-
-    def extend_homomorphism(self, gen_values: dict, op, one):
-        """The homomorphism with these generator values (``one`` the identity
-        of ``op``), or None.  One walk of the Cayley graph in tree order sets
-        f(x*g) = op(f(x), gen_values[g]) where x*g is new, that is on tree
-        edges, and compares it on every other edge, failing at the first
-        mismatch: exact by the Cayley-graph criterion, and equal to
-        ``extend_generator_map``'s result, keys in ``tree`` order."""
-        steps = [(g, gen_values[name]) for name, g in self.gens.items() if name in gen_values]
-        f = {self.identity: one}
-        for x in self.tree:
-            fx = f[x]
-            for g, value in steps:
-                fy = op(fx, value)
-                if f.setdefault(self.mul(x, g), fy) != fy:
-                    return None
-        return f
 
     def is_homomorphism(self, f: dict, op) -> bool:
         """Whether f (element -> value in a group under ``op``) is a
@@ -265,13 +262,18 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
             return errs
         if not (1 <= m.chi[x] % m.p <= m.p - 1):
             errs.append(f"chi({x}) = {m.chi[x]} is not a unit mod {m.p}")
+    index = pgl2_index(m.p)[1]  # index(rho(a) rho(b)) = R_rho(b)[index(rho(a))]
+    rho = {x: index[m.rho[x]] for x in g.elements}
+    tables = {x: right_table(m.rho[x]) for x in g.elements}
+    chi = {x: m.chi[x] % m.p for x in g.elements}
     for a in g.elements:
+        rho_a, chi_a = rho[a], chi[a]
         for b in g.elements:
             ab = g.mul(a, b)
-            if m.rho[ab] != m.rho[a] * m.rho[b]:
+            if rho[ab] != tables[b][rho_a]:
                 errs.append(f"rho is not a homomorphism at ({a}, {b})")
                 return errs
-            if m.chi[ab] % m.p != (m.chi[a] * m.chi[b]) % m.p:
+            if chi[ab] != chi_a * chi[b] % m.p:
                 errs.append(f"chi is not a homomorphism at ({a}, {b})")
                 return errs
     if m.conj is not None:
@@ -305,12 +307,10 @@ def classify(level: Level) -> Case:
 
 def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
     """All homomorphisms group -> PGL2(F_p), in ``itertools.product`` order
-    over the generator images whose order divides the generator's.  By the
-    Cayley-graph criterion each tuple needs at most the |G|*|gens| edge
-    checks of ``FiniteGroup.extend_homomorphism``, which stops at the first
-    failing edge, not |G|^2 pair checks."""
+    over the generator images whose order divides the generator's, each
+    image taken as its ``projgroup.right_table``."""
     one = ProjMat.identity(p)
-    target = sorted(pgl2(p).elements)
+    elems, index = pgl2_index(p)
     images = {}
     for name in group.generator_names():
         elem = group.gens[name]
@@ -318,21 +318,40 @@ def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
         while x != group.identity:
             x = group.mul(x, elem)
             n += 1
-        images[name] = [g for g in target if g ** n == one]
-    return _homs_from_images(group, images, one)
+        images[name] = [right_table(g) for g in elems if g ** n == one]
+    return _homs_from_tables(group, images, elems, index[one])
 
 
 def all_quadratic_characters(group: FiniteGroup) -> list[dict]:
-    """All homomorphisms group -> {1, -1}, searched as in ``all_homs_to_pgl2``."""
-    return _homs_from_images(group, {n: (1, -1) for n in group.generator_names()}, 1)
+    """All homomorphisms group -> {1, -1}, searched as in ``all_homs_to_pgl2``:
+    {1, -1} indexed in that order has right tables (0, 1) and (1, 0)."""
+    images = {name: ((0, 1), (1, 0)) for name in group.generator_names()}
+    return _homs_from_tables(group, images, (1, -1), 0)
 
 
-def _homs_from_images(group: FiniteGroup, images: dict, one) -> list[dict]:
-    """The homomorphisms with generator values drawn from ``images`` (name
-    -> candidates), in ``itertools.product`` order."""
-    out = []
-    for values in itertools.product(*images.values()):
-        f = group.extend_homomorphism(dict(zip(images, values)), operator.mul, one)
-        if f is not None:
-            out.append(f)
-    return out
+def _homs_from_tables(group: FiniteGroup, images: dict, target, one: int) -> list[dict]:
+    """The homomorphisms into the group indexed by ``target``, ``one`` the
+    index of its identity, with generator values drawn from ``images`` (name
+    -> the candidates' right tables), in ``itertools.product`` order, keys in
+    ``tree`` order.  With nxt[i] the number of x_i * g in tree order, each
+    walk sets f[nxt[i]] = R[f[i]] on tree edges and compares it on all others,
+    failing at the first mismatch: exact by the Cayley-graph criterion."""
+    order = list(group.tree)
+    pos = {x: i for i, x in enumerate(order)}
+    nxt = [[pos[group.mul(x, group.gens[name])] for x in order] for name in images]
+    homs = (_walk(list(zip(nxt, values)), len(order), one)
+            for values in itertools.product(*images.values()))
+    return [{x: target[k] for x, k in zip(order, f)} for f in homs if f is not None]
+
+
+def _walk(steps: list, n: int, one: int) -> list | None:
+    """f over the tree order, or None; x_i's tree parent comes before it."""
+    f = [one] + [None] * (n - 1)
+    for i, fi in enumerate(f):
+        for nxt, table in steps:
+            j, value = nxt[i], table[fi]
+            if f[j] is None:
+                f[j] = value
+            elif f[j] != value:
+                return None
+    return f

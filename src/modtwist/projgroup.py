@@ -12,14 +12,16 @@ for ``galmodel.FiniteGroup``: ``closure`` is its vertex set, and ``pgl2(p)``
 is the closure of T, U and V.
 
 Sweeps over all of PGL2(F_p) move indices: ``pgl2_index(p)`` numbers the
-sorted elements, and ``right_table(g)``, built on first use from |G| products
-and cached, is right multiplication by g as a permutation of those numbers
-(the right regular representation), so R_(gh) is s -> R_h[R_g[s]].
+sorted elements, and ``right_table(g)``, cached, is right multiplication by
+g as a permutation of those numbers (the right regular representation), so
+R_(gh) is s -> R_h[R_g[s]]: T, U and V take |G| products, and any other g,
+x * gen in the spanning tree whose parents ``pgl2(p)`` keeps, the |G| lookups
+R_gen[R_x[s]].
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -110,11 +112,13 @@ def in_psl2(g: ProjMat) -> bool:
 
 @dataclass(frozen=True)
 class MatGroup:
-    """A finite set of ProjMat closed under multiplication, with generators."""
+    """A finite set of ProjMat closed under multiplication, with generators
+    and, from ``closure``, each element's parent in their spanning tree."""
 
     p: int
     elements: frozenset
     generators: tuple
+    parents: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -137,7 +141,8 @@ def spanning_tree(identity, gens: dict, mul, max_order: int | None = None) -> di
     element), edges x -> mul(x, g) in generator order, from the identity:
     maps each element y reached to (x, name) with y = mul(x, gens[name]), the
     identity to None, in discovery order.  ValueError as soon as it reaches
-    more than ``max_order`` elements, if given."""
+    more than ``max_order`` elements, if given.  It calls mul(x, g) once per
+    edge, x in discovery order and g in generator order."""
     tree = {identity: None}
     queue = [identity]
     for x in queue:
@@ -161,7 +166,7 @@ def closure(gens: Iterable[ProjMat]) -> MatGroup:
         if g.p != p:
             raise ValueError("closure: mixed characteristics")
     tree = spanning_tree(ProjMat.identity(p), dict(enumerate(gens)), operator.mul)
-    return MatGroup(p, frozenset(tree), gens)
+    return MatGroup(p, frozenset(tree), gens, {y: edge and edge[0] for y, edge in tree.items()})
 
 
 @lru_cache(maxsize=None)
@@ -210,9 +215,12 @@ def pgl2_index(p: int) -> tuple[tuple[ProjMat, ...], dict]:
 @lru_cache(maxsize=None)
 def right_table(g: ProjMat) -> tuple[int, ...]:
     """Right multiplication by g on the indexed PGL2(F_p): entry i is the
-    index of elements[i] * g."""
-    elems, index = pgl2_index(g.p)
-    return tuple(index[x * g] for x in elems)
+    index of elements[i] * g, from products for 1, T, U and V, else composed."""
+    full, (elems, index) = pgl2(g.p), pgl2_index(g.p)
+    x = full.parents[g]  # g = x * gen, gen = x^-1 g one of T, U and V
+    if x is None or x.is_identity():
+        return tuple(index[y * g] for y in elems)
+    return tuple(map(right_table(x.inverse() * g).__getitem__, right_table(x)))
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,9 @@ from modtwist.galmodel import (
     trivial_group,
     validate_model,
 )
-from modtwist.projgroup import ProjMat, pgl2
+from modtwist import galmodel
+from modtwist.projgroup import ProjMat, pgl2, t_matrix
+from modtwist.twists import model_corpus
 
 
 def test_group_constructors():
@@ -47,6 +49,26 @@ def test_from_permutations_stops_above_max_order():
     n = MAX_GROUP_ORDER + 1
     with pytest.raises(ValueError, match=f"order above {MAX_GROUP_ORDER}"):
         FiniteGroup.from_permutations({"g": tuple((i + 1) % n for i in range(n))})
+
+
+def test_from_permutations_composes_only_along_the_tree(monkeypatch):
+    # a 720-cycle, a 3 KB model file: the spanning-tree walk makes the only
+    # |G| * |gens| compositions of 720 points; the table is index lookups
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        if len(calls) > 720 * 2:
+            raise AssertionError("the table is built from n-point compositions")
+        return compose(a, b)
+
+    compose = galmodel._compose
+    monkeypatch.setattr(galmodel, "_compose", counted)
+    cycle = tuple((i + 1) % 720 for i in range(720))
+    g = FiniteGroup.from_permutations({"g": cycle})
+    assert g.order == 720 and len(calls) == 720
+    a, b = g.elements[5], g.elements[700]
+    assert g.mul(a, b) == tuple(a[i] for i in b) == g.elements[(5 + 700) % 720]
 
 
 def test_group_inverses_and_identity():
@@ -102,6 +124,24 @@ def test_from_table_rejects_unclosed_table(z18_tables):
         FiniteGroup.from_table(range(18), table, 0)
 
 
+def reference_extend_homomorphism(group, gen_values, op, one):
+    """The homomorphism with these generator values (``one`` the identity of
+    ``op``), or None: one walk of the Cayley graph in tree order sets
+    f(x*g) = op(f(x), gen_values[g]) where x*g is new, that is on tree
+    edges, and compares it on every other edge, failing at the first
+    mismatch.  The reference, on values, for the index walk of
+    ``all_homs_to_pgl2`` and ``all_quadratic_characters``."""
+    steps = [(g, gen_values[name]) for name, g in group.gens.items() if name in gen_values]
+    f = {group.identity: one}
+    for x in group.tree:
+        fx = f[x]
+        for g, value in steps:
+            fy = op(fx, value)
+            if f.setdefault(group.mul(x, g), fy) != fy:
+                return None
+    return f
+
+
 def test_extend_generator_map():
     g = cyclic_group(4)
     vals = g.extend_generator_map({"g": 1j}, lambda a, b: a * b, 1 + 0j)
@@ -122,7 +162,7 @@ def test_extend_generator_map_is_the_word_product(tree_words):
         for w in word:
             acc = acc * values[w]
         assert f[x] == acc
-    assert g.extend_homomorphism(values, lambda a, b: a * b, ProjMat.identity(5)) is None
+    assert reference_extend_homomorphism(g, values, operator.mul, ProjMat.identity(5)) is None
 
 
 def test_generator_words_cover_group(tree_words):
@@ -147,6 +187,75 @@ def _c2_model(p=3, eps_nontrivial=True, rho_nontrivial=True):
     }
     chi = {e: 1, s: (2 if eps_nontrivial else 1)}
     return FiniteGaloisModel(group=g, p=p, rho=rho, chi=chi, conj=s)
+
+
+def reference_validate_model(m):
+    """``validate_model`` with its rho and chi pairs scanned as ProjMat
+    products and raw chi values: the reference for its index lookups."""
+    errs = []
+    g = m.group
+    if set(m.rho) != set(g.elements):
+        errs.append("rho is not defined on exactly the group elements")
+        return errs
+    if set(m.chi) != set(g.elements):
+        errs.append("chi is not defined on exactly the group elements")
+        return errs
+    for x in g.elements:
+        if not isinstance(m.rho[x], ProjMat) or m.rho[x].p != m.p:
+            errs.append(f"rho({x}) is not a ProjMat mod {m.p}")
+            return errs
+        if not (1 <= m.chi[x] % m.p <= m.p - 1):
+            errs.append(f"chi({x}) = {m.chi[x]} is not a unit mod {m.p}")
+    for a in g.elements:
+        for b in g.elements:
+            ab = g.mul(a, b)
+            if m.rho[ab] != m.rho[a] * m.rho[b]:
+                errs.append(f"rho is not a homomorphism at ({a}, {b})")
+                return errs
+            if m.chi[ab] % m.p != (m.chi[a] * m.chi[b]) % m.p:
+                errs.append(f"chi is not a homomorphism at ({a}, {b})")
+                return errs
+    if m.conj is not None:
+        if m.conj not in g.elements:
+            errs.append("conj is not a group element")
+        else:
+            if g.mul(m.conj, m.conj) != g.identity:
+                errs.append("conj does not square to the identity")
+            if m.chi[m.conj] % m.p != m.p - 1:
+                errs.append("chi(conj) != -1")
+    for name, char in m.characters.items():
+        if set(char.values) != set(g.elements):
+            errs.append(f"character {name!r} not defined on the whole group")
+            continue
+        if any(char.values[x] not in (1, -1) for x in g.elements):
+            errs.append(f"character {name!r} takes values outside +-1")
+            continue
+        if not _reference_is_homomorphism(g, char.values, operator.mul):
+            errs.append(f"character {name!r} is not a homomorphism")
+    return errs
+
+
+def test_validate_model_matches_reference_on_corrupted_corpus():
+    # every model of model_corpus(3) with rho(x), then separately chi(x),
+    # moved off its value at each non-identity x: the same error list, so the
+    # same first failing pair, as the ProjMat scan
+    failing = total = 0
+    for m in model_corpus(3):
+        assert validate_model(m) == reference_validate_model(m) == []
+        t = t_matrix(m.p)
+        for x in m.group.elements:
+            if x == m.group.identity:
+                continue
+            for key, bad in (("rho", m.rho[x] * t), ("chi", -m.chi[x] % m.p)):
+                values = getattr(m, key)
+                good, values[x] = values[x], bad
+                try:
+                    errs = validate_model(m)
+                    assert errs == reference_validate_model(m)
+                    failing, total = failing + bool(errs), total + 1
+                finally:
+                    values[x] = good
+    assert total > 1000 and failing > total // 2, (failing, total)
 
 
 def test_validate_model_accepts_good_model():
@@ -276,8 +385,10 @@ SEARCH_GROUPS = [
 ]
 
 
-@pytest.mark.parametrize("p", [3, 5])
-@pytest.mark.parametrize("group", SEARCH_GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group, p", [
+    pytest.param(group, p, id=f"{group.name}-{p}")
+    for group in SEARCH_GROUPS for p in (3, 5, 7) if p < 7 or group.order <= 6
+])
 def test_all_homs_to_pgl2_matches_brute_force(group, p):
     got = all_homs_to_pgl2(group, p)
     want = _reference_homs_to_pgl2(group, p)
@@ -306,7 +417,7 @@ def test_s3_images_failing_the_braid_relation_give_no_homomorphism():
     assert bad
     for a, b in bad[:20]:
         values = {"s": a, "t": b}
-        assert g.extend_homomorphism(values, lambda x, y: x * y, one) is None
+        assert reference_extend_homomorphism(g, values, operator.mul, one) is None
         f = g.extend_generator_map(values, lambda x, y: x * y, one)
         assert not g.is_homomorphism(f, lambda x, y: x * y)
     homs = all_homs_to_pgl2(g, p)
