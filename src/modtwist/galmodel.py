@@ -3,17 +3,15 @@ a projective representation into PGL2(F_p), a cyclotomic character value
 map, an optional complex-conjugation element and optional named quadratic
 characters.
 
-Also contains a small finite-group container used throughout: groups are
-stored as multiplication tables over hashable labels, optionally remembering
-a spanning tree (``projgroup.spanning_tree``) of the Cayley graph of their
-generators, along which maps defined on generators are extended.
-Cayley-graph criterion (proof in ``FiniteGroup``): f into a group is a
-homomorphism exactly when f(x*g) = f(x)*f(g) on the |G|*|gens| edges
-x -> x*g, g a generator.  ``FiniteGroup.is_homomorphism`` walks these edges
-for ``validate_model``'s named characters and, through a semidirect
-product, for ``twists.check_cocycle``; the homomorphism searches walk them
-in indices.  ``validate_model`` scans pairs, so that its messages name the
-first failing pair, each rho pair one lookup in a ``projgroup.right_table``.
+Also contains the finite-group container used throughout: a ``FiniteGroup``
+numbers its elements once and stores right multiplication by each as a list
+of numbers (the right regular representation, as ``projgroup.right_table``
+for PGL2(F_p)), read off a table or composed along a spanning tree; labels
+appear only at the boundary.  By the Cayley-graph criterion (proof in
+``FiniteGroup``) homomorphisms are checked on the generators' columns:
+``is_homomorphism``, for characters and ``twists.check_cocycle``, and the
+homomorphism searches.  ``validate_model`` scans all pairs of numbers, so
+that its messages name the first failing pair.
 """
 from __future__ import annotations
 
@@ -21,14 +19,16 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import Level, kronecker
+from .arith import Level, is_prime, kronecker
 from .projgroup import ProjMat, pgl2_index, right_table, spanning_tree
 
 MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
 
 
 class FiniteGroup:
-    """A finite group given by a full multiplication table.
+    """A finite group, its elements numbered 0..n-1 by ``index`` in
+    ``elements`` order (sorted permutations, or a table's order); right[j][i]
+    is the number of elements[i] * elements[j], _inverse[j] of elements[j]^-1.
 
     With generators (``set_generators``), ``tree`` is the breadth-first
     spanning tree of the Cayley graph with edges x -> x*g, g a generator
@@ -44,23 +44,22 @@ class FiniteGroup:
     the case x = 1 of the same induction.
     """
 
-    def __init__(self, elements, mul, identity, name="G"):
-        self.elements = tuple(elements)
-        self._mul = mul
+    def __init__(self, index: dict, right: list, identity, name="G"):
+        self.elements = tuple(index)
+        self.index = index
+        self.right = right
         self.identity = identity
         self.name = name
         self.gens = {}  # generator name -> element
         self.tree = None
-        # one pass over the table; a group has exactly one b with a * b = 1
-        self._inv = {a: b for (a, b), ab in mul.items() if ab == identity}
-        if len(self._inv) != len(self.elements):
-            raise ValueError("FiniteGroup: not every element has an inverse")
+        e = index[identity]
+        self._inverse = [col.index(e) for col in right]  # the i with x_i * x_j = 1
 
     def mul(self, a, b):
-        return self._mul[(a, b)]
+        return self.elements[self.right[self.index[b]][self.index[a]]]
 
     def inv(self, a):
-        return self._inv[a]
+        return self.elements[self._inverse[self.index[a]]]
 
     @property
     def order(self) -> int:
@@ -82,19 +81,28 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, elements, table, identity, name="G"):
-        """``table``: dict of dicts, table[a][b] = a*b."""
-        mul = {(a, b): table[a][b] for a in elements for b in elements}
-        g = cls(elements, mul, identity, name=name)
-        _check_group_axioms(g)
-        return g
+        """``table``: dict of dicts, table[a][b] = a*b; ValueError unless a group's."""
+        index = {x: i for i, x in enumerate(elements)}
+        if len(index) != len(elements):
+            raise ValueError("FiniteGroup: the element labels are not distinct")
+        if identity not in index:
+            raise ValueError(f"FiniteGroup: the identity {identity!r} is not an element")
+        if table.keys() != index.keys() or any(row.keys() != index.keys() for row in table.values()):
+            raise ValueError("FiniteGroup: the table's rows and columns are not exactly the elements")
+        try:
+            right = [[index[table[a][b]] for a in index] for b in index]
+        except KeyError:
+            raise ValueError("FiniteGroup: the table is not closed") from None
+        _check_group_axioms(right, index[identity])
+        return cls(index, right, identity, name=name)
 
     @classmethod
     def from_permutations(cls, gen_perms: dict, name="G"):
         """Group generated by permutations (tuples mapping i -> perm[i]);
         associative by construction.  ValueError for a group of order above
         MAX_GROUP_ORDER, raised while it is enumerated, before the table.
-        Only the spanning-tree walk composes; the table is read off the right
-        regular representation composed along the tree, in |G|^2 lookups."""
+        Only the spanning-tree walk composes; it gives the generators'
+        columns, and R_(x*g) is R_g composed after R_x along the tree."""
         if not gen_perms:
             raise ValueError("from_permutations: need at least one generator")
         n = len(next(iter(gen_perms.values())))
@@ -110,16 +118,16 @@ class FiniteGroup:
             return targets[-1]
 
         tree = spanning_tree(ident, gens, compose, max_order=MAX_GROUP_ORDER)
-        order = list(tree)
-        pos = {x: i for i, x in enumerate(order)}
-        step = {gname: [pos[y] for y in targets[k::len(gens)]] for k, gname in enumerate(gens)}
-        right = [range(len(order))]  # right[j][i] = pos(order[i] * order[j])
-        for x, gname in list(tree.values())[1:]:
-            right.append(list(map(step[gname].__getitem__, right[pos[x]])))
-        ranks = sorted(range(len(order)), key=order.__getitem__)
-        mul = {(order[i], order[j]): order[right[j][i]] for i in ranks for j in ranks}
-        g = cls([order[i] for i in ranks], mul, ident, name=name)
-        g.set_generators(gens)
+        index = {x: i for i, x in enumerate(sorted(tree))}
+        step = {gname: [0] * len(index) for gname in gens}
+        for (x, gname), y in zip(itertools.product(tree, gens), targets):
+            step[gname][index[x]] = index[y]
+        right = [None] * len(index)
+        right[index[ident]] = list(range(len(index)))
+        for y, (x, gname) in itertools.islice(tree.items(), 1, None):
+            right[index[y]] = list(map(step[gname].__getitem__, right[index[x]]))
+        g = cls(index, right, ident, name=name)
+        g.gens, g.tree = gens, tree  # the walk is the generators' spanning tree
         return g
 
     def generators(self) -> tuple:
@@ -152,40 +160,35 @@ class FiniteGroup:
     def is_homomorphism(self, f: dict, op) -> bool:
         """Whether f (element -> value in a group under ``op``) is a
         homomorphism: by the Cayley-graph criterion, whether
-        f(x*g) = op(f(x), f(g)) on each of the |G|*|gens| edges, failing at
-        the first mismatch.  ValueError on a group without generators."""
-        gens = self.generators()
-        return all(f[self.mul(x, g)] == op(f[x], f[g]) for x in self.elements for g in gens)
+        f(x*g) = op(f(x), f(g)) along the generators' columns of ``right``,
+        failing at the first mismatch.  ValueError without generators."""
+        values = [f[x] for x in self.elements]
+        return all(values[k] == op(values[i], f[g]) for g in self.generators()
+                   for i, k in enumerate(self.right[self.index[g]]))
 
 
 def _compose(a, b):
     return tuple(a[i] for i in b)
 
 
-def _check_group_axioms(g: FiniteGroup) -> None:
-    """Closure, identity and associativity of a table, the last by Light's
-    test (Clifford-Preston, Algebraic Theory of Semigroups I, 1.2): the a with
-    (x*a)*y = x*(a*y) for all x, y include 1 and are closed under products,
-    so it suffices to check generators, found by the spanning-tree search
-    adding the first element not reached until all are."""
-    e = g.identity
-    if not set(g._mul.values()) <= set(g.elements):
-        raise ValueError("FiniteGroup: the table is not closed")
-    for a in g.elements:
-        if g.mul(a, e) != a or g.mul(e, a) != a:
-            raise ValueError("FiniteGroup: identity axiom fails")
-    gens = {}
-    tree = spanning_tree(e, gens, g.mul)
-    for x in g.elements:
+def _check_group_axioms(right: list, e: int) -> None:
+    """Identity, inverses and associativity of ``right``, e the identity's
+    number, the last by Light's test (Clifford-Preston, Algebraic Theory of
+    Semigroups I, 1.2): the a with R_y after R_a = R_(a*y) for all y form a
+    submonoid, so generators suffice, each the first element not reached."""
+    if right[e] != list(range(len(right))) or any(col[e] != j for j, col in enumerate(right)):
+        raise ValueError("FiniteGroup: identity axiom fails")
+    if any(e not in col for col in right):
+        raise ValueError("FiniteGroup: not every element has an inverse")
+    gens, tree = {}, {e: None}
+    for x in range(len(right)):
         if x not in tree:
             gens[x] = x
-            tree = spanning_tree(e, gens, g.mul)
-    for s in gens.values():
-        for x in g.elements:
-            xs = g.mul(x, s)
-            for y in g.elements:
-                if g.mul(xs, y) != g.mul(x, g.mul(s, y)):
-                    raise ValueError("FiniteGroup: associativity fails")
+            tree = spanning_tree(e, gens, lambda y, a: right[a][y])
+    for a in gens:
+        for y, col in enumerate(right):
+            if list(map(col.__getitem__, right[a])) != right[right[y][a]]:
+                raise ValueError("FiniteGroup: associativity fails")
 
 
 def trivial_group() -> FiniteGroup:
@@ -248,34 +251,30 @@ class FiniteGaloisModel:
 
 def validate_model(m: FiniteGaloisModel) -> list[str]:
     """All violations of the model axioms, as human-readable strings."""
-    errs = []
+    if not (m.p > 2 and is_prime(m.p)):
+        return [f"p = {m.p} is not an odd prime"]
     g = m.group
     if set(m.rho) != set(g.elements):
-        errs.append("rho is not defined on exactly the group elements")
-        return errs
+        return ["rho is not defined on exactly the group elements"]
     if set(m.chi) != set(g.elements):
-        errs.append("chi is not defined on exactly the group elements")
-        return errs
+        return ["chi is not defined on exactly the group elements"]
+    errs = []
     for x in g.elements:
         if not isinstance(m.rho[x], ProjMat) or m.rho[x].p != m.p:
-            errs.append(f"rho({x}) is not a ProjMat mod {m.p}")
-            return errs
+            return errs + [f"rho({x}) is not a ProjMat mod {m.p}"]
         if not (1 <= m.chi[x] % m.p <= m.p - 1):
             errs.append(f"chi({x}) = {m.chi[x]} is not a unit mod {m.p}")
     index = pgl2_index(m.p)[1]  # index(rho(a) rho(b)) = R_rho(b)[index(rho(a))]
-    rho = {x: index[m.rho[x]] for x in g.elements}
-    tables = {x: right_table(m.rho[x]) for x in g.elements}
-    chi = {x: m.chi[x] % m.p for x in g.elements}
-    for a in g.elements:
-        rho_a, chi_a = rho[a], chi[a]
-        for b in g.elements:
-            ab = g.mul(a, b)
+    rho = [index[m.rho[x]] for x in g.elements]
+    tables = [right_table(m.rho[x]) for x in g.elements]
+    chi = [m.chi[x] % m.p for x in g.elements]
+    for a, (rho_a, chi_a) in enumerate(zip(rho, chi)):
+        for b, col in enumerate(g.right):
+            ab = col[a]
             if rho[ab] != tables[b][rho_a]:
-                errs.append(f"rho is not a homomorphism at ({a}, {b})")
-                return errs
+                return errs + [f"rho is not a homomorphism at ({g.elements[a]}, {g.elements[b]})"]
             if chi[ab] != chi_a * chi[b] % m.p:
-                errs.append(f"chi is not a homomorphism at ({a}, {b})")
-                return errs
+                return errs + [f"chi is not a homomorphism at ({g.elements[a]}, {g.elements[b]})"]
     if m.conj is not None:
         if m.conj not in g.elements:
             errs.append("conj is not a group element")
@@ -333,23 +332,25 @@ def _homs_from_tables(group: FiniteGroup, images: dict, target, one: int) -> lis
     """The homomorphisms into the group indexed by ``target``, ``one`` the
     index of its identity, with generator values drawn from ``images`` (name
     -> the candidates' right tables), in ``itertools.product`` order, keys in
-    ``tree`` order.  With nxt[i] the number of x_i * g in tree order, each
-    walk sets f[nxt[i]] = R[f[i]] on tree edges and compares it on all others,
-    failing at the first mismatch: exact by the Cayley-graph criterion."""
-    order = list(group.tree)
-    pos = {x: i for i, x in enumerate(order)}
-    nxt = [[pos[group.mul(x, group.gens[name])] for x in order] for name in images]
-    homs = (_walk(list(zip(nxt, values)), len(order), one)
+    ``tree`` order.  Each walk visits the numbers in tree order, sets
+    f[R_g[i]] = table[f[i]] on tree edges, R_g a generator's column of
+    ``group.right``, and compares it on all others, failing at the first
+    mismatch: exact by the Cayley-graph criterion."""
+    order = [group.index[x] for x in group.tree]
+    cols = [group.right[group.index[group.gens[name]]] for name in images]
+    homs = (_walk(order, list(zip(cols, values)), one)
             for values in itertools.product(*images.values()))
-    return [{x: target[k] for x, k in zip(order, f)} for f in homs if f is not None]
+    return [{group.elements[i]: target[f[i]] for i in order} for f in homs if f is not None]
 
 
-def _walk(steps: list, n: int, one: int) -> list | None:
-    """f over the tree order, or None; x_i's tree parent comes before it."""
-    f = [one] + [None] * (n - 1)
-    for i, fi in enumerate(f):
-        for nxt, table in steps:
-            j, value = nxt[i], table[fi]
+def _walk(order: list, steps: list, one: int) -> list | None:
+    """f over the numbers, or None; ``order`` puts a tree parent first."""
+    f = [None] * len(order)
+    f[order[0]] = one
+    for i in order:
+        fi = f[i]
+        for col, table in steps:
+            j, value = col[i], table[fi]
             if f[j] is None:
                 f[j] = value
             elif f[j] != value:

@@ -54,7 +54,7 @@ def _build_group(spec: dict) -> FiniteGroup:
         for name, perm in gens.items():
             if (
                 not isinstance(perm, list)
-                or not all(isinstance(i, int) for i in perm)
+                or not all(type(i) is int for i in perm)
                 or sorted(perm) != list(range(len(perm)))
             ):
                 raise ModelParseError(f"generator {name!r} is not a permutation")
@@ -123,7 +123,7 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
             not isinstance(mat, list)
             or len(mat) != 2
             or not all(isinstance(row, list) and len(row) == 2 for row in mat)
-            or not all(isinstance(x, int) for row in mat for x in row)
+            or not all(type(x) is int for row in mat for x in row)
         ):
             raise ModelParseError(f"rho[{name!r}] is not a 2x2 integer matrix")
         try:
@@ -138,7 +138,7 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
     rho_gens = {name: as_projmat(name, mat) for name, mat in doc["rho"].items()}
     chi_gens = {}
     for name, val in doc["chi"].items():
-        if not isinstance(val, int) or val % p == 0:
+        if type(val) is not int or val % p == 0:
             raise ModelParseError(f"chi[{name!r}] must be an integer unit mod {p}")
         chi_gens[name] = val % p
     rho = grp.extend_generator_map(rho_gens, lambda a, b: a * b, ProjMat.identity(p))
@@ -154,7 +154,7 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
         if not isinstance(spec, dict) or not isinstance(spec.get("values"), dict):
             raise ModelParseError(f"character {name!r} needs a 'values' object")
         vals = spec["values"]
-        if set(vals) != gen_names or any(v not in (1, -1) for v in vals.values()):
+        if set(vals) != gen_names or any(type(v) is not int or v not in (1, -1) for v in vals.values()):
             raise ModelParseError(
                 f"character {name!r} must give +-1 on exactly the generators"
             )

@@ -1,6 +1,6 @@
 """Shared test helpers: generator words, conjugacy classes, the cocycle
-perturbations and their check, the order-18 table groups and table-group
-model files of malformed JSON shapes."""
+perturbations and their check, the order-18 table groups, malformed
+table-group model files and model files with booleans for integers."""
 import pytest
 
 from modtwist.projgroup import pgl2
@@ -122,7 +122,10 @@ def _c2_table_model(**group_changes) -> dict:
 @pytest.fixture
 def malformed_table_models():
     """Model documents, by name, whose table group has a JSON shape that is
-    not a list of string labels or an object of objects of labels."""
+    not a list of string labels or an object of objects of labels, or breaks
+    a table rule: repeated labels, an identity outside them, or rows or
+    columns keyed by other labels."""
+    c2 = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
     return {
         "list_labels": _c2_table_model(elements=[["e"], ["a"]]),
         "string_elements": _c2_table_model(elements="ea"),
@@ -134,4 +137,26 @@ def malformed_table_models():
         "list_entry": _c2_table_model(table={"e": {"e": "e", "a": ["a"]}, "a": {"e": "a", "a": "e"}}),
         "list_generator": _c2_table_model(generators={"a": ["a"]}),
         "generators_list": _c2_table_model(generators=["a"]),
+        "repeated_label": _c2_table_model(elements=["e", "a", "a"]),
+        "identity_outside": _c2_table_model(identity="x"),
+        "extra_row": _c2_table_model(table={**c2, "b": {"e": "b", "a": "b"}}),
+        "extra_column": _c2_table_model(table={**c2, "e": {"e": "e", "a": "a", "b": "a"}}),
+    }
+
+
+@pytest.fixture
+def boolean_models():
+    """Model documents, by name, on the permutation group C2, each with a
+    JSON boolean where an integer is wanted, all of them otherwise valid."""
+    doc = {
+        "p": 3,
+        "group": {"type": "permutation", "generators": {"s": [1, 0]}},
+        "rho": {"s": [[0, 1], [1, 0]]},
+        "chi": {"s": 2},
+    }
+    return {
+        "boolean_permutation": {**doc, "group": {"type": "permutation", "generators": {"s": [True, False]}}},
+        "boolean_rho_entry": {**doc, "rho": {"s": [[False, True], [True, False]]}},
+        "boolean_chi": {**doc, "chi": {"s": True}},
+        "boolean_character": {**doc, "characters": {"k": {"values": {"s": True}}}},
     }

@@ -333,14 +333,18 @@ def test_plain_output_lines(capsys):
 
 
 @pytest.mark.parametrize(
-    "path", [*MALFORMED, "table_shapes", "rho_row"], ids=lambda p: getattr(p, "stem", p)
+    "path", [*MALFORMED, "table_shapes", "booleans", "rho_row"], ids=lambda p: getattr(p, "stem", p)
 )
-@pytest.mark.parametrize("command", ["centralizer", "cocycle-check"])
-def test_malformed_model_is_usage_error(capsys, tmp_path, malformed_table_models, command, path):
+@pytest.mark.parametrize("command", ["centralizer", "cocycle-check", "twist-plan 4 3"])
+def test_malformed_model_is_usage_error(
+    capsys, tmp_path, malformed_table_models, boolean_models, command, path
+):
     # "table_shapes" stands for every malformed table-group model file,
+    # "booleans" for every file with a boolean where an integer is wanted,
     # "rho_row" for a rho matrix with a row that is not a list
     docs = {
         "table_shapes": malformed_table_models,
+        "booleans": boolean_models,
         "rho_row": {"rho_row": dict(GOOD_MODEL, rho={"s": [[0, 1], 5]})},
     }
     paths = [path]
@@ -349,7 +353,7 @@ def test_malformed_model_is_usage_error(capsys, tmp_path, malformed_table_models
         for p, doc in zip(paths, docs[path].values()):
             p.write_text(json.dumps(doc))
     for p in paths:
-        assert main([command, str(p)]) == EXIT_USAGE, p.name
+        assert main([*command.split(), str(p)]) == EXIT_USAGE, p.name
         assert capsys.readouterr().err.startswith("error: ")
 
 

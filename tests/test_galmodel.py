@@ -1,7 +1,12 @@
 """Finite group containers, model validation, the det rho = eps predicate
 and the homomorphism searches."""
+import dataclasses
+import functools
 import itertools
+import json
 import operator
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +27,91 @@ from modtwist.galmodel import (
     validate_model,
 )
 from modtwist import galmodel
-from modtwist.projgroup import ProjMat, pgl2, t_matrix
-from modtwist.twists import model_corpus
+from modtwist.projgroup import ProjMat, pgl2, spanning_tree, t_matrix
+from modtwist.twists import build_xi, check_cocycle, model_corpus
+
+STORED_MODELS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "data").glob("models_p*.jsonl"))
+
+
+class ReferenceGroup:
+    """The dict-keyed group container: its table a dict keyed by pairs of
+    labels, its inverses scanned from that dict, its axioms checked on
+    labels.  The reference for ``FiniteGroup``'s numbered right table."""
+
+    def __init__(self, elements, mul, identity, name="G"):
+        self.elements = tuple(elements)
+        self._mul = mul
+        self.identity = identity
+        self.name = name
+        self.gens = {}
+        self.tree = None
+        self._inv = {a: b for (a, b), ab in mul.items() if ab == identity}
+        if len(self._inv) != len(self.elements):
+            raise ValueError("FiniteGroup: not every element has an inverse")
+
+    def mul(self, a, b):
+        return self._mul[(a, b)]
+
+    def inv(self, a):
+        return self._inv[a]
+
+    def set_generators(self, gens):
+        tree = spanning_tree(self.identity, gens, self.mul)
+        if len(tree) != len(self.elements):
+            raise ValueError("generators do not generate the group")
+        self.gens, self.tree = dict(gens), tree
+
+    @classmethod
+    def from_table(cls, elements, table, identity, name="G"):
+        g = cls(elements, {(a, b): table[a][b] for a in elements for b in elements}, identity, name)
+        e = g.identity
+        if not set(g._mul.values()) <= set(g.elements):
+            raise ValueError("FiniteGroup: the table is not closed")
+        if any(g.mul(a, e) != a or g.mul(e, a) != a for a in g.elements):
+            raise ValueError("FiniteGroup: identity axiom fails")
+        gens = {}
+        tree = spanning_tree(e, gens, g.mul)
+        for x in g.elements:
+            if x not in tree:
+                gens[x] = x
+                tree = spanning_tree(e, gens, g.mul)
+        for s, x, y in itertools.product(gens.values(), g.elements, g.elements):
+            if g.mul(g.mul(x, s), y) != g.mul(x, g.mul(s, y)):
+                raise ValueError("FiniteGroup: associativity fails")
+        return g
+
+    @classmethod
+    def from_permutations(cls, gen_perms, name="G"):
+        # the table composed along the spanning tree, read off by rank
+        gens = {gname: tuple(p) for gname, p in gen_perms.items()}
+        ident = tuple(range(len(next(iter(gens.values())))))
+        targets = []
+
+        def compose(x, g):
+            targets.append(tuple(x[i] for i in g))
+            return targets[-1]
+
+        tree = spanning_tree(ident, gens, compose)
+        order = list(tree)
+        pos = {x: i for i, x in enumerate(order)}
+        step = {gname: [pos[y] for y in targets[k::len(gens)]] for k, gname in enumerate(gens)}
+        right = [range(len(order))]
+        for x, gname in list(tree.values())[1:]:
+            right.append(list(map(step[gname].__getitem__, right[pos[x]])))
+        ranks = sorted(range(len(order)), key=order.__getitem__)
+        mul = {(order[i], order[j]): order[right[j][i]] for i in ranks for j in ranks}
+        g = cls([order[i] for i in ranks], mul, ident, name=name)
+        g.set_generators(gens)
+        return g
+
+    def generators(self):
+        if not self.gens:
+            raise ValueError(f"{self.name}: group has no generators")
+        return tuple(self.gens.values())
+
+    def is_homomorphism(self, f, op):
+        gens = self.generators()
+        return all(f[self.mul(x, g)] == op(f[x], f[g]) for x in self.elements for g in gens)
 
 
 def test_group_constructors():
@@ -122,6 +210,122 @@ def test_from_table_rejects_unclosed_table(z18_tables):
     table[5][7] = 18
     with pytest.raises(ValueError, match="closed"):
         FiniteGroup.from_table(range(18), table, 0)
+
+
+def test_from_table_rejects_repeated_labels_and_an_identity_outside_them():
+    table = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
+    with pytest.raises(ValueError, match="labels are not distinct"):
+        FiniteGroup.from_table(["e", "a", "a"], table, "e")
+    with pytest.raises(ValueError, match="identity 'x' is not an element"):
+        FiniteGroup.from_table(["e", "a"], table, "x")
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param({"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}, "b": {"e": "b", "a": "b"}},
+                 id="extra_row"),
+    pytest.param({"e": {"e": "e", "a": "a", "b": "a"}, "a": {"e": "a", "a": "e"}}, id="extra_column"),
+    pytest.param({"e": {"e": "e", "a": "a"}}, id="missing_row"),
+    pytest.param({"e": {"e": "e"}, "a": {"e": "a", "a": "e"}}, id="missing_column"),
+])
+def test_from_table_rejects_rows_or_columns_other_than_the_elements(table):
+    with pytest.raises(ValueError, match="rows and columns are not exactly the elements"):
+        FiniteGroup.from_table(["e", "a"], table, "e")
+
+
+def _numbered_table(ref) -> list:
+    """The reference's pair dict as right[j][i], the number of
+    elements[i] * elements[j], read without hashing a label where the
+    product is one of its own elements."""
+    number = {id(x): i for i, x in enumerate(ref.elements)}
+    table = [[None] * len(number) for _ in number]
+    for (a, b), ab in ref._mul.items():
+        table[number[id(b)]][number[id(a)]] = number[id(ab)] if id(ab) in number else ref.elements.index(ab)
+    return table
+
+
+def _assert_matches_reference(g, ref, all_pairs=True):
+    """The same elements in the same order, tree, generators, table,
+    products and inverses; products on a sample unless ``all_pairs``."""
+    assert g.elements == ref.elements and g.identity == ref.identity
+    assert g.index == {x: i for i, x in enumerate(ref.elements)}
+    assert list(g.tree.items()) == list(ref.tree.items()) and g.gens == ref.gens
+    assert g.right == _numbered_table(ref)
+    sample = g.elements if all_pairs else g.elements[::37]
+    assert all(g.mul(a, b) == ref.mul(a, b) for a in sample for b in sample)
+    assert [g.inv(a) for a in g] == [ref.inv(a) for a in ref.elements]
+
+
+def _permutation_groups() -> list:
+    """Name and generators of every distinct permutation group of
+    model_corpus(3), model_corpus(5) and the stored models, then S5, S6 and
+    a 720-cycle."""
+    groups = {}
+    for m in model_corpus(3) + model_corpus(5):
+        groups[m.group.name, str(m.group.gens)] = m.group.gens
+    for path in STORED_MODELS:
+        for line in path.read_text().splitlines():
+            spec = json.loads(line)["group"]
+            gens = {name: tuple(perm) for name, perm in spec["generators"].items()}
+            groups[spec["name"], str(gens)] = gens
+    groups["S5", ""], groups["S6", ""] = symmetric_group(5).gens, symmetric_group(6).gens
+    groups["C720", ""] = {"g": tuple((i + 1) % 720 for i in range(720))}
+    return [(name, gens) for (name, _), gens in groups.items()]
+
+
+@pytest.mark.parametrize(
+    "name, gens", [pytest.param(name, gens, id=name) for name, gens in _permutation_groups()]
+)
+def test_from_permutations_matches_reference(name, gens):
+    g = FiniteGroup.from_permutations(gens, name=name)
+    _assert_matches_reference(g, ReferenceGroup.from_permutations(gens, name=name), all_pairs=name != "C720")
+
+
+def test_from_table_matches_reference(z18_tables):
+    s3 = symmetric_group(3)
+    s3c3 = [(x, k) for x in s3.elements for k in range(3)]
+    tables = [
+        (range(18), z18_tables[0], 0, {"g": 1}),
+        (s3c3, {(x, k): {(y, m): (s3.mul(x, y), (k + m) % 3) for y, m in s3c3} for x, k in s3c3},
+         (s3.identity, 0), {"s": ((1, 0, 2), 0), "t": ((1, 2, 0), 1)}),
+    ]
+    for elements, table, identity, gens in tables:
+        g, ref = (cls.from_table(elements, table, identity) for cls in (FiniteGroup, ReferenceGroup))
+        g.set_generators(gens)
+        ref.set_generators(gens)
+        _assert_matches_reference(g, ref)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_of(group):
+    """The reference group on the same permutation generators."""
+    return ReferenceGroup.from_permutations(group.gens, group.name)
+
+
+def test_check_cocycle_on_perturbations_matches_reference_group(perturbations):
+    # is_homomorphism through check_cocycle's semidirect product, on the
+    # perturbation fixture's cochains over the groups of order <= 6
+    rejected = 0
+    for m in model_corpus(3):
+        if m.group.order > 6:
+            continue
+        on_ref = dataclasses.replace(m, group=_reference_of(m.group))
+        for s in m.group.elements:
+            for d in perturbations(build_xi(m), s):
+                valid = check_cocycle(d)
+                assert valid == check_cocycle(dataclasses.replace(d, model=on_ref))
+                rejected += not valid
+    assert rejected > 1000, rejected
+
+
+def test_symmetric_group_6_peaks_below_16_mb():
+    # a numbered table of 720 lists of 720 ints; the pair dict peaked at 56 MB
+    tracemalloc.start()
+    try:
+        symmetric_group(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10**6, peak
 
 
 def reference_extend_homomorphism(group, gen_values, op, one):
@@ -238,10 +442,12 @@ def reference_validate_model(m):
 def test_validate_model_matches_reference_on_corrupted_corpus():
     # every model of model_corpus(3) with rho(x), then separately chi(x),
     # moved off its value at each non-identity x: the same error list, so the
-    # same first failing pair, as the ProjMat scan
+    # same first failing pair, as the ProjMat scan on this group and on the
+    # reference group
     failing = total = 0
     for m in model_corpus(3):
-        assert validate_model(m) == reference_validate_model(m) == []
+        on_ref = dataclasses.replace(m, group=_reference_of(m.group))  # sharing m's rho and chi
+        assert validate_model(m) == reference_validate_model(m) == reference_validate_model(on_ref) == []
         t = t_matrix(m.p)
         for x in m.group.elements:
             if x == m.group.identity:
@@ -251,11 +457,20 @@ def test_validate_model_matches_reference_on_corrupted_corpus():
                 good, values[x] = values[x], bad
                 try:
                     errs = validate_model(m)
-                    assert errs == reference_validate_model(m)
+                    assert errs == reference_validate_model(m) == reference_validate_model(on_ref)
                     failing, total = failing + bool(errs), total + 1
                 finally:
                     values[x] = good
     assert total > 1000 and failing > total // 2, (failing, total)
+
+
+@pytest.mark.parametrize("p", [9, 4, 2])
+def test_validate_model_reports_a_p_that_is_not_an_odd_prime(p):
+    g = cyclic_group(2)
+    rho = {x: ProjMat.identity(p) for x in g}
+    assert validate_model(FiniteGaloisModel(group=g, p=p, rho=rho, chi={x: 1 for x in g})) == [
+        f"p = {p} is not an odd prime"
+    ]
 
 
 def test_validate_model_accepts_good_model():

@@ -179,7 +179,34 @@ def test_parse_rejects_unknown_table_generator(z18_table_model):
         parse_model(json.dumps(doc))
 
 
+# the table rules of malformed_table_models, each with its own message
+TABLE_RULE_ERRORS = {
+    "repeated_label": "^bad multiplication table: FiniteGroup: the element labels are not distinct$",
+    "identity_outside": "^bad multiplication table: FiniteGroup: the identity 'x' is not an element$",
+    "extra_row": "rows and columns are not exactly the elements$",
+    "extra_column": "rows and columns are not exactly the elements$",
+}
+
+
 def test_parse_rejects_malformed_table_shapes(malformed_table_models):
-    for doc in malformed_table_models.values():
-        with pytest.raises(ModelParseError, match="^group\\."):
+    assert set(TABLE_RULE_ERRORS) < set(malformed_table_models)
+    for name, doc in malformed_table_models.items():
+        with pytest.raises(ModelParseError, match=TABLE_RULE_ERRORS.get(name, "^group\\.")):
             parse_model(json.dumps(doc))
+
+
+def test_parse_rejects_booleans_for_integers(boolean_models):
+    # True == 1 and True in (1, -1): only the type tells a boolean apart;
+    # with 1 and 0 for true and false each document is valid
+    errors = {
+        "boolean_permutation": "generator 's' is not a permutation",
+        "boolean_rho_entry": "rho\\['s'\\] is not a 2x2 integer matrix",
+        "boolean_chi": "chi\\['s'\\] must be an integer unit mod 3",
+        "boolean_character": "character 'k' must give \\+-1 on exactly the generators",
+    }
+    assert set(errors) == set(boolean_models)
+    for name, doc in boolean_models.items():
+        with pytest.raises(ModelParseError, match=errors[name]):
+            parse_model(json.dumps(doc))
+        doc = json.loads(json.dumps(doc).replace("true", "1").replace("false", "0"))
+        parse_and_validate(json.dumps(doc))
