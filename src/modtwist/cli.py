@@ -39,6 +39,7 @@ from .curves import (
 from .extgroup import involutions_extending_wN, verify_relations, wgroup
 from .galmodel import classify, validate_model
 from .modelfile import ModelParseError, parse_model
+from .projgroup import MAX_P
 from .twists import (
     ParityError,
     build_xi,
@@ -157,6 +158,8 @@ def cmd_cusps(args):
 
 def cmd_structure(args):
     level = _level(args.N, args.p)
+    if level.p > MAX_P:
+        raise _Exit(EXIT_USAGE, f"error: structure needs p at most {MAX_P}, got {level.p}")
     rep = wgroup(level)
     outputs = {
         "level": {"N": level.N, "p": level.p},

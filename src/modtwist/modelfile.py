@@ -35,7 +35,7 @@ from .galmodel import (
     QuadraticCharacter,
     validate_model,
 )
-from .projgroup import ProjMat
+from .projgroup import MAX_P, ProjMat
 
 
 class ModelParseError(ValueError):
@@ -116,6 +116,8 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
     p = doc["p"]
     if not isinstance(p, int) or p < 3 or not is_prime(p):
         raise ModelParseError(f"p must be an odd prime, got {p!r}")
+    if p > MAX_P:
+        raise ModelParseError(f"p must be at most {MAX_P}, got {p}")
     grp = _build_group(doc["group"])
 
     def as_projmat(name, mat):
@@ -173,16 +175,15 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
 
 
 def _resolve_element(grp: FiniteGroup, label):
-    """Map a JSON label to a group element: generator name, or for table
-    groups the element label itself."""
+    """Map a JSON label to a group element: a generator name, or for table
+    groups exactly an element label; both are strings, so no integer is."""
     if not isinstance(label, (str, int)):
         raise ModelParseError(f"element label {label!r} must be a string or an integer")
     if label in grp.gens:
         return grp.gens[label]
-    for x in grp.elements:
-        if x == label or str(x) == str(label):
-            return x
-    raise ModelParseError(f"unknown element label {label!r}")
+    if label in grp.index:  # a permutation group's labels are tuples, never strings
+        return label
+    raise ModelParseError(f"unknown element label {label!r}: not a generator name or table label")
 
 
 def parse_and_validate(source: str | Path) -> FiniteGaloisModel:

@@ -12,17 +12,17 @@ formal central w-component.
 Cocycle values are pairs (ProjMat, w_bit): the w_bit is the formal central
 component (always 0 outside the cyclotomic chi_k construction).
 
-Every check here runs on the generators of the model group: a cocycle is a
-homomorphism into a semidirect product, decided on the Cayley-graph edges by
-``FiniteGroup.is_homomorphism``; a cohomology witness is checked on the
-generators, and the centralizer of the image of rho is that of the images of
-the generators.
+Every check here runs on the generators of the model group.  The twist by s
+is conjugation by eta(s), eta a homomorphism, so xi is a cocycle exactly when
+its untwisting s -> xi(s) * eta(s) is a homomorphism, and c is a cohomology
+witness exactly when c * (xi' eta)(s) = (xi eta)(s) * c (Serre, Galois
+Cohomology, I.5.3).  The centralizer of the image of rho is that of the
+images of the generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .arith import Level, invariant, least_nonsquare
 from .curves import genus_XNp, xplus_verdict
@@ -31,6 +31,7 @@ from .galmodel import (
     FiniteGroup,
     all_homs_to_pgl2,
     all_quadratic_characters,
+    classify,
     cyclic_group,
     klein_four,
     symmetric_group,
@@ -56,43 +57,31 @@ class Cocycle:
     def p(self) -> int:
         return self.model.p
 
-    # hat(V) and the sigma with eps(sigma) = -1 are read once per cocycle, on
-    # its first twist: check_cocycle twists once per Cayley-graph edge
-    @cached_property
-    def _hv(self) -> ProjMat:
-        return v_matrix(self.p, self.v).hat()
 
-    @cached_property
-    def _flips(self) -> frozenset:
-        return frozenset(s for s in self.model.group.elements if self.model.epsilon(s) == -1)
-
-    def twist(self, sigma, value):
-        """The Galois twist of a value by sigma: conjugation by hat(V) when
-        eps(sigma) = -1, trivial otherwise; w-bits are untouched."""
-        g, w = value
-        if sigma in self._flips:
-            g = self._hv * g * self._hv  # hat(V) is an involution mod scalars
-        return (g, w)
+def _untwisted(c: Cocycle, m: FiniteGaloisModel, elements) -> dict:
+    """s -> (c(s) * eta(s), w(s)) on the given elements, eta read from m's
+    eps: c's value times hat(V) where eps(s) = -1, unchanged elsewhere."""
+    hv = v_matrix(c.p, c.v).hat()
+    out = {}
+    for s in elements:
+        g, w = c.values[s]
+        out[s] = (g * hv, w) if m.epsilon(s) == -1 else (g, w)
+    return out
 
 
 def check_cocycle(c: Cocycle) -> bool:
     """Whether xi(st) = xi(s) * twist_s(xi(t)) for all s, t, the w-bits
     adding mod 2.
 
-    Precondition: eps is a homomorphism, so that the twist is an action.
-    Then xi is a cocycle exactly when s -> (xi(s), w(s), s) is a
-    homomorphism into the semidirect product by the twist action (Brown,
-    Cohomology of Groups, IV.2), which ``FiniteGroup.is_homomorphism``
-    decides on the |G|*|gens| Cayley-graph edges.  ValueError on a group
-    without generators.
+    Precondition: eps is a homomorphism, so that eta is one.  Then xi is a
+    cocycle exactly when its untwisting s -> (xi(s) * eta(s), w(s)) is a
+    homomorphism into PGL2 x Z/2 (Serre, Galois Cohomology, I.5.3), which
+    ``FiniteGroup.is_homomorphism`` decides on the |G|*|gens| Cayley-graph
+    edges.  ValueError on a group without generators.
     """
     grp = c.model.group
-
-    def op(x, y):
-        (gs, ws, s), (gt, wt, t) = x, y
-        return (gs * c.twist(s, (gt, wt))[0], (ws + wt) % 2, grp.mul(s, t))
-
-    return grp.is_homomorphism({s: (*c.values[s], s) for s in grp.elements}, op)
+    return grp.is_homomorphism(_untwisted(c, c.model, grp.elements),
+                               lambda x, y: (x[0] * y[0], (x[1] + y[1]) % 2))
 
 
 def eta(m: FiniteGaloisModel, v: int | None = None) -> Cocycle:
@@ -159,28 +148,25 @@ def build_xi(
 
 def cohomologous(c1: Cocycle, c2: Cocycle):
     """Search for a witness c with c2(s) = c^-1 * c1(s) * twist_s(c) for all
-    s; returns the witness (ProjMat, w_bit) or None.
+    s, the twist read from c1's eps; returns the witness (ProjMat, w_bit) or
+    None.
 
-    The witness ranges over the ambient group, in sorted order: PSL2 for
-    ambient G(N,p), PGL2 for W(N,p); the w-bits must agree, being central
-    and untwisted.  Preconditions: c1 and c2 are cocycles and eps is a
-    homomorphism.  Then the s where the identity holds form a subgroup, so
-    each candidate is checked on the generators only.  ValueError on a group
-    without generators.
+    Untwisted by c1's eta, that is c * (c2 eta)(s) = (c1 eta)(s) * c with
+    equal w-bits (Serre, Galois Cohomology, I.5.3).  The witness ranges over
+    the ambient group in sorted order: PSL2 for G(N,p), PGL2 for W(N,p).  For
+    c1, c2 cocycles under that twist and eps a homomorphism, the s where this
+    holds form a subgroup, so each candidate is checked on the generators.
+    ValueError on a group without generators.
     """
     if c1.model is not c2.model and c1.model.group is not c2.model.group:
         raise ValueError("cohomologous: cocycles live over different models")
     if c1.ambient != c2.ambient or c1.v != c2.v or c1.p != c2.p:
         raise ValueError("cohomologous: mismatched ambients")
     gens = c1.model.group.generators()
+    f1, f2 = (_untwisted(c, c1.model, gens) for c in (c1, c2))
     pool = psl2(c1.p) if c1.ambient is Ambient.G_NP else pgl2(c1.p)
     for cand in sorted(pool.elements):
-        ci = cand.inverse()
-        for s in gens:
-            g1, w1 = c1.values[s]
-            if c2.values[s] != (ci * g1 * c1.twist(s, (cand, 0))[0], w1):
-                break
-        else:
+        if all(f1[s][1] == f2[s][1] and cand * f2[s][0] == f1[s][0] * cand for s in gens):
             return (cand, 0)
     return None
 
@@ -266,53 +252,34 @@ def twist_plan(
     if m.p != level.p:
         raise ValueError(f"twist_plan: model characteristic {m.p} != level p {level.p}")
     N, p = level.N, level.p
-    det_eq_eps = m.det_is_epsilon()
+    case = classify(level).value
+    if m.det_is_epsilon() != level.cyclotomic:
+        need = "=" if level.cyclotomic else "!="
+        raise ParityError(f"{case} level {level} requires det rho {need} eps as characters")
     v = least_nonsquare(p) if level.cyclotomic else pow(N, -1, p)
+    cocycles, curves = [build_xi(m, "plain", v=v)], [f"X({N},{p})_rho"]
+    field_k = char = None
     if level.cyclotomic:
-        if not det_eq_eps:
-            raise ParityError(
-                f"cyclotomic level {level} requires det rho = eps as characters"
-            )
-        xi = build_xi(m, "plain", v=v)
-        xi_p = build_xi(m, "primed", v=v)
-        valid = check_cocycle(xi) and check_cocycle(xi_p)
-        curve_names = [f"X({N},{p})_rho", f"X({N},{p})'_rho"]
-        for name, char in m.characters.items():
-            if char.field in k_fields:
-                xi_k = build_xi(m, "plain", k_char=char.values, v=v)
-                valid = valid and check_cocycle(xi_k)
-                curve_names.append(f"X({N},{p})_rho,k={char.field}")
-                curve_names.append(f"X({N},{p})'_rho,k={char.field}")
-        return TwistPlan(
-            level=level,
-            case="cyclotomic",
-            curves=curve_names,
-            field_k=None,
-            field_k_character=None,
-            centralizer=centralizer_verdict(m),
-            cocycles_valid=valid,
-            finiteness=_finiteness_verdict(level),
-        )
-    if det_eq_eps:
-        raise ParityError(
-            f"non-cyclotomic level {level} requires det rho != eps as characters"
-        )
-    xi = build_xi(m, "plain", v=v)
-    valid = check_cocycle(xi)
-    char = {s: m.epsilon(s) * m.det_class(s) for s in m.group.elements}
-    field_k = None
-    for name, qc in m.characters.items():
-        if qc.values == char and qc.field is not None:
-            field_k = qc.field
-            break
+        cocycles.append(build_xi(m, "primed", v=v))
+        curves.append(f"X({N},{p})'_rho")
+        for qc in m.characters.values():
+            if qc.field in k_fields:
+                cocycles.append(build_xi(m, "plain", k_char=qc.values, v=v))
+                curves += [f"X({N},{p})_rho,k={qc.field}", f"X({N},{p})'_rho,k={qc.field}"]
+    else:
+        char = {s: m.epsilon(s) * m.det_class(s) for s in m.group.elements}
+        for qc in m.characters.values():
+            if qc.values == char and qc.field is not None:
+                field_k = qc.field
+                break
     return TwistPlan(
         level=level,
-        case="non-cyclotomic",
-        curves=[f"X({N},{p})_rho"],
+        case=case,
+        curves=curves,
         field_k=field_k,
         field_k_character=char,
         centralizer=centralizer_verdict(m),
-        cocycles_valid=valid,
+        cocycles_valid=all(check_cocycle(xi) for xi in cocycles),
         finiteness=_finiteness_verdict(level),
     )
 

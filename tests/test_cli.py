@@ -333,7 +333,9 @@ def test_plain_output_lines(capsys):
 
 
 @pytest.mark.parametrize(
-    "path", [*MALFORMED, "table_shapes", "booleans", "rho_row"], ids=lambda p: getattr(p, "stem", p)
+    "path", [*MALFORMED, "table_shapes", "booleans", "rho_row", "conj_tuple_text", "conj_integer",
+             "p_above_max"],
+    ids=lambda p: getattr(p, "stem", p),
 )
 @pytest.mark.parametrize("command", ["centralizer", "cocycle-check", "twist-plan 4 3"])
 def test_malformed_model_is_usage_error(
@@ -341,11 +343,20 @@ def test_malformed_model_is_usage_error(
 ):
     # "table_shapes" stands for every malformed table-group model file,
     # "booleans" for every file with a boolean where an integer is wanted,
-    # "rho_row" for a rho matrix with a row that is not a list
+    # "rho_row" for a rho matrix with a row that is not a list; conj is a
+    # generator name or a table label, not the text of a permutation or an
+    # integer; p above MAX_P is refused before PGL2(F_p) is enumerated
+    table_01 = {"type": "table", "elements": ["0", "1"], "identity": "0",
+                "table": {"0": {"0": "0", "1": "1"}, "1": {"0": "1", "1": "0"}},
+                "generators": {"a": "1"}}
     docs = {
         "table_shapes": malformed_table_models,
         "booleans": boolean_models,
         "rho_row": {"rho_row": dict(GOOD_MODEL, rho={"s": [[0, 1], 5]})},
+        "conj_tuple_text": {"conj_tuple_text": dict(GOOD_MODEL, conj="(1, 0)")},
+        "conj_integer": {"conj_integer": {"p": 3, "group": table_01, "rho": {"a": [[0, 1], [1, 0]]},
+                                          "chi": {"a": 2}, "conj": 1}},
+        "p_above_max": {"p_above_max": dict(GOOD_MODEL, p=37, chi={"s": 36})},
     }
     paths = [path]
     if path in docs:
@@ -397,6 +408,8 @@ TWO_ERROR_MODEL = {
                      id="k_parity"),
         pytest.param(["twist-plan", "4", "3", "{dir}/good.json", "--k", "x"], EXIT_USAGE,
                      "error: --k must be comma-separated integers, got 'x'\n", id="non_integer_k"),
+        pytest.param(["structure", "3", "37"], EXIT_USAGE,
+                     "error: structure needs p at most 31, got 37\n", id="structure_p_above_max"),
         pytest.param(["scan", "--max-n", "1001"], EXIT_USAGE,
                      "error: --max-n must be at most 1000, got 1001\n", id="scan_max_n"),
         pytest.param(["scan", "--max-n", "1", "--max-p", "1000000000000"], EXIT_USAGE,

@@ -302,7 +302,7 @@ def _reference_of(group):
 
 
 def test_check_cocycle_on_perturbations_matches_reference_group(perturbations):
-    # is_homomorphism through check_cocycle's semidirect product, on the
+    # is_homomorphism through check_cocycle's untwisting into PGL2 x Z/2, on the
     # perturbation fixture's cochains over the groups of order <= 6
     rejected = 0
     for m in model_corpus(3):

@@ -1,5 +1,6 @@
 """Twisting cocycles, cohomology witnesses, centralizer verdicts and twist
 plans, with the whole-group checks kept as reference oracles."""
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -24,6 +25,7 @@ from modtwist.twists import (
     cohomologous,
     eta,
     model_corpus,
+    _untwisted,
     rho_star,
     twist_plan,
 )
@@ -142,6 +144,20 @@ def test_cohomologous_matches_whole_group_reference(p):
         assert wit == reference_cohomologous(xi, xi_p), (m.group.name, p)
         found += wit is not None
     assert found > 0
+
+
+def test_cohomologous_matches_reference_across_models():
+    # pairs over one group and one rho with different chi: c2 must be
+    # untwisted by c1's eps, as the reference twists by it
+    pairs = 0
+    for m1, m2 in itertools.combinations(CORPUS, 2):
+        if (m2.group is not m1.group or m2.rho != m1.rho or m2.chi == m1.chi
+                or m2.det_is_epsilon() != m1.det_is_epsilon()):
+            continue
+        xi, xi_p = build_xi(m1), build_xi(m2, "primed")
+        assert cohomologous(xi, xi_p) == reference_cohomologous(xi, xi_p), m1.group.name
+        pairs += 1
+    assert pairs == 156
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -359,13 +375,17 @@ def test_twist_plan_rejects_wrong_characteristic():
 
 
 def test_twist_value_conjugation():
+    # the untwisting by a model's eps: hat(V) on the right where eps = -1,
+    # the value unchanged elsewhere, w-bits untouched
     m = next(
-        mm for mm in CORPUS if any(mm.epsilon(s) == -1 for s in mm.group.elements)
+        mm for mm in COMPATIBLE if any(mm.epsilon(s) == -1 for s in mm.group.elements)
     )
-    xi = build_xi(m)
-    sigma = next(s for s in m.group.elements if m.epsilon(s) == -1)
-    tau = next(s for s in m.group.elements if m.epsilon(s) == 1)
-    g = ProjMat(1, 1, 0, 1, 3)
+    xi = build_xi(m, k_char={s: m.epsilon(s) for s in m.group.elements})
     hv = v_matrix(xi.p, xi.v).hat()
-    assert xi.twist(sigma, (g, 0)) == (hv * g * hv, 0)
-    assert xi.twist(tau, (g, 0)) == (g, 0)
+    f = _untwisted(xi, m, m.group.elements)
+    assert f.keys() == xi.values.keys()
+    for s, (g, w) in xi.values.items():
+        assert f[s] == ((g * hv, w) if m.epsilon(s) == -1 else (g, w)), s
+    assert f[m.group.identity][0].is_identity()
+    gens = m.group.generators()
+    assert _untwisted(xi, m, gens) == {s: f[s] for s in gens}
