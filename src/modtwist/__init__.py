@@ -53,7 +53,6 @@ from .projgroup import (
     MatGroup,
     ProjMat,
     centralizer,
-    closure,
     in_psl2,
     pgl2,
     psl2,

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from .arith import Level, invariant, least_nonsquare, lift_sqrt_mod_p2
-from .projgroup import MatGroup, ProjMat, closure, in_psl2, pgl2, spanning_tree
+from .projgroup import MatGroup, ProjMat, in_psl2, pgl2, pgl2_index, right_table, spanning_tree
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class WGroupReport:
     structure: str  # "DirectProduct" or "FullPGL2"
     v: int  # non-square used for V (non-cyclotomic: N^-1 mod p)
     generators: dict
-    image_group: MatGroup  # closure of the mod-p reductions
+    image_group: MatGroup  # generated by the mod-p reductions
     central_involution: IntMat | None  # Z_N in the cyclotomic case
     central_involution_reduction: ProjMat | None  # its (scalar) reduction
 
@@ -104,7 +104,11 @@ def wgroup(level: Level) -> WGroupReport:
     """Compute W(N, p) and its structure invariants."""
     N, p = level.N, level.p
     gens = build_generators(level)
-    image = closure(m.reduce(p) for m in gens.values())
+    reductions = tuple(m.reduce(p) for m in gens.values())
+    elems, index = pgl2_index(p)
+    tree = spanning_tree(index[ProjMat.identity(p)], dict(enumerate(map(right_table, reductions))),
+                         lambda k, r: r[k])
+    image = MatGroup(p, frozenset(elems[k] for k in tree), reductions)
     full_order = p * (p * p - 1)
     z = gens.get("Z_N")
     zred = None if z is None else z.reduce(p)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import Level, is_prime, kronecker
-from .projgroup import ProjMat, pgl2_index, right_table, spanning_tree
+from .projgroup import ProjMat, pgl2_index, power_tables, right_table, spanning_tree
 
 MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
 
@@ -306,9 +306,8 @@ def classify(level: Level) -> Case:
 
 def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
     """All homomorphisms group -> PGL2(F_p), in ``itertools.product`` order
-    over the generator images whose order divides the generator's, each
-    image taken as its ``projgroup.right_table``."""
-    one = ProjMat.identity(p)
+    over the generator images whose order (``projgroup.power_tables``)
+    divides the generator's, each image taken as its ``right_table``."""
     elems, index = pgl2_index(p)
     images = {}
     for name in group.generator_names():
@@ -317,8 +316,8 @@ def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
         while x != group.identity:
             x = group.mul(x, elem)
             n += 1
-        images[name] = [right_table(g) for g in elems if g ** n == one]
-    return _homs_from_tables(group, images, elems, index[one])
+        images[name] = [right_table(g) for g, k in zip(elems, power_tables(p)[1]) if n % k == 0]
+    return _homs_from_tables(group, images, elems, index[ProjMat.identity(p)])
 
 
 def all_quadratic_characters(group: FiniteGroup) -> list[dict]:

@@ -8,15 +8,16 @@ of square determinant class.  The prime p is checked where it enters (levels
 and model files), not on every matrix.
 
 ``spanning_tree`` is the one breadth-first search of a Cayley graph, here and
-for ``galmodel.FiniteGroup``: ``closure`` is its vertex set, and ``pgl2(p)``
-is the closure of T, U and V.
+for ``galmodel.FiniteGroup``: ``pgl2(p)`` is the vertex set of its tree for T,
+U and V, and ``extgroup.wgroup`` walks it over indices with right tables.
 
 Sweeps over all of PGL2(F_p) move indices: ``pgl2_index(p)`` numbers the
 sorted elements, and ``right_table(g)``, cached, is right multiplication by
 g as a permutation of those numbers (the right regular representation), so
 R_(gh) is s -> R_h[R_g[s]]: T, U and V take |G| products, and any other g,
 x * gen in the spanning tree whose parents ``pgl2(p)`` keeps, the |G| lookups
-R_gen[R_x[s]].
+R_gen[R_x[s]].  With inversion from ``power_tables(p)``, left multiplication
+is L_h = inv R_(h^-1) inv, and the centralizer of x is where R_x and L_x agree.
 """
 from __future__ import annotations
 
@@ -102,10 +103,6 @@ class ProjMat:
         a, b, c, d = self.rep
         return ProjMat(d, c, b, a, self.p)
 
-    def transpose(self) -> "ProjMat":
-        a, b, c, d = self.rep
-        return ProjMat(a, c, b, d, self.p)
-
     def is_identity(self) -> bool:
         return self.rep == (1, 0, 0, 1)
 
@@ -117,7 +114,7 @@ def in_psl2(g: ProjMat) -> bool:
 @dataclass(frozen=True)
 class MatGroup:
     """A finite set of ProjMat closed under multiplication, with generators
-    and, from ``closure``, each element's parent in their spanning tree."""
+    and, from ``pgl2``, each element's parent in their spanning tree."""
 
     p: int
     elements: frozenset
@@ -160,24 +157,13 @@ def spanning_tree(identity, gens: dict, mul, max_order: int | None = None) -> di
     return tree
 
 
-def closure(gens: Iterable[ProjMat]) -> MatGroup:
-    """Subgroup generated by ``gens``: the vertices of their spanning tree."""
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("closure: need at least one generator")
-    p = gens[0].p
-    for g in gens:
-        if g.p != p:
-            raise ValueError("closure: mixed characteristics")
-    tree = spanning_tree(ProjMat.identity(p), dict(enumerate(gens)), operator.mul)
-    return MatGroup(p, frozenset(tree), gens, {y: edge and edge[0] for y, edge in tree.items()})
-
-
 @lru_cache(maxsize=None)
 def pgl2(p: int) -> MatGroup:
-    """The full group PGL2(F_p), generated by T, U and V (v the least
-    non-square mod p)."""
-    full = closure((t_matrix(p), u_matrix(p), v_matrix(p)))
+    """The full group PGL2(F_p): the vertices of the spanning tree of T, U and
+    V (v the least non-square mod p), with their parents."""
+    gens = (t_matrix(p), u_matrix(p), v_matrix(p))
+    tree = spanning_tree(ProjMat.identity(p), dict(enumerate(gens)), operator.mul)
+    full = MatGroup(p, frozenset(tree), gens, {y: edge and edge[0] for y, edge in tree.items()})
     invariant(full.order == p * (p * p - 1), f"|PGL2(F_{p})| != p(p^2-1)")
     return full
 
@@ -185,8 +171,7 @@ def pgl2(p: int) -> MatGroup:
 @lru_cache(maxsize=None)
 def psl2(p: int) -> MatGroup:
     """The subgroup PSL2(F_p) of classes with square determinant."""
-    full = pgl2(p)
-    elems = frozenset(g for g in full.elements if g.det_class == 1)
+    elems = frozenset(g for g in pgl2(p).elements if g.det_class == 1)
     invariant(len(elems) == p * (p * p - 1) // 2, f"|PSL2(F_{p})| != p(p^2-1)/2")
     return MatGroup(p, elems, (t_matrix(p), u_matrix(p)))
 
@@ -228,16 +213,38 @@ def right_table(g: ProjMat) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _element_centralizer(x: ProjMat, p: int) -> frozenset:
-    return frozenset(g for g in pgl2(p).elements if g * x == x * g)
+def power_tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Inversion and orders on the indexed PGL2(F_p), read off the powers of
+    each element (not off right tables, which would take every element's):
+    entry i is the index of elements[i]^-1, its last power before 1, and the
+    order of elements[i]."""
+    elems, index = pgl2_index(p)
+    inverse, orders = [], []
+    for g in elems:
+        n, x, last = 1, g, g
+        while not x.is_identity():
+            n, x, last = n + 1, x * g, x
+        inverse.append(index[last])
+        orders.append(n)
+    return tuple(inverse), tuple(orders)
+
+
+def left_table(g: ProjMat) -> tuple[int, ...]:
+    """Left multiplication by g on the indexed PGL2(F_p): entry i is the
+    index of g * elements[i], read as inv R_(g^-1) inv."""
+    elems, index = pgl2_index(g.p)
+    inv = power_tables(g.p)[0]
+    r = right_table(elems[inv[index[g]]])
+    return tuple(inv[r[j]] for j in inv)
 
 
 def centralizer(s: Iterable[ProjMat], p: int) -> MatGroup:
-    """Centralizer of the set ``s`` inside PGL2(F_p): the cached one of its
-    first element (only that: caching a whole group costs |G|^2 products),
-    cut down by the others."""
-    s = tuple(s)
-    elems = _element_centralizer(s[0], p) if s else pgl2(p).elements
-    elems = frozenset(g for g in elems if all(g * x == x * g for x in s[1:]))
-    return MatGroup(p, elems, tuple(sorted(elems)))
-
+    """Centralizer of the set ``s`` inside PGL2(F_p): the indices k with
+    R_x[k] = L_x[k] for every x in ``s``, cut down one x at a time."""
+    elems = pgl2_index(p)[0]
+    ks = range(len(elems))
+    for x in s:
+        r, l = right_table(x), left_table(x)
+        ks = [k for k in ks if r[k] == l[k]]
+    cen = tuple(elems[k] for k in ks)
+    return MatGroup(p, frozenset(cen), cen)

@@ -17,18 +17,20 @@ is conjugation by eta(s), eta a homomorphism, so xi is a cocycle exactly when
 its untwisting s -> xi(s) * eta(s) is a homomorphism, and c is a cohomology
 witness exactly when c * (xi' eta)(s) = (xi eta)(s) * c (Serre, Galois
 Cohomology, I.5.3).  The centralizer of the image of rho is that of the
-images of the generators.
+images of the generators.  Inside, values are indices into the sorted PGL2(F_p)
+(h * g is R_g[index(h)]); at the boundary they are ``ProjMat``s, read off by index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .arith import Level, invariant, least_nonsquare
 from .curves import genus_XNp, xplus_verdict
 from .galmodel import (
     FiniteGaloisModel,
-    FiniteGroup,
     all_homs_to_pgl2,
     all_quadratic_characters,
     classify,
@@ -36,7 +38,8 @@ from .galmodel import (
     klein_four,
     symmetric_group,
 )
-from .projgroup import ProjMat, centralizer, pgl2, psl2, v_matrix
+from .projgroup import (ProjMat, centralizer, left_table, pgl2_index, power_tables,
+                        right_table, v_matrix)
 
 
 class Ambient(Enum):
@@ -58,15 +61,18 @@ class Cocycle:
         return self.model.p
 
 
+@lru_cache(maxsize=None)
+def _hat_v(p: int, v: int) -> ProjMat:
+    return v_matrix(p, v).hat()
+
+
 def _untwisted(c: Cocycle, m: FiniteGaloisModel, elements) -> dict:
-    """s -> (c(s) * eta(s), w(s)) on the given elements, eta read from m's
-    eps: c's value times hat(V) where eps(s) = -1, unchanged elsewhere."""
-    hv = v_matrix(c.p, c.v).hat()
-    out = {}
-    for s in elements:
-        g, w = c.values[s]
-        out[s] = (g * hv, w) if m.epsilon(s) == -1 else (g, w)
-    return out
+    """s -> (index of c(s) * eta(s), w(s)) on the given elements, eta read
+    from m's eps: R_hat(V) moves c's value where eps(s) = -1."""
+    index = pgl2_index(c.p)[1]
+    rh = right_table(_hat_v(c.p, c.v))
+    pairs = ((s, *c.values[s]) for s in elements)
+    return {s: (rh[index[g]] if m.epsilon(s) == -1 else index[g], w) for s, g, w in pairs}
 
 
 def check_cocycle(c: Cocycle) -> bool:
@@ -77,11 +83,12 @@ def check_cocycle(c: Cocycle) -> bool:
     cocycle exactly when its untwisting s -> (xi(s) * eta(s), w(s)) is a
     homomorphism into PGL2 x Z/2 (Serre, Galois Cohomology, I.5.3), which
     ``FiniteGroup.is_homomorphism`` decides on the |G|*|gens| Cayley-graph
-    edges.  ValueError on a group without generators.
+    edges, on indices.  ValueError on a group without generators.
     """
     grp = c.model.group
+    elems = pgl2_index(c.p)[0]
     return grp.is_homomorphism(_untwisted(c, c.model, grp.elements),
-                               lambda x, y: (x[0] * y[0], (x[1] + y[1]) % 2))
+                               lambda x, y: (right_table(elems[y[0]])[x[0]], (x[1] + y[1]) % 2))
 
 
 def eta(m: FiniteGaloisModel, v: int | None = None) -> Cocycle:
@@ -89,24 +96,23 @@ def eta(m: FiniteGaloisModel, v: int | None = None) -> Cocycle:
     eps = -1 (a homomorphism to an order-2 subgroup, hence a cocycle)."""
     if v is None:
         v = least_nonsquare(m.p)
-    hv = v_matrix(m.p, v).hat()
-    one = ProjMat.identity(m.p)
+    one, hv = ProjMat.identity(m.p), _hat_v(m.p, v)
     values = {s: (one if m.epsilon(s) == 1 else hv, 0) for s in m.group.elements}
     return Cocycle(model=m, ambient=Ambient.W_NP, values=values, v=v)
 
 
 def rho_star(m: FiniteGaloisModel, primed: bool = False, v: int | None = None) -> dict:
-    """rho*(s) = transpose(rho(s^-1)); primed variant conjugates by hat(V)."""
+    """rho*(s) = transpose(rho(s^-1)); primed variant conjugates by hat(V).
+    On indices: transpose(g) = J g^-1 J with J = [[0, 1], [-1, 0]], and
+    c g c for an involution c is R_c after L_c = inv R_c inv."""
     if v is None:
         v = least_nonsquare(m.p)
-    hv = v_matrix(m.p, v).hat()
-    out = {}
-    for s in m.group.elements:
-        g = m.rho[m.group.inv(s)].transpose()
-        if primed:
-            g = hv * g * hv
-        out[s] = g
-    return out
+    elems, index = pgl2_index(m.p)
+    inv = power_tables(m.p)[0]
+    rj = right_table(ProjMat(0, 1, -1, 0, m.p))
+    rh = right_table(_hat_v(m.p, v))
+    star = (rj[inv[rj[index[m.rho[m.group.inv(s)]]]]] for s in m.group.elements)
+    return {s: elems[rh[inv[rh[inv[k]]]] if primed else k] for s, k in zip(m.group.elements, star)}
 
 
 def build_xi(
@@ -126,20 +132,16 @@ def build_xi(
         raise ValueError(f"build_xi: unknown variant {variant!r}")
     if v is None:
         v = least_nonsquare(m.p)
+    elems, index = pgl2_index(m.p)
     star = rho_star(m, primed=(variant == "primed"), v=v)
     et = eta(m, v=v)
     cyclotomic_compatible = m.det_is_epsilon()
     if k_char is not None and not cyclotomic_compatible:
         raise ValueError("build_xi: chi_k components require det rho = eps (cyclotomic)")
-    values = {}
-    for s in m.group.elements:
-        g = star[s] * et.values[s][0]
-        w = 0
-        if k_char is not None:
-            if k_char[s] not in (1, -1):
-                raise ValueError("build_xi: chi_k must be +-1 valued")
-            w = 0 if k_char[s] == 1 else 1
-        values[s] = (g, w)
+    if k_char is not None and any(k_char[s] not in (1, -1) for s in m.group.elements):
+        raise ValueError("build_xi: chi_k must be +-1 valued")
+    values = {s: (elems[right_table(et.values[s][0])[index[star[s]]]],
+                  int(k_char is not None and k_char[s] == -1)) for s in m.group.elements}
     ambient = Ambient.G_NP if cyclotomic_compatible else Ambient.W_NP
     invariant(ambient is Ambient.W_NP or all(g.det_class == 1 for g, _ in values.values()),
               "build_xi: a G(N,p) cocycle must take values in PSL2")
@@ -152,10 +154,11 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
     None.
 
     Untwisted by c1's eta, that is c * (c2 eta)(s) = (c1 eta)(s) * c with
-    equal w-bits (Serre, Galois Cohomology, I.5.3).  The witness ranges over
-    the ambient group in sorted order: PSL2 for G(N,p), PGL2 for W(N,p).  For
-    c1, c2 cocycles under that twist and eps a homomorphism, the s where this
-    holds form a subgroup, so each candidate is checked on the generators.
+    equal w-bits (Serre, Galois Cohomology, I.5.3): R_(c2 eta)(s)[k] =
+    L_(c1 eta)(s)[k] on indices.  The witness ranges over the ambient group
+    in sorted order: PSL2 for G(N,p), PGL2 for W(N,p).  For c1, c2 cocycles
+    under that twist and eps a homomorphism, the s where this holds form a
+    subgroup, so the candidates are cut down on each generator in turn.
     ValueError on a group without generators.
     """
     if c1.model is not c2.model and c1.model.group is not c2.model.group:
@@ -164,11 +167,12 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
         raise ValueError("cohomologous: mismatched ambients")
     gens = c1.model.group.generators()
     f1, f2 = (_untwisted(c, c1.model, gens) for c in (c1, c2))
-    pool = psl2(c1.p) if c1.ambient is Ambient.G_NP else pgl2(c1.p)
-    for cand in sorted(pool.elements):
-        if all(f1[s][1] == f2[s][1] and cand * f2[s][0] == f1[s][0] * cand for s in gens):
-            return (cand, 0)
-    return None
+    elems = pgl2_index(c1.p)[0]
+    cands = [k for k, g in enumerate(elems) if c1.ambient is Ambient.W_NP or g.det_class == 1]
+    for s in gens:
+        r, l = right_table(elems[f2[s][0]]), left_table(elems[f1[s][0]])
+        cands = [k for k in cands if f1[s][1] == f2[s][1] and r[k] == l[k]]
+    return (elems[cands[0]], 0) if cands else None
 
 
 class CentralizerVerdict(Enum):
@@ -184,7 +188,7 @@ def centralizer_verdict(m: FiniteGaloisModel) -> CentralizerVerdict:
     cen = centralizer((m.rho[g] for g in m.group.generators()), m.p)
     if cen.order == 1:
         return CentralizerVerdict.TRIVIAL
-    if cen.elements <= psl2(m.p).elements:
+    if all(g.det_class == 1 for g in cen.elements):
         return CentralizerVerdict.NONTRIVIAL_IN_PSL2
     return CentralizerVerdict.NONTRIVIAL_OUTSIDE_PSL2
 
@@ -289,28 +293,15 @@ def twist_plan(
 # ---------------------------------------------------------------------------
 
 
-def _chi_from_epsilon(group: FiniteGroup, eps: dict, p: int) -> dict:
-    """A chi with quadratic residue character eps: send -1 to a fixed
-    non-square and +1 to 1."""
-    ns = least_nonsquare(p)
-    return {s: (1 if eps[s] == 1 else ns) for s in group.elements}
-
-
 def model_corpus(p: int = 3) -> list[FiniteGaloisModel]:
     """All models (rho, eps) with group among C2, C2 x C2, S3, S4 and rho any
-    homomorphism to PGL2(F_p), eps any quadratic character."""
+    homomorphism to PGL2(F_p), eps any quadratic character, read as the chi
+    sending eps = -1 to the least non-square and +1 to 1."""
+    ns = least_nonsquare(p)
     out = []
     for grp in (cyclic_group(2), klein_four(), symmetric_group(3), symmetric_group(4)):
-        homs = all_homs_to_pgl2(grp, p)
-        chars = all_quadratic_characters(grp)
-        for rho in homs:
-            for eps in chars:
-                m = FiniteGaloisModel(
-                    group=grp,
-                    p=p,
-                    rho=dict(rho),
-                    chi=_chi_from_epsilon(grp, eps, p),
-                )
-                out.append(m)
+        for rho, eps in itertools.product(all_homs_to_pgl2(grp, p), all_quadratic_characters(grp)):
+            chi = {s: (1 if eps[s] == 1 else ns) for s in grp.elements}
+            out.append(FiniteGaloisModel(group=grp, p=p, rho=dict(rho), chi=chi))
     return out
 

@@ -1,9 +1,12 @@
-"""Shared test helpers: generator words, conjugacy classes, the cocycle
-perturbations and their check, the order-18 table groups, malformed
-table-group model files and model files with booleans for integers."""
+"""Shared test helpers: generator words, conjugacy classes, subgroup
+closures, the cocycle perturbations and their check, the order-18 table
+groups, malformed table-group model files and model files with booleans for
+integers."""
+import operator
+
 import pytest
 
-from modtwist.projgroup import pgl2
+from modtwist.projgroup import MatGroup, ProjMat, pgl2, spanning_tree
 from modtwist.twists import Cocycle, check_cocycle
 
 
@@ -33,6 +36,21 @@ def conjugacy_class():
     """``_conjugacy_class``, the reference for the single-class verdict of
     ``involutions_extending_wN``."""
     return _conjugacy_class
+
+
+def _closure(gens) -> MatGroup:
+    """The subgroup generated by ``gens``: the vertices of their spanning
+    tree under ``ProjMat`` products."""
+    gens = tuple(gens)
+    p = gens[0].p
+    return MatGroup(p, frozenset(spanning_tree(ProjMat.identity(p), dict(enumerate(gens)),
+                                               operator.mul)), gens)
+
+
+@pytest.fixture
+def closure():
+    """``_closure``, the product-by-product reference for subgroups of PGL2."""
+    return _closure
 
 
 def _perturbations(c: Cocycle, s):

@@ -10,7 +10,7 @@ from modtwist.extgroup import (
     verify_relations,
     wgroup,
 )
-from modtwist.projgroup import ProjMat, centralizer, closure, pgl2, psl2
+from modtwist.projgroup import ProjMat, centralizer, pgl2, psl2
 
 CYCLOTOMIC_LEVELS = [(4, 3), (7, 3), (4, 5), (6, 5), (9, 5), (2, 7), (4, 7)]
 NON_CYCLOTOMIC_LEVELS = [(2, 3), (5, 3), (8, 3), (2, 5), (3, 5), (3, 7), (5, 7)]
@@ -96,7 +96,7 @@ def test_involutions_extending_wN(N, p, conjugacy_class):
 
 
 @pytest.mark.parametrize("N,p", CYCLOTOMIC_LEVELS + NON_CYCLOTOMIC_LEVELS)
-def test_gnp_image_is_psl2(N, p):
+def test_gnp_image_is_psl2(N, p, closure):
     # the mod-p image of G(N,p) = <T_N, U_N>
     gens = build_generators(Level(N, p))
     grp = closure((gens["T_N"].reduce(p), gens["U_N"].reduce(p)))
@@ -118,3 +118,15 @@ def test_wgroup_example_4_3():
     # congruence-trivial matrix
     assert z.reduce(3).is_identity()
     assert z.det == 4
+
+
+# the levels of acceptance 9: p <= 13 and N <= 20 prime to p
+ACCEPTANCE_9_LEVELS = [(N, p) for p in (3, 5, 7, 11, 13) for N in range(2, 21) if N % p]
+
+
+def test_wgroup_image_is_the_closure_of_the_reductions(closure):
+    # the index walk over right tables against ProjMat products
+    for N, p in ACCEPTANCE_9_LEVELS:
+        rep = wgroup(Level(N, p))
+        reductions = tuple(m.reduce(p) for m in rep.generators.values())
+        assert rep.image_group == closure(reductions), (N, p)

@@ -27,7 +27,7 @@ from modtwist.galmodel import (
     validate_model,
 )
 from modtwist import galmodel
-from modtwist.projgroup import ProjMat, pgl2, spanning_tree, t_matrix
+from modtwist.projgroup import ProjMat, pgl2, right_table, spanning_tree, t_matrix
 from modtwist.twists import build_xi, check_cocycle, model_corpus
 
 STORED_MODELS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "data").glob("models_p*.jsonl"))
@@ -619,6 +619,31 @@ def test_all_quadratic_characters_matches_brute_force(group):
     want = _reference_homs(group, {n: (1, -1) for n in names}, 1)
     assert got == want
     assert [list(f) for f in got] == [list(f) for f in want]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_order_filter_keeps_the_images_of_dividing_order(p, monkeypatch):
+    # the candidates handed to the walk, per generator, are the right tables
+    # of the g with g ** n == 1, n the generator's order, in sorted order
+    seen = []
+    search = galmodel._homs_from_tables
+
+    def recorded(group, images, target, one):
+        seen.append(images)
+        return search(group, images, target, one)
+
+    monkeypatch.setattr(galmodel, "_homs_from_tables", recorded)
+    one = ProjMat.identity(p)
+    for group in SEARCH_GROUPS:
+        all_homs_to_pgl2(group, p)
+        images = seen.pop()
+        assert list(images) == group.generator_names()
+        for name, tables in images.items():
+            x, n = group.gens[name], 1
+            while _power(group, x, n) != group.identity:
+                n += 1
+            want = [right_table(g) for g in sorted(pgl2(p).elements) if g ** n == one]
+            assert tables == want, (group.name, p, name)
 
 
 def test_s3_images_failing_the_braid_relation_give_no_homomorphism():

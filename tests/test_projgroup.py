@@ -10,10 +10,11 @@ from modtwist.projgroup import (
     MatGroup,
     ProjMat,
     centralizer,
-    closure,
     in_psl2,
+    left_table,
     pgl2,
     pgl2_index,
+    power_tables,
     psl2,
     right_table,
     t_matrix,
@@ -104,14 +105,14 @@ def test_pgl2_matches_exhaustive_enumeration(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_psl2_is_generated_by_t_and_u(p):
+def test_psl2_is_generated_by_t_and_u(p, closure):
     grp = closure([t_matrix(p), u_matrix(p)])
     assert grp.order == psl2(p).order
     assert grp.elements == psl2(p).elements
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_v_matrix_adds_nonsquare_det(p):
+def test_v_matrix_adds_nonsquare_det(p, closure):
     vv = v_matrix(p)
     assert vv.det_class == -1
     grp = closure([t_matrix(p), u_matrix(p), vv])
@@ -162,6 +163,20 @@ def test_right_tables_compose(p):
     assert right_table(t_matrix(p) * u_matrix(p)) == tuple(u[i] for i in t)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_power_and_left_tables_are_inverse_order_and_left_product(p):
+    # inverses and orders of every element; left_table of every g at
+    # p <= 7, at p = 11 of T, U, V and every 10th element
+    elems, index = pgl2_index(p)
+    inverse, orders = power_tables(p)
+    assert inverse == tuple(index[g.inverse()] for g in elems)
+    one = ProjMat.identity(p)
+    assert orders == tuple(min(n for n in range(1, p + 2) if g ** n == one) for g in elems)
+    gs = elems if p <= 7 else (t_matrix(p), u_matrix(p), v_matrix(p)) + elems[::10]
+    for g in gs:
+        assert left_table(g) == tuple(index[g * x] for x in elems), g
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_pgl2_center_is_trivial(p):
     assert centralizer(pgl2(p).elements, p).order == 1
@@ -171,8 +186,8 @@ def test_pgl2_center_is_trivial(p):
 @settings(max_examples=60)
 @given(st.sampled_from([3, 5, 7]), st.data())
 def test_centralizer_matches_full_scan(p, data):
-    # the cached centralizer of the first element, cut down by the rest, is
-    # the scan of all of PGL2 against every element
+    # the indices where right and left multiplication by each element agree
+    # are the scan of all of PGL2 against every element
     s = data.draw(st.lists(random_projmats(p), min_size=1, max_size=3))
     want = {g for g in pgl2(p).elements if all(g * x == x * g for x in s)}
     assert centralizer(s, p).elements == want

@@ -13,7 +13,7 @@ from modtwist.galmodel import (
     cyclic_group,
     validate_model,
 )
-from modtwist.projgroup import ProjMat, pgl2, psl2, v_matrix
+from modtwist.projgroup import ProjMat, pgl2, pgl2_index, psl2, v_matrix
 from modtwist.twists import (
     Ambient,
     CentralizerVerdict,
@@ -88,6 +88,23 @@ def reference_centralizer_verdict(image: frozenset, p: int) -> CentralizerVerdic
     return CentralizerVerdict.NONTRIVIAL_OUTSIDE_PSL2
 
 
+def reference_build_xi_values(m, variant, k_char=None):
+    """xi(s) = rho*(s) * eta(s) by ProjMat products: rho*(s) the transpose of
+    rho(s^-1), conjugated by hat(V) when primed, eta(s) = hat(V) where
+    eps(s) = -1; the w-bit 1 where chi_k(s) = -1."""
+    hv = v_matrix(m.p, least_nonsquare(m.p)).hat()
+    out = {}
+    for s in m.group.elements:
+        a, b, c, d = m.rho[m.group.inv(s)].rep
+        g = ProjMat(a, c, b, d, m.p)
+        if variant == "primed":
+            g = hv * g * hv
+        if m.epsilon(s) == -1:
+            g = g * hv
+        out[s] = (g, int(k_char is not None and k_char[s] == -1))
+    return out
+
+
 def _cocycles(m):
     """The plain and primed cocycles, and the chi_k one with k = eps where
     det rho = eps."""
@@ -100,6 +117,22 @@ def _cocycles(m):
 def _with_w_flipped(c, s):
     g, w = c.values[s]
     return Cocycle(model=c.model, ambient=c.ambient, values={**c.values, s: (g, 1 - w)}, v=c.v)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_build_xi_matches_projmat_reference(p):
+    # plain, primed and, where det rho = eps, chi_k = eps: the index walk of
+    # rho_star and build_xi against transposes and products
+    checked = 0
+    for m in CORPORA[p]:
+        kinds = [("plain", None), ("primed", None)]
+        if m.det_is_epsilon():
+            kinds.append(("plain", {s: m.epsilon(s) for s in m.group.elements}))
+        for variant, k_char in kinds:
+            want = reference_build_xi_values(m, variant, k_char)
+            assert build_xi(m, variant, k_char).values == want, (m.group.name, p, variant)
+            checked += 1
+    assert checked > 2 * len(CORPORA[p])
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -376,16 +409,17 @@ def test_twist_plan_rejects_wrong_characteristic():
 
 def test_twist_value_conjugation():
     # the untwisting by a model's eps: hat(V) on the right where eps = -1,
-    # the value unchanged elsewhere, w-bits untouched
+    # the value unchanged elsewhere, w-bits untouched, as PGL2 indices
     m = next(
         mm for mm in COMPATIBLE if any(mm.epsilon(s) == -1 for s in mm.group.elements)
     )
     xi = build_xi(m, k_char={s: m.epsilon(s) for s in m.group.elements})
     hv = v_matrix(xi.p, xi.v).hat()
+    elems, index = pgl2_index(xi.p)
     f = _untwisted(xi, m, m.group.elements)
     assert f.keys() == xi.values.keys()
     for s, (g, w) in xi.values.items():
-        assert f[s] == ((g * hv, w) if m.epsilon(s) == -1 else (g, w)), s
-    assert f[m.group.identity][0].is_identity()
+        assert f[s] == (index[g * hv if m.epsilon(s) == -1 else g], w), s
+    assert elems[f[m.group.identity][0]].is_identity()
     gens = m.group.generators()
     assert _untwisted(xi, m, gens) == {s: f[s] for s in gens}
