@@ -146,6 +146,14 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+@lru_cache(maxsize=None)
+def residue_tables(n: int) -> tuple[tuple, tuple[int, ...]]:
+    """Indexed by the residue x mod n: x^-1 mod n (None off the units), and
+    ``kronecker(x, n)``, which is nonzero exactly on the units."""
+    inverses = tuple(pow(x, -1, n) if math.gcd(x, n) == 1 else None for x in range(n))
+    return inverses, tuple(kronecker(x, n) for x in range(n))
+
+
 def sqrt_mod(a: int, p: int) -> int | None:
     """Least nonnegative square root of a mod the odd prime p, or None.
 

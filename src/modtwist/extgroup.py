@@ -16,11 +16,11 @@ is the index-2 extension by the extra involution w:
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .arith import Level, invariant, least_nonsquare, lift_sqrt_mod_p2
-from .projgroup import MatGroup, ProjMat, in_psl2, pgl2, pgl2_index, right_table, spanning_tree
+from .projgroup import (MatGroup, ProjMat, in_psl2, inverse_table, pgl2, pgl2_index, right_table,
+                        spanning_tree)
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,6 @@ class IntMat:
         )
 
     def reduce(self, p: int) -> ProjMat:
-        if self.det % p == 0:
-            raise ValueError(f"IntMat: determinant {self.det} vanishes mod {p}")
         return ProjMat(self.a, self.b, self.c, self.d, p)
 
     def adj(self) -> "IntMat":
@@ -164,40 +162,42 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
     orbit, since V centralizes itself, so one walk of the spanning tree of
     PSL2 = <T, U> reaches every involution outside PSL2 that is conjugate to
     V; the involutions form a single class exactly when it reaches all.
-    The walk takes T_N, U_N and their inverses as steps and carries the
-    integer word gamma_h of each element h along the tree edges; the first
-    h in breadth-first order gives each reduction its model.
+    The walk steps by the right tables of T_N, U_N and their inverses and
+    carries each vertex's conjugate h^-1 V h as an index; the first vertex to
+    reach an involution multiplies out its word gamma for that model.
     """
     if level.cyclotomic:
         raise ValueError("involutions_extending_wN: non-cyclotomic levels only")
     N, p = level.N, level.p
     gens = build_generators(level)
-    steps = {}
+    steps, rights = {}, {}
     for name in ("T_N", "U_N"):
-        steps[name] = gens[name]
-        steps[name + "^-1"] = gens[name].adj()
-    tree = spanning_tree(
-        ProjMat.identity(p), {name: m.reduce(p) for name, m in steps.items()}, operator.mul
-    )
+        steps.update({name: gens[name], name + "^-1": gens[name].adj()})
+        r = right_table(gens[name].reduce(p))  # R_(s^-1) is r inverted, so it caches no table
+        rights.update({name: r, name + "^-1": sorted(range(len(r)), key=r.__getitem__)})
+    elems, index = pgl2_index(p)
+    inv = inverse_table(p)
+    tree = spanning_tree(index[ProjMat.identity(p)], rights, lambda k, r: r[k])
     invs = frozenset(g for g in pgl2(p).involutions() if not in_psl2(g))
-    words = {}
+    conj = {index[ProjMat.identity(p)]: index[gens["V_N"].reduce(p)]}
     models = {}
+
+    def word(h):  # gamma, the product of the steps along the tree path to h
+        edge = tree[h]
+        return IntMat(1, 0, 0, 1) if edge is None else word(edge[0]) * steps[edge[1]]
+
     for h, edge in tree.items():
-        gamma = IntMat(1, 0, 0, 1) if edge is None else words[edge[0]] * steps[edge[1]]
-        words[h] = gamma
-        m = gamma.adj() * gens["V_N"] * gamma
-        g = m.reduce(p)
+        if edge is not None:
+            r = rights[edge[1]]
+            conj[h] = r[inv[r[inv[conj[edge[0]]]]]]  # s^-1 c s
+        g = elems[conj[h]]
         if g not in models:
-            invariant(
-                m.det == N and g in invs,
-                f"involutions_extending_wN: {m} is not a model of determinant N of an involution outside PSL2",
-            )
+            gamma = word(h)
+            m = gamma.adj() * gens["V_N"] * gamma
+            invariant(m.det == N and g in invs and m.reduce(p) == g,
+                      f"involutions_extending_wN: {m} is no determinant-N model of {g} outside PSL2")
             models[g] = m
     missing = invs - models.keys()
     invariant(not missing, f"involutions_extending_wN: no integer model for {sorted(missing)}")
-    return InvolutionReport(
-        level=level,
-        involutions=invs,
-        single_conjugacy_class=models.keys() == invs,
-        integer_models=models,
-    )
+    return InvolutionReport(level=level, involutions=invs, single_conjugacy_class=models.keys() == invs,
+                            integer_models=models)

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arith import Level, is_prime, kronecker
-from .projgroup import ProjMat, pgl2_index, power_tables, right_table, spanning_tree
+from .arith import Level, is_prime, residue_tables
+from .projgroup import ProjMat, order_table, pgl2_index, right_table, spanning_tree
 
 MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
 
@@ -237,8 +237,8 @@ class FiniteGaloisModel:
 
     def epsilon(self, sigma) -> int:
         """The quadratic residue character of chi: the mod-p cyclotomic
-        parity of sigma."""
-        return kronecker(self.chi[sigma], self.p)
+        parity of sigma, read from ``arith.residue_tables`` on every call."""
+        return residue_tables(self.p)[1][self.chi[sigma] % self.p]
 
     def det_class(self, sigma) -> int:
         return self.rho[sigma].det_class
@@ -306,7 +306,7 @@ def classify(level: Level) -> Case:
 
 def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
     """All homomorphisms group -> PGL2(F_p), in ``itertools.product`` order
-    over the generator images whose order (``projgroup.power_tables``)
+    over the generator images whose order (``projgroup.order_table``)
     divides the generator's, each image taken as its ``right_table``."""
     elems, index = pgl2_index(p)
     images = {}
@@ -316,7 +316,7 @@ def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
         while x != group.identity:
             x = group.mul(x, elem)
             n += 1
-        images[name] = [right_table(g) for g, k in zip(elems, power_tables(p)[1]) if n % k == 0]
+        images[name] = [right_table(g) for g, k in zip(elems, order_table(p)) if n % k == 0]
     return _homs_from_tables(group, images, elems, index[ProjMat.identity(p)])
 
 

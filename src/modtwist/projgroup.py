@@ -5,7 +5,8 @@ invertible 2x2 matrix modulo scalars, stored as its canonical representative
 (first nonzero entry in row-major order scaled to 1) plus the square class of
 the determinant, which is well defined mod scalars.  PSL2(F_p) is the subgroup
 of square determinant class.  The prime p is checked where it enters (levels
-and model files), not on every matrix.
+and model files), not on every matrix; a matrix reads the per-p
+``arith.residue_tables`` where it would invert or take a symbol.
 
 ``spanning_tree`` is the one breadth-first search of a Cayley graph, here and
 for ``galmodel.FiniteGroup``: ``pgl2(p)`` is the vertex set of its tree for T,
@@ -16,8 +17,9 @@ sorted elements, and ``right_table(g)``, cached, is right multiplication by
 g as a permutation of those numbers (the right regular representation), so
 R_(gh) is s -> R_h[R_g[s]]: T, U and V take |G| products, and any other g,
 x * gen in the spanning tree whose parents ``pgl2(p)`` keeps, the |G| lookups
-R_gen[R_x[s]].  With inversion from ``power_tables(p)``, left multiplication
-is L_h = inv R_(h^-1) inv, and the centralizer of x is where R_x and L_x agree.
+R_gen[R_x[s]].  With inversion ``inverse_table(p)``, left multiplication is
+L_h = inv R_(h^-1) inv, conjugation h^-1 c h is R_h[inv[R_h[inv[c]]]], and
+the centralizer of x is where R_x and L_x agree.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import invariant, kronecker, least_nonsquare
+from .arith import invariant, kronecker, least_nonsquare, residue_tables
 
 # model files and ``structure`` enumerate all p^3 - p elements of PGL2(F_p):
 # ``structure 3 31`` takes about 1 s and 42 MB, ``structure 2 61`` 13 s and 221 MB
@@ -36,26 +38,42 @@ MAX_P = 31
 class ProjMat:
     """Class of an invertible 2x2 matrix over F_p modulo scalars.
 
-    The canonical representative has its first nonzero row-major entry equal
-    to 1.  ``det_class`` is +1 or -1, the Legendre symbol of any
-    representative's determinant.
+    The canonical representative has its first nonzero row-major entry (a
+    or b) equal to 1; ``det_class`` is the Legendre symbol of any
+    representative's determinant, +1 or -1; both read ``residue_tables(p)``.
+    Products, inverses and hats take the class in closed form (a nonzero
+    symbol marks a unit, and units multiply to units) and skip the
+    singularity check.  A composite modulus constructs too, with the Jacobi
+    symbol as class (0 off the units); ValueError on a singular matrix or a
+    leading entry that is not a unit.
     """
 
     __slots__ = ("rep", "p", "det_class", "_hash")
 
     def __init__(self, a: int, b: int, c: int, d: int, p: int):
-        a, b, c, d = a % p, b % p, c % p, d % p
         det = (a * d - b * c) % p
         if det == 0:
-            raise ValueError(f"ProjMat: singular matrix {(a, b, c, d)} mod {p}")
-        for x in (a, b, c, d):
-            if x:
-                s = pow(x, -1, p)
-                break
+            raise ValueError(f"ProjMat: singular matrix {(a % p, b % p, c % p, d % p)} mod {p}")
+        self._set(a, b, c, d, p, residue_tables(p)[1][det])
+
+    def _set(self, a: int, b: int, c: int, d: int, p: int, det_class: int) -> None:
+        """Canonical form of the nonsingular (a, b, c, d) mod p."""
+        a, b, c, d = a % p, b % p, c % p, d % p
+        s = residue_tables(p)[0][a or b]
+        if s is None:
+            raise ValueError(f"ProjMat: leading entry of {(a, b, c, d)} is not a unit mod {p}")
         self.rep = (a * s % p, b * s % p, c * s % p, d * s % p)
         self.p = p
-        self.det_class = kronecker(det, p)
+        self.det_class = det_class
         self._hash = hash((self.rep, p))
+
+    def _derived(self, a: int, b: int, c: int, d: int, det_class: int) -> "ProjMat":
+        """(a, b, c, d) mod self.p, of known det class; 0 takes the full check."""
+        if not det_class:
+            return ProjMat(a, b, c, d, self.p)
+        g = ProjMat.__new__(ProjMat)
+        g._set(a, b, c, d, self.p, det_class)
+        return g
 
     @classmethod
     def identity(cls, p: int) -> "ProjMat":
@@ -79,11 +97,12 @@ class ProjMat:
             raise ValueError("ProjMat: mixed characteristics")
         a, b, c, d = self.rep
         e, f, g, h = other.rep
-        return ProjMat(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, self.p)
+        return self._derived(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
+                             self.det_class * other.det_class)
 
     def inverse(self) -> "ProjMat":
         a, b, c, d = self.rep
-        return ProjMat(d, -b, -c, a, self.p)
+        return self._derived(d, -b, -c, a, self.det_class)
 
     def __pow__(self, n: int) -> "ProjMat":
         if n < 0:
@@ -101,7 +120,7 @@ class ProjMat:
         """The involution (a, b, c, d) -> (d, c, b, a), conjugation by
         [[0, 1], [1, 0]]; it is multiplicative."""
         a, b, c, d = self.rep
-        return ProjMat(d, c, b, a, self.p)
+        return self._derived(d, c, b, a, self.det_class)
 
     def is_identity(self) -> bool:
         return self.rep == (1, 0, 0, 1)
@@ -213,27 +232,32 @@ def right_table(g: ProjMat) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def power_tables(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inversion and orders on the indexed PGL2(F_p), read off the powers of
-    each element (not off right tables, which would take every element's):
-    entry i is the index of elements[i]^-1, its last power before 1, and the
-    order of elements[i]."""
+def inverse_table(p: int) -> tuple[int, ...]:
+    """Inversion on the indexed PGL2(F_p): entry i is the index of
+    elements[i]^-1, the class of the adjugate (d, -b, -c, a)."""
     elems, index = pgl2_index(p)
-    inverse, orders = [], []
-    for g in elems:
-        n, x, last = 1, g, g
+    return tuple(index[g.inverse()] for g in elems)
+
+
+@lru_cache(maxsize=None)
+def order_table(p: int) -> tuple[int, ...]:
+    """Orders on the indexed PGL2(F_p), read off the powers of each element
+    (not off right tables, which would take every element's): entry i is
+    the order of elements[i]."""
+    orders = []
+    for g in pgl2_index(p)[0]:
+        n, x = 1, g
         while not x.is_identity():
-            n, x, last = n + 1, x * g, x
-        inverse.append(index[last])
+            n, x = n + 1, x * g
         orders.append(n)
-    return tuple(inverse), tuple(orders)
+    return tuple(orders)
 
 
 def left_table(g: ProjMat) -> tuple[int, ...]:
     """Left multiplication by g on the indexed PGL2(F_p): entry i is the
     index of g * elements[i], read as inv R_(g^-1) inv."""
     elems, index = pgl2_index(g.p)
-    inv = power_tables(g.p)[0]
+    inv = inverse_table(g.p)
     r = right_table(elems[inv[index[g]]])
     return tuple(inv[r[j]] for j in inv)
 

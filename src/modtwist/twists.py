@@ -38,7 +38,7 @@ from .galmodel import (
     klein_four,
     symmetric_group,
 )
-from .projgroup import (ProjMat, centralizer, left_table, pgl2_index, power_tables,
+from .projgroup import (ProjMat, centralizer, inverse_table, left_table, pgl2_index,
                         right_table, v_matrix)
 
 
@@ -108,7 +108,7 @@ def rho_star(m: FiniteGaloisModel, primed: bool = False, v: int | None = None) -
     if v is None:
         v = least_nonsquare(m.p)
     elems, index = pgl2_index(m.p)
-    inv = power_tables(m.p)[0]
+    inv = inverse_table(m.p)
     rj = right_table(ProjMat(0, 1, -1, 0, m.p))
     rh = right_table(_hat_v(m.p, v))
     star = (rj[inv[rj[index[m.rho[m.group.inv(s)]]]]] for s in m.group.elements)

@@ -1,5 +1,7 @@
 """The extended automorphism groups W(N,p): integer generators, structure,
 defining relations and the involutions extending w_N."""
+import operator
+
 import pytest
 
 from modtwist.arith import Level, kronecker, least_nonsquare
@@ -10,7 +12,7 @@ from modtwist.extgroup import (
     verify_relations,
     wgroup,
 )
-from modtwist.projgroup import ProjMat, centralizer, pgl2, psl2
+from modtwist.projgroup import ProjMat, centralizer, in_psl2, pgl2, psl2, spanning_tree
 
 CYCLOTOMIC_LEVELS = [(4, 3), (7, 3), (4, 5), (6, 5), (9, 5), (2, 7), (4, 7)]
 NON_CYCLOTOMIC_LEVELS = [(2, 3), (5, 3), (8, 3), (2, 5), (3, 5), (3, 7), (5, 7)]
@@ -93,6 +95,40 @@ def test_involutions_extending_wN(N, p, conjugacy_class):
         assert m.a % N == 0 and m.c % N == 0 and m.d == -m.a
         assert m.reduce(p) == g
         assert max(abs(x) for x in m.entries) < 10**13
+
+
+def reference_involutions_extending_wN(level):
+    """The integer models as the word-carrying walk finds them: the spanning
+    tree of PSL2 under ``ProjMat`` products by T_N, U_N and their inverses,
+    the word gamma_h carried to every vertex h, and gamma^-1 V_N gamma
+    reduced at each; the first h reaching an involution gives its model."""
+    N, p = level.N, level.p
+    gens = build_generators(level)
+    steps = {}
+    for name in ("T_N", "U_N"):
+        steps[name] = gens[name]
+        steps[name + "^-1"] = gens[name].adj()
+    tree = spanning_tree(
+        ProjMat.identity(p), {name: m.reduce(p) for name, m in steps.items()}, operator.mul
+    )
+    words, models = {}, {}
+    for h, edge in tree.items():
+        gamma = IntMat(1, 0, 0, 1) if edge is None else words[edge[0]] * steps[edge[1]]
+        words[h] = gamma
+        m = gamma.adj() * gens["V_N"] * gamma
+        g = m.reduce(p)
+        if g not in models:
+            assert m.det == N and not in_psl2(g) and (g * g).is_identity()
+            models[g] = m
+    return models
+
+
+@pytest.mark.parametrize("N,p", ALL_NON_CYCLOTOMIC_LEVELS)
+def test_integer_models_match_the_word_carrying_walk(N, p):
+    # the index walk multiplies out a word only at each first hit: the same
+    # models, found in the same order
+    got = involutions_extending_wN(Level(N, p)).integer_models
+    assert list(got.items()) == list(reference_involutions_extending_wN(Level(N, p)).items())
 
 
 @pytest.mark.parametrize("N,p", CYCLOTOMIC_LEVELS + NON_CYCLOTOMIC_LEVELS)

@@ -1,6 +1,7 @@
 """Projective matrix groups over F_p: canonical representatives, PGL2/PSL2
 enumeration, closures and centralizers."""
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,11 @@ from modtwist.projgroup import (
     ProjMat,
     centralizer,
     in_psl2,
+    inverse_table,
     left_table,
+    order_table,
     pgl2,
     pgl2_index,
-    power_tables,
     psl2,
     right_table,
     t_matrix,
@@ -33,6 +35,97 @@ def random_projmats(p):
     return st.tuples(entries, entries, entries, entries).filter(ok).map(
         lambda t: ProjMat(*t, p)
     )
+
+
+def reference_projmat(a, b, c, d, p):
+    """The constructor before the residue tables: the first nonzero entry
+    inverted by ``pow`` and the det class from ``kronecker``."""
+    a, b, c, d = a % p, b % p, c % p, d % p
+    det = (a * d - b * c) % p
+    if det == 0:
+        raise ValueError(f"singular matrix {(a, b, c, d)} mod {p}")
+    s = pow(next(x for x in (a, b, c, d) if x), -1, p)  # ValueError on a non-unit
+    g = ProjMat.__new__(ProjMat)
+    g.rep = (a * s % p, b * s % p, c * s % p, d * s % p)
+    g.p = p
+    g.det_class = kronecker(det, p)
+    g._hash = hash((g.rep, p))
+    return g
+
+
+def _same_as_reference(g, entries, p):
+    """g, or the ValueError that built it, against ``reference_projmat``."""
+    try:
+        want = reference_projmat(*entries, p)
+    except ValueError:
+        return isinstance(g, ValueError)
+    return (not isinstance(g, Exception) and g.rep == want.rep and g.det_class == want.det_class
+            and g == want and hash(g) == hash(want))
+
+
+def _built_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _product_entries(g, h):
+    (a, b, c, d), (e, f, x, y) = g.rep, h.rep
+    return (a * e + b * x, a * f + b * y, c * e + d * x, c * f + d * y)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_table_constructor_matches_reference(p):
+    # every product, inverse and hat at p <= 7; every 7th element, paired
+    # with elements[7i + 1], at p = 11, 13, 31
+    elems = pgl2_index(p)[0]
+    n = len(elems)
+    if p <= 7:
+        pairs, singles = itertools.product(elems, repeat=2), elems
+    else:
+        pairs = ((elems[i], elems[(7 * i + 1) % n]) for i in range(0, n, 7))
+        singles = elems[::7]
+    for g, h in pairs:
+        assert _same_as_reference(g * h, _product_entries(g, h), p), (g, h)
+    for g in singles:
+        a, b, c, d = g.rep
+        assert _same_as_reference(g.inverse(), (d, -b, -c, a), p), g
+        assert _same_as_reference(g.hat(), (d, c, b, a), p), g
+        assert _same_as_reference(ProjMat(*g.rep, p), g.rep, p), g
+
+
+@pytest.mark.parametrize("n", [2, 4, 9, 15])
+def test_composite_moduli_construct_or_raise_value_error(n):
+    # the identity constructs; every matrix mod n, and products, inverses
+    # and hats of a sample, construct as the reference does or raise
+    # ValueError (singular, or a leading entry that is not a unit)
+    assert ProjMat.identity(n).rep == (1, 0, 0, 1)
+    built = []
+    for entries in itertools.product(range(n), repeat=4):
+        g = _built_or_error(ProjMat, *entries, n)
+        assert _same_as_reference(g, entries, n), entries
+        if not isinstance(g, ValueError):
+            built.append(g)
+    sample = built[::max(1, len(built) // 120)]
+    raised = 0
+    for g, h in itertools.product(sample, repeat=2):
+        gh = _built_or_error(operator.mul, g, h)
+        assert _same_as_reference(gh, _product_entries(g, h), n), (g, h)
+        raised += isinstance(gh, ValueError)
+    for g in sample:
+        a, b, c, d = g.rep
+        assert _same_as_reference(_built_or_error(g.inverse), (d, -b, -c, a), n), g
+        assert _same_as_reference(_built_or_error(g.hat), (d, c, b, a), n), g
+    assert (raised > 0) == (n > 2)  # mod 2 every unit determinant is 1 and every entry a unit
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_inverse_table_is_inversion(p):
+    elems, index = pgl2_index(p)
+    inv = inverse_table(p)
+    assert inv == tuple(index[g.inverse()] for g in elems)
+    assert all((elems[k] * g).is_identity() for g, k in zip(elems, inv))
 
 
 def test_projmat_canonical_representative():
@@ -168,7 +261,7 @@ def test_power_and_left_tables_are_inverse_order_and_left_product(p):
     # inverses and orders of every element; left_table of every g at
     # p <= 7, at p = 11 of T, U, V and every 10th element
     elems, index = pgl2_index(p)
-    inverse, orders = power_tables(p)
+    inverse, orders = inverse_table(p), order_table(p)
     assert inverse == tuple(index[g.inverse()] for g in elems)
     one = ProjMat.identity(p)
     assert orders == tuple(min(n for n in range(1, p + 2) if g ** n == one) for g in elems)
