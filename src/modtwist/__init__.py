@@ -67,7 +67,6 @@ from .twists import (
     centralizer_verdict,
     check_cocycle,
     cohomologous,
-    eta,
     model_corpus,
     rho_star,
     twist_plan,

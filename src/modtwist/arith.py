@@ -189,6 +189,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
+@lru_cache(maxsize=None)
 def least_nonsquare(p: int) -> int:
     """Smallest positive non-square residue mod the odd prime p."""
     for v in range(2, p):

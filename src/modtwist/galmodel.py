@@ -9,13 +9,14 @@ of numbers (the right regular representation, as ``projgroup.right_table``
 for PGL2(F_p)), read off a table or composed along a spanning tree; labels
 appear only at the boundary.  By the Cayley-graph criterion (proof in
 ``FiniteGroup``) homomorphisms are checked on the generators' columns:
-``is_homomorphism``, for characters and ``twists.check_cocycle``, and the
-homomorphism searches.  ``validate_model`` scans all pairs of numbers, so
-that its messages name the first failing pair.
+``is_homomorphism``, for characters, ``twists.check_cocycle`` and rho and
+chi in ``validate_model`` (which scans all pairs only for a message), and the
+homomorphism searches.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,7 +29,7 @@ MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
 class FiniteGroup:
     """A finite group, its elements numbered 0..n-1 by ``index`` in
     ``elements`` order (sorted permutations, or a table's order); right[j][i]
-    is the number of elements[i] * elements[j], _inverse[j] of elements[j]^-1.
+    is the number of elements[i] * elements[j], inverse[j] of elements[j]^-1.
 
     With generators (``set_generators``), ``tree`` is the breadth-first
     spanning tree of the Cayley graph with edges x -> x*g, g a generator
@@ -53,13 +54,13 @@ class FiniteGroup:
         self.gens = {}  # generator name -> element
         self.tree = None
         e = index[identity]
-        self._inverse = [col.index(e) for col in right]  # the i with x_i * x_j = 1
+        self.inverse = [col.index(e) for col in right]  # the i with x_i * x_j = 1
 
     def mul(self, a, b):
         return self.elements[self.right[self.index[b]][self.index[a]]]
 
     def inv(self, a):
-        return self.elements[self._inverse[self.index[a]]]
+        return self.elements[self.inverse[self.index[a]]]
 
     @property
     def order(self) -> int:
@@ -163,8 +164,8 @@ class FiniteGroup:
         f(x*g) = op(f(x), f(g)) along the generators' columns of ``right``,
         failing at the first mismatch.  ValueError without generators."""
         values = [f[x] for x in self.elements]
-        return all(values[k] == op(values[i], f[g]) for g in self.generators()
-                   for i, k in enumerate(self.right[self.index[g]]))
+        return all(all(map(operator.eq, map(values.__getitem__, self.right[self.index[g]]),
+                           map(op, values, itertools.repeat(f[g])))) for g in self.generators())
 
 
 def _compose(a, b):
@@ -236,9 +237,12 @@ class FiniteGaloisModel:
     characters: dict = field(default_factory=dict)  # name -> QuadraticCharacter
 
     def epsilon(self, sigma) -> int:
-        """The quadratic residue character of chi: the mod-p cyclotomic
-        parity of sigma, read from ``arith.residue_tables`` on every call."""
-        return residue_tables(self.p)[1][self.chi[sigma] % self.p]
+        return self.epsilons((sigma,))[0]
+
+    def epsilons(self, elements) -> list[int]:
+        """eps, the quadratic residue character of chi, on each of ``elements``."""
+        symbol = residue_tables(self.p)[1]
+        return [symbol[self.chi[s] % self.p] for s in elements]
 
     def det_class(self, sigma) -> int:
         return self.rho[sigma].det_class
@@ -246,11 +250,14 @@ class FiniteGaloisModel:
     def det_is_epsilon(self) -> bool:
         """Whether det rho = eps as +-1 characters: the parity of the
         cyclotomic case."""
-        return all(self.det_class(s) == self.epsilon(s) for s in self.group.elements)
+        elements = self.group.elements
+        return [self.rho[s].det_class for s in elements] == self.epsilons(elements)
 
 
 def validate_model(m: FiniteGaloisModel) -> list[str]:
-    """All violations of the model axioms, as human-readable strings."""
+    """All violations of the model axioms, as human-readable strings.  All
+    pairs are scanned for the first failing one only where ``is_homomorphism``
+    rejects (rho, chi) into PGL2 x F_p^*, or the group has no generators."""
     if not (m.p > 2 and is_prime(m.p)):
         return [f"p = {m.p} is not an odd prime"]
     g = m.group
@@ -266,15 +273,18 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
             errs.append(f"chi({x}) = {m.chi[x]} is not a unit mod {m.p}")
     index = pgl2_index(m.p)[1]  # index(rho(a) rho(b)) = R_rho(b)[index(rho(a))]
     rho = [index[m.rho[x]] for x in g.elements]
-    tables = [right_table(m.rho[x]) for x in g.elements]
     chi = [m.chi[x] % m.p for x in g.elements]
-    for a, (rho_a, chi_a) in enumerate(zip(rho, chi)):
-        for b, col in enumerate(g.right):
-            ab = col[a]
-            if rho[ab] != tables[b][rho_a]:
-                return errs + [f"rho is not a homomorphism at ({g.elements[a]}, {g.elements[b]})"]
-            if chi[ab] != chi_a * chi[b] % m.p:
-                return errs + [f"chi is not a homomorphism at ({g.elements[a]}, {g.elements[b]})"]
+    f = dict(zip(g.elements, zip(rho, chi)))
+    gen_tables = {f[x][0]: right_table(m.rho[x]) for x in g.gens.values()}
+    if not g.gens or not g.is_homomorphism(f, lambda x, y: (gen_tables[y[0]][x[0]], x[1] * y[1] % m.p)):
+        tables = [right_table(m.rho[x]) for x in g.elements]
+        for a, (rho_a, chi_a) in enumerate(zip(rho, chi)):
+            for b, col in enumerate(g.right):
+                ab = col[a]
+                if rho[ab] != tables[b][rho_a]:
+                    return errs + [f"rho is not a homomorphism at ({g.elements[a]}, {g.elements[b]})"]
+                if chi[ab] != chi_a * chi[b] % m.p:
+                    return errs + [f"chi is not a homomorphism at ({g.elements[a]}, {g.elements[b]})"]
     if m.conj is not None:
         if m.conj not in g.elements:
             errs.append("conj is not a group element")

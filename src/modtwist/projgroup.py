@@ -253,22 +253,14 @@ def order_table(p: int) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def left_table(g: ProjMat) -> tuple[int, ...]:
-    """Left multiplication by g on the indexed PGL2(F_p): entry i is the
-    index of g * elements[i], read as inv R_(g^-1) inv."""
-    elems, index = pgl2_index(g.p)
-    inv = inverse_table(g.p)
-    r = right_table(elems[inv[index[g]]])
-    return tuple(inv[r[j]] for j in inv)
-
-
 def centralizer(s: Iterable[ProjMat], p: int) -> MatGroup:
     """Centralizer of the set ``s`` inside PGL2(F_p): the indices k with
-    R_x[k] = L_x[k] for every x in ``s``, cut down one x at a time."""
-    elems = pgl2_index(p)[0]
+    R_x[k] = L_x[k] = inv[R_(x^-1)[inv[k]]] for every x in ``s``, cut down one x at a time."""
+    elems, index = pgl2_index(p)
+    inv = inverse_table(p)
     ks = range(len(elems))
     for x in s:
-        r, l = right_table(x), left_table(x)
-        ks = [k for k in ks if r[k] == l[k]]
+        r, ri = right_table(x), right_table(elems[inv[index[x]]])
+        ks = [k for k in ks if r[k] == inv[ri[inv[k]]]]
     cen = tuple(elems[k] for k in ks)
     return MatGroup(p, frozenset(cen), cen)

@@ -10,15 +10,16 @@ cyclotomic levels an extra quadratic character chi_k may multiply in a
 formal central w-component.
 
 Cocycle values are pairs (ProjMat, w_bit): the w_bit is the formal central
-component (always 0 outside the cyclotomic chi_k construction).
+component (always 0 outside the cyclotomic chi_k construction).  Inside,
+rho*, eta, xi and the untwisted values are indices into the sorted PGL2(F_p)
+(h * g is R_g[index(h)]); only these pairs and rho_star read off ProjMats.
 
 Every check here runs on the generators of the model group.  The twist by s
 is conjugation by eta(s), eta a homomorphism, so xi is a cocycle exactly when
 its untwisting s -> xi(s) * eta(s) is a homomorphism, and c is a cohomology
 witness exactly when c * (xi' eta)(s) = (xi eta)(s) * c (Serre, Galois
 Cohomology, I.5.3).  The centralizer of the image of rho is that of the
-images of the generators.  Inside, values are indices into the sorted PGL2(F_p)
-(h * g is R_g[index(h)]); at the boundary they are ``ProjMat``s, read off by index.
+images of the generators.
 """
 from __future__ import annotations
 
@@ -38,8 +39,7 @@ from .galmodel import (
     klein_four,
     symmetric_group,
 )
-from .projgroup import (ProjMat, centralizer, inverse_table, left_table, pgl2_index,
-                        right_table, v_matrix)
+from .projgroup import ProjMat, centralizer, inverse_table, pgl2_index, right_table, v_matrix
 
 
 class Ambient(Enum):
@@ -71,8 +71,11 @@ def _untwisted(c: Cocycle, m: FiniteGaloisModel, elements) -> dict:
     from m's eps: R_hat(V) moves c's value where eps(s) = -1."""
     index = pgl2_index(c.p)[1]
     rh = right_table(_hat_v(c.p, c.v))
-    pairs = ((s, *c.values[s]) for s in elements)
-    return {s: (rh[index[g]] if m.epsilon(s) == -1 else index[g], w) for s, g, w in pairs}
+    out = {}
+    for s, e in zip(elements, m.epsilons(elements)):
+        g, w = c.values[s]
+        out[s] = (rh[index[g]] if e == -1 else index[g], w)
+    return out
 
 
 def check_cocycle(c: Cocycle) -> bool:
@@ -87,32 +90,27 @@ def check_cocycle(c: Cocycle) -> bool:
     """
     grp = c.model.group
     elems = pgl2_index(c.p)[0]
-    return grp.is_homomorphism(_untwisted(c, c.model, grp.elements),
-                               lambda x, y: (right_table(elems[y[0]])[x[0]], (x[1] + y[1]) % 2))
-
-
-def eta(m: FiniteGaloisModel, v: int | None = None) -> Cocycle:
-    """The basic quadratic cocycle: identity where eps = +1, hat(V) where
-    eps = -1 (a homomorphism to an order-2 subgroup, hence a cocycle)."""
-    if v is None:
-        v = least_nonsquare(m.p)
-    one, hv = ProjMat.identity(m.p), _hat_v(m.p, v)
-    values = {s: (one if m.epsilon(s) == 1 else hv, 0) for s in m.group.elements}
-    return Cocycle(model=m, ambient=Ambient.W_NP, values=values, v=v)
+    f = _untwisted(c, c.model, grp.elements)
+    tables = {f[g][0]: right_table(elems[f[g][0]]) for g in grp.generators()}
+    return grp.is_homomorphism(f, lambda x, y: (tables[y[0]][x[0]], (x[1] + y[1]) % 2))
 
 
 def rho_star(m: FiniteGaloisModel, primed: bool = False, v: int | None = None) -> dict:
     """rho*(s) = transpose(rho(s^-1)); primed variant conjugates by hat(V).
-    On indices: transpose(g) = J g^-1 J with J = [[0, 1], [-1, 0]], and
-    c g c for an involution c is R_c after L_c = inv R_c inv."""
+    On indices, by group number: transpose(g) = J g^-1 J with
+    J = [[0, 1], [-1, 0]], and c g c for an involution c is R_c after
+    L_c = inv R_c inv."""
     if v is None:
         v = least_nonsquare(m.p)
     elems, index = pgl2_index(m.p)
     inv = inverse_table(m.p)
     rj = right_table(ProjMat(0, 1, -1, 0, m.p))
     rh = right_table(_hat_v(m.p, v))
-    star = (rj[inv[rj[index[m.rho[m.group.inv(s)]]]]] for s in m.group.elements)
-    return {s: elems[rh[inv[rh[inv[k]]]] if primed else k] for s, k in zip(m.group.elements, star)}
+    grp = m.group
+    star = [rj[inv[rj[index[m.rho[grp.elements[i]]]]]] for i in grp.inverse]
+    if primed:
+        star = [rh[inv[rh[inv[k]]]] for k in star]
+    return dict(zip(grp.elements, map(elems.__getitem__, star)))
 
 
 def build_xi(
@@ -132,16 +130,16 @@ def build_xi(
         raise ValueError(f"build_xi: unknown variant {variant!r}")
     if v is None:
         v = least_nonsquare(m.p)
-    elems, index = pgl2_index(m.p)
-    star = rho_star(m, primed=(variant == "primed"), v=v)
-    et = eta(m, v=v)
     cyclotomic_compatible = m.det_is_epsilon()
     if k_char is not None and not cyclotomic_compatible:
         raise ValueError("build_xi: chi_k components require det rho = eps (cyclotomic)")
     if k_char is not None and any(k_char[s] not in (1, -1) for s in m.group.elements):
         raise ValueError("build_xi: chi_k must be +-1 valued")
-    values = {s: (elems[right_table(et.values[s][0])[index[star[s]]]],
-                  int(k_char is not None and k_char[s] == -1)) for s in m.group.elements}
+    elems, index = pgl2_index(m.p)
+    rh = right_table(_hat_v(m.p, v))  # eta(s) = hat(V) where eps(s) = -1, else 1
+    star = rho_star(m, primed=(variant == "primed"), v=v)
+    values = {s: (elems[rh[index[g]]] if e == -1 else g, int(k_char is not None and k_char[s] == -1))
+              for (s, g), e in zip(star.items(), m.epsilons(m.group.elements))}
     ambient = Ambient.G_NP if cyclotomic_compatible else Ambient.W_NP
     invariant(ambient is Ambient.W_NP or all(g.det_class == 1 for g, _ in values.values()),
               "build_xi: a G(N,p) cocycle must take values in PSL2")
@@ -155,11 +153,11 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
 
     Untwisted by c1's eta, that is c * (c2 eta)(s) = (c1 eta)(s) * c with
     equal w-bits (Serre, Galois Cohomology, I.5.3): R_(c2 eta)(s)[k] =
-    L_(c1 eta)(s)[k] on indices.  The witness ranges over the ambient group
-    in sorted order: PSL2 for G(N,p), PGL2 for W(N,p).  For c1, c2 cocycles
-    under that twist and eps a homomorphism, the s where this holds form a
-    subgroup, so the candidates are cut down on each generator in turn.
-    ValueError on a group without generators.
+    L_(c1 eta)(s)[k] = inv[R_((c1 eta)(s)^-1)[inv[k]]] on indices.  The
+    witness ranges over the ambient group in sorted order: PSL2 for G(N,p),
+    PGL2 for W(N,p).  For c1, c2 cocycles under that twist and eps a
+    homomorphism, the s where this holds form a subgroup, so the candidates
+    are cut down on each generator in turn.  ValueError without generators.
     """
     if c1.model is not c2.model and c1.model.group is not c2.model.group:
         raise ValueError("cohomologous: cocycles live over different models")
@@ -167,11 +165,11 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
         raise ValueError("cohomologous: mismatched ambients")
     gens = c1.model.group.generators()
     f1, f2 = (_untwisted(c, c1.model, gens) for c in (c1, c2))
-    elems = pgl2_index(c1.p)[0]
+    elems, inv = pgl2_index(c1.p)[0], inverse_table(c1.p)
     cands = [k for k, g in enumerate(elems) if c1.ambient is Ambient.W_NP or g.det_class == 1]
     for s in gens:
-        r, l = right_table(elems[f2[s][0]]), left_table(elems[f1[s][0]])
-        cands = [k for k in cands if f1[s][1] == f2[s][1] and r[k] == l[k]]
+        r, ri = right_table(elems[f2[s][0]]), right_table(elems[inv[f1[s][0]]])
+        cands = [k for k in cands if f1[s][1] == f2[s][1] and r[k] == inv[ri[inv[k]]]]
     return (elems[cands[0]], 0) if cands else None
 
 

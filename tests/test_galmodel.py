@@ -439,15 +439,16 @@ def reference_validate_model(m):
     return errs
 
 
-def test_validate_model_matches_reference_on_corrupted_corpus():
-    # every model of model_corpus(3) with rho(x), then separately chi(x),
-    # moved off its value at each non-identity x: the same error list, so the
-    # same first failing pair, as the ProjMat scan on this group and on the
-    # reference group
+def _assert_validate_matches_reference_on_corruptions(models, alike) -> tuple[int, int]:
+    """Each model as it is, then with rho(x), then separately chi(x), moved
+    off its value at each non-identity x: the same error list, so the same
+    first failing pair, from ``validate_model``, from the ProjMat scan and
+    from each of ``alike(m)``, callables that validate models sharing m's
+    rho and chi dicts.  Returns (failing, total) over the corruptions."""
     failing = total = 0
-    for m in model_corpus(3):
-        on_ref = dataclasses.replace(m, group=_reference_of(m.group))  # sharing m's rho and chi
-        assert validate_model(m) == reference_validate_model(m) == reference_validate_model(on_ref) == []
+    for m in models:
+        checks = [lambda: validate_model(m), lambda: reference_validate_model(m)] + alike(m)
+        assert len({tuple(check()) for check in checks}) == 1
         t = t_matrix(m.p)
         for x in m.group.elements:
             if x == m.group.identity:
@@ -456,11 +457,54 @@ def test_validate_model_matches_reference_on_corrupted_corpus():
                 values = getattr(m, key)
                 good, values[x] = values[x], bad
                 try:
-                    errs = validate_model(m)
-                    assert errs == reference_validate_model(m) == reference_validate_model(on_ref)
-                    failing, total = failing + bool(errs), total + 1
+                    errs = [check() for check in checks]
+                    assert all(e == errs[0] for e in errs), errs
+                    failing, total = failing + bool(errs[0]), total + 1
                 finally:
                     values[x] = good
+    return failing, total
+
+
+def _without_generators(m):
+    """m on a table group with m's elements, in m's order, and no generators,
+    on which ``validate_model`` scans all pairs."""
+    g = m.group
+    table = {a: {b: g.mul(a, b) for b in g.elements} for a in g.elements}
+    return dataclasses.replace(m, group=FiniteGroup.from_table(g.elements, table, g.identity, g.name))
+
+
+def test_validate_model_matches_reference_on_corrupted_corpus():
+    # every model of model_corpus(3), all valid, also scanned by the
+    # reference on the reference group
+    models = model_corpus(3)
+    assert all(validate_model(m) == [] for m in models)
+
+    def on_reference_group(m):
+        on_ref = dataclasses.replace(m, group=_reference_of(m.group))
+        return [lambda: reference_validate_model(on_ref)]
+
+    failing, total = _assert_validate_matches_reference_on_corruptions(models, on_reference_group)
+    assert total > 1000 and failing > total // 2, (failing, total)
+
+
+def test_validate_model_matches_reference_on_corrupted_corpus_p5():
+    # every model of model_corpus(5), valid or not: a chi sending eps = -1
+    # to 2, of order 4 mod 5, is not a homomorphism
+    models = model_corpus(5)
+    assert 0 < sum(validate_model(m) == [] for m in models) < len(models)
+    failing, total = _assert_validate_matches_reference_on_corruptions(models, lambda m: [])
+    assert total > 1000 and failing > total // 2, (failing, total)
+
+
+def test_validate_model_scans_all_pairs_without_generators():
+    # model_corpus(3) also on a table group without generators, where
+    # validate_model scans all pairs without is_homomorphism first
+    def without_generators(m):
+        plain = _without_generators(m)
+        return [lambda: validate_model(plain), lambda: reference_validate_model(plain)]
+
+    assert not _without_generators(model_corpus(3)[0]).group.gens
+    failing, total = _assert_validate_matches_reference_on_corruptions(model_corpus(3), without_generators)
     assert total > 1000 and failing > total // 2, (failing, total)
 
 

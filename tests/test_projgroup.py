@@ -13,7 +13,6 @@ from modtwist.projgroup import (
     centralizer,
     in_psl2,
     inverse_table,
-    left_table,
     order_table,
     pgl2,
     pgl2_index,
@@ -258,8 +257,9 @@ def test_right_tables_compose(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_power_and_left_tables_are_inverse_order_and_left_product(p):
-    # inverses and orders of every element; left_table of every g at
-    # p <= 7, at p = 11 of T, U, V and every 10th element
+    # inverses and orders of every element; left multiplication by every g
+    # at p <= 7, at p = 11 by T, U, V and every 10th element, read as
+    # L_g = inv R_(g^-1) inv, as centralizer and cohomologous read it
     elems, index = pgl2_index(p)
     inverse, orders = inverse_table(p), order_table(p)
     assert inverse == tuple(index[g.inverse()] for g in elems)
@@ -267,7 +267,8 @@ def test_power_and_left_tables_are_inverse_order_and_left_product(p):
     assert orders == tuple(min(n for n in range(1, p + 2) if g ** n == one) for g in elems)
     gs = elems if p <= 7 else (t_matrix(p), u_matrix(p), v_matrix(p)) + elems[::10]
     for g in gs:
-        assert left_table(g) == tuple(index[g * x] for x in elems), g
+        r = right_table(elems[inverse[index[g]]])
+        assert [inverse[r[inverse[k]]] for k in range(len(elems))] == [index[g * x] for x in elems], g
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

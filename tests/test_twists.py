@@ -23,7 +23,6 @@ from modtwist.twists import (
     centralizer_verdict,
     check_cocycle,
     cohomologous,
-    eta,
     model_corpus,
     _untwisted,
     rho_star,
@@ -33,6 +32,12 @@ from modtwist.twists import (
 CORPUS = model_corpus(3)
 COMPATIBLE = [m for m in CORPUS if m.det_is_epsilon()]
 CORPORA = {3: CORPUS, 5: model_corpus(5)}
+
+
+@lru_cache(maxsize=None)
+def _sampled_corpus(p):
+    """model_corpus(p) whole at p = 3 and 5, every 7th model at p = 7."""
+    return CORPORA[p] if p in CORPORA else model_corpus(p)[::7]
 
 
 def reference_check_cocycle(c):
@@ -105,6 +110,14 @@ def reference_build_xi_values(m, variant, k_char=None):
     return out
 
 
+def eta(m):
+    """The basic quadratic cocycle, by ProjMats: the identity where eps = +1,
+    hat(V) where eps = -1, a homomorphism onto a group of order at most 2."""
+    hv = v_matrix(m.p, least_nonsquare(m.p)).hat()
+    values = {s: (ProjMat.identity(m.p) if m.epsilon(s) == 1 else hv, 0) for s in m.group.elements}
+    return Cocycle(model=m, ambient=Ambient.W_NP, values=values, v=least_nonsquare(m.p))
+
+
 def _cocycles(m):
     """The plain and primed cocycles, and the chi_k one with k = eps where
     det rho = eps."""
@@ -119,12 +132,12 @@ def _with_w_flipped(c, s):
     return Cocycle(model=c.model, ambient=c.ambient, values={**c.values, s: (g, 1 - w)}, v=c.v)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_build_xi_matches_projmat_reference(p):
     # plain, primed and, where det rho = eps, chi_k = eps: the index walk of
     # rho_star and build_xi against transposes and products
     checked = 0
-    for m in CORPORA[p]:
+    for m in _sampled_corpus(p):
         kinds = [("plain", None), ("primed", None)]
         if m.det_is_epsilon():
             kinds.append(("plain", {s: m.epsilon(s) for s in m.group.elements}))
@@ -132,17 +145,33 @@ def test_build_xi_matches_projmat_reference(p):
             want = reference_build_xi_values(m, variant, k_char)
             assert build_xi(m, variant, k_char).values == want, (m.group.name, p, variant)
             checked += 1
-    assert checked > 2 * len(CORPORA[p])
+    assert checked > 2 * len(_sampled_corpus(p))
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_check_cocycle_matches_pair_reference(p):
     checked = 0
-    for m in CORPORA[p]:
+    for m in _sampled_corpus(p):
         for c in _cocycles(m):
             assert check_cocycle(c) == reference_check_cocycle(c), (m.group.name, p)
             checked += 1
-    assert checked > 2 * len(CORPORA[p])
+    assert checked > 2 * len(_sampled_corpus(p))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rho_star_is_the_transpose_of_rho_at_the_inverse(p):
+    # rho*(s) from the entries of rho(s^-1), and its primed variant as the
+    # ProjMat product hat(V) rho*(s) hat(V), against the index walk, keyed in
+    # the group's order
+    hv = v_matrix(p, least_nonsquare(p)).hat()
+    for m in CORPORA[p]:
+        want = {}
+        for s in m.group.elements:
+            a, b, c, d = m.rho[m.group.inv(s)].rep
+            want[s] = ProjMat(a, c, b, d, p)
+        star = rho_star(m)
+        assert star == want and list(star) == list(m.group.elements), (m.group.name, p)
+        assert rho_star(m, primed=True) == {s: hv * g * hv for s, g in want.items()}
 
 
 def test_check_cocycle_matches_pair_reference_on_perturbations(perturbations):
