@@ -22,10 +22,15 @@ element labels with table[a][b] = a*b:
 
 rho, chi and each character are given on the generators and extended
 multiplicatively; the extensions are re-validated on the whole group.
+
+Either group may carry an optional string "name" (default "G").  Models
+whose permutation generators (in JSON order) and name are equal share one
+``FiniteGroup``, built once per process, so a parsed group is read-only.
 """
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 from .arith import is_prime, is_squarefree
@@ -42,27 +47,36 @@ class ModelParseError(ValueError):
     pass
 
 
+# Models over one group share it: a corpus names a handful of groups over
+# hundreds of models.  The bound is small, since the right table of a group
+# of order 720 takes about 4 MB.  A ValueError is raised, not cached.
+@lru_cache(maxsize=16)
+def _permutation_group(gens: tuple, name: str) -> FiniteGroup:
+    """The group of the (name, permutation) pairs ``gens``, in JSON order."""
+    try:
+        return FiniteGroup.from_permutations(dict(gens), name=name)
+    except ValueError as exc:
+        raise ModelParseError(f"bad permutation group: {exc}") from exc
+
+
 def _build_group(spec: dict) -> FiniteGroup:
     if not isinstance(spec, dict):
         raise ModelParseError("group must be a JSON object")
-    kind = spec.get("type")
+    kind, name = spec.get("type"), spec.get("name", "G")
+    if not isinstance(name, str):
+        raise ModelParseError(f"group.name must be a string, got {name!r}")
     if kind == "permutation":
         gens = spec.get("generators")
         if not isinstance(gens, dict) or not gens:
             raise ModelParseError("group.generators must be a non-empty object")
-        perms = {}
-        for name, perm in gens.items():
+        for gen, perm in gens.items():
             if (
                 not isinstance(perm, list)
                 or not all(type(i) is int for i in perm)
                 or sorted(perm) != list(range(len(perm)))
             ):
-                raise ModelParseError(f"generator {name!r} is not a permutation")
-            perms[name] = tuple(perm)
-        try:
-            return FiniteGroup.from_permutations(perms, name=spec.get("name", "G"))
-        except ValueError as exc:
-            raise ModelParseError(f"bad permutation group: {exc}") from exc
+                raise ModelParseError(f"generator {gen!r} is not a permutation")
+        return _permutation_group(tuple((gen, tuple(perm)) for gen, perm in gens.items()), name)
     if kind == "table":
         for key in ("elements", "identity", "table"):
             if key not in spec:
@@ -86,9 +100,7 @@ def _build_group(spec: dict) -> FiniteGroup:
         ):
             raise ModelParseError("group.generators must be an object of element labels")
         try:
-            grp = FiniteGroup.from_table(
-                elements, table, identity, name=spec.get("name", "G")
-            )
+            grp = FiniteGroup.from_table(elements, table, identity, name=name)
         except (KeyError, ValueError) as exc:
             raise ModelParseError(f"bad multiplication table: {exc}") from exc
         try:

@@ -223,6 +223,7 @@ class TwistPlan:
         }
 
 
+@lru_cache(maxsize=None)  # the verdict depends on the level alone
 def _finiteness_verdict(level: Level) -> str:
     N, p = level.N, level.p
     if level.cyclotomic:

@@ -395,6 +395,8 @@ TWO_ERROR_MODEL = {
         pytest.param(["centralizer", "/nonexistent/model.json"], EXIT_USAGE,
                      "error: [Errno 2] No such file or directory: '/nonexistent/model.json'\n",
                      id="missing_model"),
+        pytest.param(["centralizer", "{dir}/list_name.json"], EXIT_USAGE,
+                     "error: group.name must be a string, got ['S3']\n", id="list_group_name"),
         pytest.param(["twist-plan", "4", "3", "{dir}/two_errors.json"], EXIT_MODEL,
                      "model error: conj does not square to the identity\nmodel error: chi(conj) != -1\n",
                      id="invalid_model"),
@@ -421,6 +423,7 @@ def test_error_path_exit_code_and_stderr(capsys, tmp_path, argv, code, err):
         "good": GOOD_MODEL,
         "incompatible_k": dict(INCOMPATIBLE_MODEL, characters=GOOD_MODEL["characters"]),
         "two_errors": TWO_ERROR_MODEL,
+        "list_name": dict(GOOD_MODEL, group=dict(GOOD_MODEL["group"], name=["S3"])),
     }
     for name, doc in models.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))

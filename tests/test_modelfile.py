@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from modtwist.modelfile import ModelParseError, parse_and_validate, parse_model
+from modtwist.arith import Level
+from modtwist.galmodel import FiniteGaloisModel, FiniteGroup, validate_model
+from modtwist.modelfile import ModelParseError, _permutation_group, parse_and_validate, parse_model
 from modtwist.projgroup import ProjMat
+from modtwist.twists import model_corpus, twist_plan
 
 GOOD_MODEL = {
     "p": 3,
@@ -37,20 +40,18 @@ def test_parse_good_model_from_path(tmp_path):
     assert m.group.order == 2
 
 
+TABLE_GROUP = {
+    "type": "table",
+    "elements": ["e", "a"],
+    "identity": "e",
+    "table": {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}},
+    "generators": {"a": "a"},
+}
+TABLE_MODEL = {"p": 3, "group": TABLE_GROUP, "rho": {"a": [[0, 1], [1, 0]]}, "chi": {"a": 2}}
+
+
 def test_parse_table_group():
-    doc = {
-        "p": 3,
-        "group": {
-            "type": "table",
-            "elements": ["e", "a"],
-            "identity": "e",
-            "table": {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}},
-            "generators": {"a": "a"},
-        },
-        "rho": {"a": [[0, 1], [1, 0]]},
-        "chi": {"a": 2},
-    }
-    m = parse_model(json.dumps(doc))
+    m = parse_model(json.dumps(TABLE_MODEL))
     assert m.group.order == 2
     assert m.rho["a"] == ProjMat(0, 1, 1, 0, 3)
 
@@ -210,3 +211,75 @@ def test_parse_rejects_booleans_for_integers(boolean_models):
             parse_model(json.dumps(doc))
         doc = json.loads(json.dumps(doc).replace("true", "1").replace("false", "0"))
         parse_and_validate(json.dumps(doc))
+
+
+def test_parse_rejects_non_string_group_name():
+    # checked before the name becomes part of a shared group's cache key
+    for name in (["S3"], 3, None, {"n": "S3"}):
+        for base in (GOOD_MODEL, TABLE_MODEL):
+            doc = dict(base, group=dict(base["group"], name=name))
+            with pytest.raises(ModelParseError, match="^group.name must be a string, got "):
+                parse_model(json.dumps(doc))
+
+
+def _model_document(m) -> str:
+    """A model of ``model_corpus`` as model-file text: rho and chi on the
+    generators, in the group's generator order."""
+    gens = m.group.gens
+    return json.dumps({
+        "p": m.p,
+        "group": {"type": "permutation", "name": m.group.name,
+                  "generators": {s: list(g) for s, g in gens.items()}},
+        "rho": {s: [list(m.rho[g].rep[:2]), list(m.rho[g].rep[2:])] for s, g in gens.items()},
+        "chi": {s: m.chi[g] for s, g in gens.items()},
+    })
+
+
+@pytest.fixture(scope="module")
+def parsed_corpus():
+    """(corpus model, parsed model) for every model of model_corpus(3) and (5)."""
+    return [(m, parse_model(_model_document(m))) for p in (3, 5) for m in model_corpus(p)]
+
+
+def test_models_over_one_group_share_it(parsed_corpus):
+    groups = {}  # (name, generators) -> the parsed groups
+    for m, parsed in parsed_corpus:
+        gens = m.group.gens.values()  # p = 5 has models whose chi is no homomorphism
+        assert [(parsed.rho[g], parsed.chi[g]) for g in gens] == [(m.rho[g], m.chi[g]) for g in gens]
+        groups.setdefault((m.group.name, tuple(m.group.gens.items())), set()).add(id(parsed.group))
+    assert len(groups) == 4 and all(len(ids) == 1 for ids in groups.values())
+    shared = {id(parsed.group): parsed.group for _m, parsed in parsed_corpus}
+    assert len(shared) == 4
+    for grp in shared.values():
+        fresh = FiniteGroup.from_permutations(grp.gens, name=grp.name)
+        assert grp.elements == fresh.elements and grp.right == fresh.right
+        assert grp.inverse == fresh.inverse and grp.tree == fresh.tree and grp.gens == fresh.gens
+
+
+def test_twist_plan_on_a_shared_group_equals_a_fresh_one(parsed_corpus):
+    fresh = {}
+    for _m, parsed in parsed_corpus:
+        if validate_model(parsed):
+            continue
+        grp = parsed.group
+        if id(grp) not in fresh:
+            fresh[id(grp)] = FiniteGroup.from_permutations(grp.gens, name=grp.name)
+        alone = FiniteGaloisModel(group=fresh[id(grp)], p=parsed.p, rho=dict(parsed.rho),
+                                  chi=dict(parsed.chi))
+        # N = 4 is a square mod every odd p, and N = 2 is not mod 3 or 5
+        level = Level(4 if parsed.det_is_epsilon() else 2, parsed.p)
+        assert twist_plan(level, parsed).to_jsonable() == twist_plan(level, alone).to_jsonable()
+    assert len(fresh) == 4
+
+
+def test_a_rejected_group_is_built_again_not_cached():
+    gens = {"s": [1, 0], "t": [0, 2, 1]}
+    text = json.dumps(dict(GOOD_MODEL, group={"type": "permutation", "generators": gens}))
+    messages = []
+    for _ in range(2):
+        misses = _permutation_group.cache_info().misses
+        with pytest.raises(ModelParseError, match="^bad permutation group: ") as err:
+            parse_model(text)
+        messages.append(str(err.value))
+        assert _permutation_group.cache_info().misses == misses + 1
+    assert messages[0] == messages[1]

@@ -97,3 +97,35 @@ def test_no_code_kept_only_for_tests():
     unreached = [qual for i, (qual, name, _n, _o) in enumerate(defs)
                  if i not in reached and not _is_dunder(name)]
     assert not unreached, unreached
+
+
+
+def _cache_names(tree):
+    """Whether a node names functools.lru_cache or functools.cache in this
+    module, as imported from functools or as an attribute of it."""
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for a in node.names if a.name in ("lru_cache", "cache")}
+
+    def is_cache(node):
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+            and isinstance(node.value, ast.Name) and node.value.id == "functools")
+    return is_cache
+
+
+def test_every_cache_decorates_a_module_level_function():
+    # perfbench's clear_caches calls cache_clear on module-level names only,
+    # so a cache on a method, on a nested function or made by a call would
+    # let a pass start warm
+    module_level, elsewhere = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        is_cache = _cache_names(tree)
+        allowed = {id(d.func if isinstance(d, ast.Call) else d)
+                   for stmt in tree.body if isinstance(stmt, FUNCTIONS) for d in stmt.decorator_list}
+        for node in ast.walk(tree):
+            if is_cache(node):
+                (module_level if id(node) in allowed else elsewhere).append(f"{path.name}:{node.lineno}")
+    assert len(module_level) >= 13, module_level
+    assert not elsewhere, elsewhere

@@ -24,6 +24,7 @@ from modtwist.twists import (
     check_cocycle,
     cohomologous,
     model_corpus,
+    _finiteness_verdict,
     _untwisted,
     rho_star,
     twist_plan,
@@ -452,3 +453,36 @@ def test_twist_value_conjugation():
     assert elems[f[m.group.identity][0]].is_identity()
     gens = m.group.generators()
     assert _untwisted(xi, m, gens) == {s: f[s] for s in gens}
+
+
+def _parity_models(p):
+    """Valid models on C2 with det rho = eps (rho trivial) and det rho != eps
+    (rho(s) = [[0, d], [1, 0]] with -d a non-square, an involution in PGL2)."""
+    grp = cyclic_group(2)
+    s = grp.gens["g"]
+    one = {x: 1 for x in grp.elements}
+    ident = ProjMat.identity(p)
+    compatible = FiniteGaloisModel(group=grp, p=p, rho={grp.identity: ident, s: ident}, chi=one)
+    swap = ProjMat(0, -least_nonsquare(p) % p, 1, 0, p)
+    incompatible = FiniteGaloisModel(group=grp, p=p, rho={grp.identity: ident, s: swap}, chi=one)
+    assert not validate_model(compatible) and not validate_model(incompatible)
+    assert compatible.det_is_epsilon() and not incompatible.det_is_epsilon()
+    return {True: compatible, False: incompatible}
+
+
+def test_twist_plan_finiteness_is_the_uncached_verdict():
+    levels = [Level(N, p) for p in (3, 5, 7, 11, 13) for N in range(2, 41) if N % p]
+    models = {p: _parity_models(p) for p in (3, 5, 7, 11, 13)}
+
+    def verdicts():
+        return [twist_plan(lv, models[lv.p][lv.cyclotomic]).finiteness for lv in levels]
+
+    expected = [_finiteness_verdict.__wrapped__(lv) for lv in levels]
+    _finiteness_verdict.cache_clear()
+    assert verdicts() == expected
+    info = _finiteness_verdict.cache_info()
+    assert info.misses == len(levels) and info.currsize == len(levels)
+    assert verdicts() == expected
+    assert _finiteness_verdict.cache_info().hits == info.hits + len(levels)
+    _finiteness_verdict.cache_clear()
+    assert verdicts() == expected
