@@ -11,7 +11,8 @@ appear only at the boundary.  By the Cayley-graph criterion (proof in
 ``FiniteGroup``) homomorphisms are checked on the generators' columns:
 ``is_homomorphism``, for characters, ``twists.check_cocycle`` and rho and
 chi in ``validate_model`` (which scans all pairs only for a message), and the
-homomorphism searches.
+homomorphism searches, which walk one first-generator image per PGL2(F_p)
+conjugacy class and carry each homomorphism found over its class.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arith import Level, is_prime, residue_tables
-from .projgroup import ProjMat, order_table, pgl2_index, right_table, spanning_tree
+from .projgroup import ProjMat, inverse_table, order_table, pgl2, pgl2_index, right_table, spanning_tree
 
 MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
 
@@ -316,40 +317,72 @@ def classify(level: Level) -> Case:
 
 def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
     """All homomorphisms group -> PGL2(F_p), in ``itertools.product`` order
-    over the generator images whose order (``projgroup.order_table``)
-    divides the generator's, each image taken as its ``right_table``."""
-    elems, index = pgl2_index(p)
-    images = {}
-    for name in group.generator_names():
-        elem = group.gens[name]
-        n, x = 1, elem
-        while x != group.identity:
-            x = group.mul(x, elem)
-            n += 1
-        images[name] = [right_table(g) for g, k in zip(elems, order_table(p)) if n % k == 0]
-    return _homs_from_tables(group, images, elems, index[ProjMat.identity(p)])
+    over the images whose order (``projgroup.order_table``) divides the
+    generator's, found by ``_homs`` up to conjugation by T, U and V, read on
+    indices as s^-1 x s = R_s[inv[R_s[inv[x]]]]."""
+    elems, inv = pgl2_index(p)[0], inverse_table(p)
+    conj = [[r[inv[r[inv[x]]]] for x in range(len(elems))] for r in map(right_table, pgl2(p).generators)]
+    return _homs(group, elems, lambda i: right_table(elems[i]), order_table(p), conj)
 
 
 def all_quadratic_characters(group: FiniteGroup) -> list[dict]:
-    """All homomorphisms group -> {1, -1}, searched as in ``all_homs_to_pgl2``:
-    {1, -1} indexed in that order has right tables (0, 1) and (1, 0)."""
-    images = {name: ((0, 1), (1, 0)) for name in group.generator_names()}
-    return _homs_from_tables(group, images, (1, -1), 0)
+    """All homomorphisms group -> {1, -1}, searched by ``_homs`` with no
+    conjugations: {1, -1} indexed so has right tables (0, 1), (1, 0)."""
+    return _homs(group, (1, -1), ((0, 1), (1, 0)).__getitem__, (1, 2), [])
 
 
-def _homs_from_tables(group: FiniteGroup, images: dict, target, one: int) -> list[dict]:
-    """The homomorphisms into the group indexed by ``target``, ``one`` the
-    index of its identity, with generator values drawn from ``images`` (name
-    -> the candidates' right tables), in ``itertools.product`` order, keys in
-    ``tree`` order.  Each walk visits the numbers in tree order, sets
-    f[R_g[i]] = table[f[i]] on tree edges, R_g a generator's column of
-    ``group.right``, and compares it on all others, failing at the first
-    mismatch: exact by the Cayley-graph criterion."""
+def _element_order(group: FiniteGroup, x) -> int:
+    n, y = 1, x
+    while y != group.identity:
+        y, n = group.mul(y, x), n + 1
+    return n
+
+
+def _candidates(group: FiniteGroup, gens: list, orders) -> list[list[int]]:
+    """Per generator, the increasing indices whose order divides its own."""
+    return [[i for i, k in enumerate(orders) if n % k == 0] for n in (_element_order(group, x) for x in gens)]
+
+
+def _homs(group: FiniteGroup, target, table, orders, conj: list) -> list[dict]:
+    """The homomorphisms into the group indexed by ``target`` (right tables
+    ``table(i)``, orders ``orders``), in ``itertools.product`` order over the
+    generators' ``_candidates``, keys in ``tree`` order.
+
+    The first generator's candidates fall into orbits under ``conj``, index
+    permutations that are automorphisms, along ``spanning_tree``; only each
+    orbit's first member a is walked.  The second generator's b is walked
+    only if the order of b*a = R_a[b], conjugate to a*b, divides that of
+    g1*g2, as a homomorphism needs; later generators take every candidate.
+    Each walk visits the numbers in tree order, sets f[R_g[i]] = table[f[i]]
+    on tree edges, R_g a generator's column of ``group.right``, and compares
+    it on all others, failing at the first mismatch: exact by the
+    Cayley-graph criterion.  An automorphism c maps the homomorphisms with
+    f(g1) = x one to one onto those with f(g1) = c[x], so composing along
+    each orbit's tree finds every homomorphism exactly once."""
     order = [group.index[x] for x in group.tree]
-    cols = [group.right[group.index[group.gens[name]]] for name in images]
-    homs = (_walk(order, list(zip(cols, values)), one)
-            for values in itertools.product(*images.values()))
-    return [{group.elements[i]: target[f[i]] for i in order} for f in homs if f is not None]
+    gens, one = [group.gens[name] for name in group.generator_names()], orders.index(1)
+    if not gens:
+        return [{x: target[one] for x in group.tree}]
+    keys = [group.index[x] for x in gens]
+    cols = [group.right[j] for j in keys]
+    pools = _candidates(group, gens, orders)
+    n12 = len(gens) > 1 and _element_order(group, group.mul(gens[0], gens[1]))
+    found, seen = [], set()
+    for a in pools[0]:
+        if a in seen:
+            continue
+        orbit = spanning_tree(a, dict(enumerate(conj)), lambda x, c: c[x])
+        seen.update(orbit)
+        right = table(a)
+        second = [[b for b in pool if n12 % orders[right[b]] == 0] for pool in pools[1:2]]
+        walks = (_walk(order, list(zip(cols, map(table, values))), one)
+                 for values in itertools.product([a], *second, *pools[2:]))
+        homs = {a: [f for f in walks if f is not None]}
+        for y, (x, k) in itertools.islice(orbit.items(), 1, None):
+            homs[y] = [list(map(conj[k].__getitem__, f)) for f in homs[x]]
+        found.extend(itertools.chain.from_iterable(homs.values()))
+    found.sort(key=lambda f: [f[j] for j in keys])
+    return [{group.elements[i]: target[f[i]] for i in order} for f in found]
 
 
 def _walk(order: list, steps: list, one: int) -> list | None:

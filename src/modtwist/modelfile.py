@@ -6,7 +6,7 @@ A model file is a JSON document:
       "p": 3,
       "group": {"type": "permutation",
                 "generators": {"s": [1, 0, 2], "t": [1, 2, 0]}},
-      "rho":  {"s": [[0, 1], [1, 0]], "t": [[1, 1], [0, 1]]},
+      "rho":  {"s": [[0, 1], [1, 0]], "t": [[0, 1], [2, 1]]},
       "chi":  {"s": 2, "t": 1},
       "conj": "s",
       "characters": {"k": {"values": {"s": -1, "t": 1}, "field": -1}}

@@ -241,15 +241,22 @@ def inverse_table(p: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def order_table(p: int) -> tuple[int, ...]:
-    """Orders on the indexed PGL2(F_p), read off the powers of each element
-    (not off right tables, which would take every element's): entry i is
-    the order of elements[i]."""
+    """Orders on the indexed PGL2(F_p): entry i is the order of elements[i].
+    A non-scalar class's order depends only on u = tr^2/det (Beauville,
+    Finite subgroups of PGL2(K), 2010): u = 4 gives p, u = 0 gives 2, any
+    other u the order of [[0, -1/u], [1, 1]], read off its powers once per u."""
+    inverse = residue_tables(p)[0]
+    by_u = {4 % p: p, 0: 2}
     orders = []
     for g in pgl2_index(p)[0]:
-        n, x = 1, g
-        while not x.is_identity():
-            n, x = n + 1, x * g
-        orders.append(n)
+        a, b, c, d = g.rep
+        u = (a + d) ** 2 * inverse[(a * d - b * c) % p] % p
+        if u not in by_u:
+            r = x = ProjMat(0, -inverse[u], 1, 1, p)
+            by_u[u] = 1
+            while not x.is_identity():
+                by_u[u], x = by_u[u] + 1, x * r
+        orders.append(1 if g.is_identity() else by_u[u])
     return tuple(orders)
 
 

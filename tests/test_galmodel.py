@@ -6,6 +6,7 @@ import itertools
 import json
 import operator
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from modtwist.galmodel import (
     validate_model,
 )
 from modtwist import galmodel
-from modtwist.projgroup import ProjMat, pgl2, right_table, spanning_tree, t_matrix
+from modtwist.projgroup import ProjMat, centralizer, pgl2, pgl2_index, right_table, spanning_tree, t_matrix
 from modtwist.twists import build_xi, check_cocycle, model_corpus
 
 STORED_MODELS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "data").glob("models_p*.jsonl"))
@@ -642,6 +643,9 @@ SEARCH_GROUPS = [
     cyclic_group(2), cyclic_group(3), klein_four(), symmetric_group(3),
     symmetric_group(4), _s3_table_group(),
 ]
+# three generators: the search's path past the second generator
+C2_CUBED = FiniteGroup.from_permutations(
+    {"a": (1, 0, 2, 3, 4, 5), "b": (0, 1, 3, 2, 4, 5), "c": (0, 1, 2, 3, 5, 4)}, name="C2^3")
 
 
 @pytest.mark.parametrize("group, p", [
@@ -656,7 +660,7 @@ def test_all_homs_to_pgl2_matches_brute_force(group, p):
     assert all(list(f) == list(group.tree) for f in got)
 
 
-@pytest.mark.parametrize("group", SEARCH_GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", SEARCH_GROUPS + [C2_CUBED], ids=lambda g: g.name)
 def test_all_quadratic_characters_matches_brute_force(group):
     names = group.generator_names()
     got = all_quadratic_characters(group)
@@ -666,28 +670,119 @@ def test_all_quadratic_characters_matches_brute_force(group):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_order_filter_keeps_the_images_of_dividing_order(p, monkeypatch):
-    # the candidates handed to the walk, per generator, are the right tables
-    # of the g with g ** n == 1, n the generator's order, in sorted order
+def test_candidates_are_the_images_of_dividing_order(p, monkeypatch):
+    # the candidates the search draws from, one list per generator in
+    # generator_names() order, are the indices of the g with g ** n == 1, n
+    # the generator's order, in sorted order; one candidate list per search
     seen = []
-    search = galmodel._homs_from_tables
+    candidates = galmodel._candidates
 
-    def recorded(group, images, target, one):
-        seen.append(images)
-        return search(group, images, target, one)
+    def recorded(group, gens, orders):
+        seen.append((gens, candidates(group, gens, orders)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(galmodel, "_homs_from_tables", recorded)
+    monkeypatch.setattr(galmodel, "_candidates", recorded)
+    elems, index = pgl2_index(p)
     one = ProjMat.identity(p)
-    for group in SEARCH_GROUPS:
+    for group in SEARCH_GROUPS + [C2_CUBED]:
         all_homs_to_pgl2(group, p)
-        images = seen.pop()
-        assert list(images) == group.generator_names()
-        for name, tables in images.items():
-            x, n = group.gens[name], 1
-            while _power(group, x, n) != group.identity:
-                n += 1
-            want = [right_table(g) for g in sorted(pgl2(p).elements) if g ** n == one]
-            assert tables == want, (group.name, p, name)
+        (gens, pools), = seen
+        seen.clear()
+        assert gens == [group.gens[name] for name in group.generator_names()]
+        assert len(pools) == len(gens)
+        for x, pool in zip(gens, pools):
+            n = _element_order(group, x)
+            assert pool == [index[g] for g in sorted(pgl2(p).elements) if g ** n == one], (group.name, p, x)
+
+
+def _element_order(group, x):
+    n = 1
+    while _power(group, x, n) != group.identity:
+        n += 1
+    return n
+
+
+def _reference_walk(order, steps, one):
+    """f over the numbers, or None: tree edges set f[R_g[i]] = table[f[i]],
+    all other edges compare it, failing at the first mismatch."""
+    f = [None] * len(order)
+    f[order[0]] = one
+    for i in order:
+        for col, table in steps:
+            j, value = col[i], table[f[i]]
+            if f[j] is None:
+                f[j] = value
+            elif f[j] != value:
+                return None
+    return f
+
+
+def reference_product_search(group, images, target, one):
+    """The search by products: every tuple of generator values drawn from
+    ``images`` (name -> the candidates' right tables, on the group indexed
+    by ``target``, ``one`` its identity's index), walked in
+    ``itertools.product`` order, keys in ``tree`` order.  The reference for
+    the search by conjugacy-class representatives."""
+    order = [group.index[x] for x in group.tree]
+    cols = [group.right[group.index[group.gens[name]]] for name in images]
+    homs = (_reference_walk(order, list(zip(cols, values)), one)
+            for values in itertools.product(*images.values()))
+    return [{group.elements[i]: target[f[i]] for i in order} for f in homs if f is not None]
+
+
+def reference_homs_to_pgl2(group, p):
+    """Every tuple of images whose order divides the generator's, walked."""
+    elems, index = pgl2_index(p)
+    one = ProjMat.identity(p)
+    images = {name: [right_table(g) for g in elems if g ** _element_order(group, group.gens[name]) == one]
+              for name in group.generator_names()}
+    return reference_product_search(group, images, elems, index[one])
+
+
+PRODUCT_SEARCH_CASES = [
+    pytest.param(group, p, id=f"{group.name}-{p}")
+    for group, p in [(g, p) for g in SEARCH_GROUPS for p in (3, 5, 7)]
+    + [(g, 11) for g in SEARCH_GROUPS[:4]] + [(C2_CUBED, 3), (C2_CUBED, 5)]
+]
+
+
+@pytest.mark.parametrize("group, p", PRODUCT_SEARCH_CASES)
+def test_all_homs_to_pgl2_matches_the_product_search(group, p):
+    # the same homomorphisms in the same order, keys in the same order, as
+    # walking every tuple of images; C2^3 takes a third generator's path
+    got = all_homs_to_pgl2(group, p)
+    want = reference_homs_to_pgl2(group, p)
+    assert got == want
+    assert [list(f) for f in got] == [list(f) for f in want]
+
+
+@pytest.mark.parametrize("group, p", PRODUCT_SEARCH_CASES)
+def test_all_homs_to_pgl2_is_closed_under_conjugation_with_whole_orbit_counts(group, p):
+    # orbit-stabilizer, independently of the search: the homomorphisms are
+    # closed under conjugation by T, U and V, which generate PGL2(F_p), and
+    # the sum over them of |C(f)| / |PGL2(F_p)|, C(f) the centralizer of the
+    # image, is the number of orbits, counted here by a search of the set
+    homs = [tuple(f.values()) for f in all_homs_to_pgl2(group, p)]
+    found = set(homs)
+    assert len(found) == len(homs)
+    conjugations = [(s.inverse(), s) for s in pgl2(p).generators]
+    orbits, seen = 0, set()
+    for f in homs:
+        if f in seen:
+            continue
+        orbits += 1
+        seen.add(f)
+        queue = [f]
+        for h in queue:
+            for s_inv, s in conjugations:
+                k = tuple(s_inv * x * s for x in h)
+                assert k in found
+                if k not in seen:
+                    seen.add(k)
+                    queue.append(k)
+    gens = [list(group.tree).index(x) for x in group.gens.values()]
+    total = sum(Fraction(centralizer([f[i] for i in gens], p).order, pgl2(p).order) for f in homs)
+    assert total == orbits
 
 
 def test_s3_images_failing_the_braid_relation_give_no_homomorphism():

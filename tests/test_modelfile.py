@@ -1,9 +1,12 @@
 """Parsing and validation of JSON model files."""
 import json
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from modtwist import genus_XNp, modelfile, wgroup
 from modtwist.arith import Level
 from modtwist.galmodel import FiniteGaloisModel, FiniteGroup, validate_model
 from modtwist.modelfile import ModelParseError, _permutation_group, parse_and_validate, parse_model
@@ -283,3 +286,25 @@ def test_a_rejected_group_is_built_again_not_cached():
         messages.append(str(err.value))
         assert _permutation_group.cache_info().misses == misses + 1
     assert messages[0] == messages[1]
+
+
+def test_documented_models_validate_and_the_readme_library_lines_hold():
+    # the model in the modelfile docstring and the one in README's JSON
+    # block parse and validate; README's library block gives genus 13 for
+    # its level, "FullPGL2" for W(2, 3), and the twist plan of the README
+    # model at (4, 3) has four curves (rho and rho', untwisted and twisted
+    # by k = -1)
+    doc = modelfile.__doc__
+    example = doc[doc.index("JSON document:") + len("JSON document:"):doc.index("The group is")]
+    model = parse_and_validate(textwrap.dedent(example))
+    assert model.p == 3 and model.group.order == 6 and model.conj == (1, 0, 2)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme_model = parse_and_validate(readme.split("```json\n")[1].split("```")[0])
+    library = readme.split("## Library")[1].split("```python\n")[1].split("```")[0]
+    level = Level(*map(int, re.search(r"level = Level\((\d+), (\d+)\)", library).groups()))
+    assert re.search(r"genus_XNp\(level\)\s+# 13\n", library) and genus_XNp(level) == 13
+    assert 'wgroup(Level(2, 3)).structure  # "FullPGL2"' in library
+    assert wgroup(Level(2, 3)).structure == "FullPGL2"
+    assert "twist_plan(Level(4, 3), model, k_fields=(-1,))" in library
+    plan = twist_plan(Level(4, 3), readme_model, k_fields=(-1,))
+    assert plan.curves == ["X(4,3)_rho", "X(4,3)'_rho", "X(4,3)_rho,k=-1", "X(4,3)'_rho,k=-1"]

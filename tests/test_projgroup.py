@@ -271,6 +271,30 @@ def test_power_and_left_tables_are_inverse_order_and_left_product(p):
         assert [inverse[r[inverse[k]]] for k in range(len(elems))] == [index[g * x] for x in elems], g
 
 
+def _order_by_powers(g, p) -> int:
+    """The least n with g^n scalar, from integer 2x2 matrix powers mod p."""
+    a, b, c, d = g.rep
+    n, (e, f, h, k) = 1, g.rep
+    while f or h or e != k:
+        n, (e, f, h, k) = n + 1, ((e * a + f * c) % p, (e * b + f * d) % p, (h * a + k * c) % p, (h * b + k * d) % p)
+    return n
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_order_table_closed_form_matches_powers(p):
+    # the order read off u = tr^2/det is the order read off the powers, for
+    # every element: the identity has order 1, and the p^2 - 1 non-scalar
+    # classes with tr^2 = 4 det (the unipotent ones) have order p
+    elems, index = pgl2_index(p)
+    orders = order_table(p)
+    assert orders == tuple(_order_by_powers(g, p) for g in elems)
+    assert orders[index[ProjMat.identity(p)]] == 1 and orders.count(1) == 1
+    unipotent = [i for i, (a, b, c, d) in enumerate(g.rep for g in elems)
+                 if (a + d) ** 2 % p == 4 * (a * d - b * c) % p and (a, b, c, d) != (1, 0, 0, 1)]
+    assert len(unipotent) == p * p - 1 == orders.count(p)
+    assert all(orders[i] == p for i in unipotent)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_pgl2_center_is_trivial(p):
     assert centralizer(pgl2(p).elements, p).order == 1
