@@ -231,6 +231,13 @@ class Level:
             raise ValueError(f"Level: need gcd(N, p) = 1, got ({self.N}, {self.p})")
         object.__setattr__(self, "cyclotomic", kronecker(self.N, self.p) == 1)
 
+    @property
+    def v(self) -> int:
+        """The v of the level's V = [[0, -v], [1, 0]], which follows the
+        paper's case split: the least non-square mod p at cyclotomic levels,
+        N^-1 mod p (itself a non-square) otherwise."""
+        return least_nonsquare(self.p) if self.cyclotomic else pow(self.N, -1, self.p)
+
     def __str__(self) -> str:
         return f"({self.N}, {self.p})"
 

@@ -125,28 +125,23 @@ def cusps_oracle(N: int) -> int:
     return orbits
 
 
-def _nu2(N: int) -> int:
-    if N % 4 == 0:
+def _nu(N: int, D: int, square: int) -> int:
+    """The number of elliptic points of X_0(N) of order 2 (D = -4, square =
+    4) or of order 3 (D = -3, square = 9): none when square | N, else the
+    product of 1 + (D | q) over the primes q | N."""
+    if N % square == 0:
         return 0
     out = 1
     for q in prime_factors(N):
-        out *= 1 + kronecker(-4, q)
-    return out
-
-
-def _nu3(N: int) -> int:
-    if N % 9 == 0:
-        return 0
-    out = 1
-    for q in prime_factors(N):
-        out *= 1 + kronecker(-3, q)
+        out *= 1 + kronecker(D, q)
     return out
 
 
 def genus_X0(N: int) -> int:
     """Genus of X_0(N) by the standard index/elliptic-point/cusp formula."""
     nu_inf = sum(euler_phi(math.gcd(n, N // n)) for n in divisors(N))
-    g = 1 + Fraction(psi_index(N), 12) - Fraction(_nu2(N), 4) - Fraction(_nu3(N), 3) - Fraction(nu_inf, 2)
+    nu2, nu3 = _nu(N, -4, 4), _nu(N, -3, 9)
+    g = 1 + Fraction(psi_index(N), 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
     invariant(g.denominator == 1 and g >= 0, f"genus_X0({N}) is not a natural number")
     return int(g)
 
@@ -255,7 +250,9 @@ def al_fixed_points(M: int, Q: int) -> int:
     theta in End(E) is a cyclic Q-isogeny with theta^2 = -Q (plus, for Q = 2
     only, theta^2 = +-2i on j = 1728), weighted by Kronecker local factors at
     the primes dividing R; for Q = 4 the involution additionally fixes the
-    cusps m/n with ord_2(n) = 1.
+    cusps m/n with ord_2(n) = 1.  The Q = 2 points on j = 1728 come from
+    theta = 1 + i with theta^2 = 2i: one more pair (disc, t11) = (-4, 1) for
+    the orders' loop, theta = 1 + 1*i being never a scalar mod q.
     """
     if Q <= 1 or M % Q != 0:
         raise ValueError(f"al_fixed_points: need Q > 1 dividing M, got ({M}, {Q})")
@@ -265,17 +262,10 @@ def al_fixed_points(M: int, Q: int) -> int:
     if not is_squarefree(R):
         raise ValueError(f"al_fixed_points: M/Q = {R} not squarefree (unsupported)")
     total = 0
-    for disc, t11 in _order_od_cyclic_orders(Q):
+    for disc, t11 in _order_od_cyclic_orders(Q) + ([(-4, 1)] if Q == 2 else []):
         term = class_number_primitive(disc)
-        for q in prime_factors(R) if R > 1 else []:
+        for q in prime_factors(R):
             term *= _al_local_factor(disc, t11, q)
-        total += term
-    if Q == 2:
-        # extra fixed point on j = 1728 from theta = 1 + i with theta^2 = 2i;
-        # theta = 1 + 1*i is never a scalar mod q
-        term = class_number_primitive(-4)
-        for q in prime_factors(R) if R > 1 else []:
-            term *= _al_local_factor(-4, 1, q)
         total += term
     if Q == 4:
         # w_4 fixes each cusp m/n with ord_2(n) = 1; with R squarefree and

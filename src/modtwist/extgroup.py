@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Level, invariant, least_nonsquare, lift_sqrt_mod_p2
+from .arith import Level, invariant, lift_sqrt_mod_p2
 from .projgroup import (MatGroup, ProjMat, in_psl2, inverse_table, pgl2, pgl2_index, right_table,
                         spanning_tree)
 
@@ -59,9 +59,6 @@ class IntMat:
         """The adjugate, det times the inverse."""
         return IntMat(self.d, -self.b, -self.c, self.a)
 
-    def hat(self) -> "IntMat":
-        return IntMat(self.d, self.c, self.b, self.a)
-
 
 def build_generators(level: Level) -> dict[str, IntMat]:
     """Integer generator matrices for W(N, p) at the given level.
@@ -88,19 +85,16 @@ def build_generators(level: Level) -> dict[str, IntMat]:
 class WGroupReport:
     """Structure report for W(N, p)."""
 
-    level: Level
     order: int  # abstract group order, always p(p^2-1)
     structure: str  # "DirectProduct" or "FullPGL2"
-    v: int  # non-square used for V (non-cyclotomic: N^-1 mod p)
+    v: int  # the non-square of V, Level.v (non-cyclotomic: N^-1 mod p)
     generators: dict
     image_group: MatGroup  # generated by the mod-p reductions
-    central_involution: IntMat | None  # Z_N in the cyclotomic case
-    central_involution_reduction: ProjMat | None  # its (scalar) reduction
 
 
 def wgroup(level: Level) -> WGroupReport:
     """Compute W(N, p) and its structure invariants."""
-    N, p = level.N, level.p
+    p = level.p
     gens = build_generators(level)
     reductions = tuple(m.reduce(p) for m in gens.values())
     elems, index = pgl2_index(p)
@@ -108,25 +102,20 @@ def wgroup(level: Level) -> WGroupReport:
                          lambda k, r: r[k])
     image = MatGroup(p, frozenset(elems[k] for k in tree), reductions)
     full_order = p * (p * p - 1)
-    z = gens.get("Z_N")
-    zred = None if z is None else z.reduce(p)
     if level.cyclotomic:
         # Z_N reduces to a scalar, hence to the identity class: the image is
         # just PSL2 and w survives only as a formal central generator.
-        invariant(zred.is_identity(), "cyclotomic Z_N should reduce to a scalar")
+        invariant(gens["Z_N"].reduce(p).is_identity(), "cyclotomic Z_N should reduce to a scalar")
         invariant(image.order == full_order // 2, "cyclotomic image should be PSL2")
     else:
         # non-cyclotomic: reduction is faithful onto PGL2
         invariant(image.order == full_order, "non-cyclotomic image should be all of PGL2")
     return WGroupReport(
-        level=level,
         order=full_order,
         structure="DirectProduct" if level.cyclotomic else "FullPGL2",
-        v=least_nonsquare(p) if level.cyclotomic else pow(N, -1, p),
+        v=level.v,
         generators=gens,
         image_group=image,
-        central_involution=z,
-        central_involution_reduction=zred,
     )
 
 
@@ -146,7 +135,6 @@ def verify_relations(level: Level) -> bool:
 
 @dataclass(frozen=True)
 class InvolutionReport:
-    level: Level
     involutions: frozenset  # classes in PGL2 \ PSL2 squaring to 1
     single_conjugacy_class: bool
     integer_models: dict  # ProjMat -> conjugate of V_N by a word in T_N, U_N
@@ -199,5 +187,5 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
             models[g] = m
     missing = invs - models.keys()
     invariant(not missing, f"involutions_extending_wN: no integer model for {sorted(missing)}")
-    return InvolutionReport(level=level, involutions=invs, single_conjugacy_class=models.keys() == invs,
+    return InvolutionReport(involutions=invs, single_conjugacy_class=models.keys() == invs,
                             integer_models=models)

@@ -60,9 +60,6 @@ class FiniteGroup:
     def mul(self, a, b):
         return self.elements[self.right[self.index[b]][self.index[a]]]
 
-    def inv(self, a):
-        return self.elements[self.inverse[self.index[a]]]
-
     @property
     def order(self) -> int:
         return len(self.elements)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 
-from .arith import Level, invariant, kronecker, least_nonsquare
+from .arith import Level, invariant, kronecker
 from .projgroup import (ProjMat, in_psl2, pgl2_index, right_table, spanning_tree,
                         t_matrix, u_matrix, v_matrix)
 
@@ -32,7 +32,7 @@ def hat_table_walk(p: int):
     spanning tree of <T, U>, keeping only the current path's tables.  The
     child gamma * g has hat(gamma) hat(g) and conjugate gamma_sigma g_sigma,
     as hat(V) is an involution: one composition with a step table each."""
-    hv = v_matrix(p, least_nonsquare(p)).hat()
+    hv = v_matrix(p).hat()
     gens = {"T": t_matrix(p), "U": u_matrix(p)}
     steps = {name: (right_table(g.hat()), right_table((hv * g * hv).hat()))
              for name, g in gens.items()}
@@ -60,7 +60,7 @@ def verify_galois_conjugation(p: int) -> bool:
     hat(gamma_sigma) = V hat(gamma) V; on every state, acting by gamma then
     sigma equals sigma then gamma_sigma: s hat(gamma) V = s V hat(gamma_sigma).
     """
-    vv = v_matrix(p, least_nonsquare(p))
+    vv = v_matrix(p)
     hv = vv.hat()
     r_v = right_table(vv)
     reached = 0
@@ -82,10 +82,10 @@ def verify_w_rationality(level: Level) -> bool:
     """Exhaustive check that w commutes with the Galois action on states:
     for every character value chi, (galois) o act_w o (galois)^-1 o act_w^-1
     is the identity on every state.  Each action is the identity or R_V, v
-    being N^-1 mod p at non-cyclotomic levels and the least non-square else."""
+    being ``Level.v``: N^-1 mod p at non-cyclotomic levels and the least
+    non-square else."""
     p = level.p
-    v = least_nonsquare(p) if level.cyclotomic else pow(level.N, -1, p)
-    r_v = right_table(v_matrix(p, v))
+    r_v = right_table(v_matrix(p, level.v))
     states = tuple(range(len(r_v)))
     w = states if level.cyclotomic else r_v  # an involution, so also w^-1
     for chi in range(1, p):

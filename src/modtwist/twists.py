@@ -259,15 +259,14 @@ def twist_plan(
     if m.det_is_epsilon() != level.cyclotomic:
         need = "=" if level.cyclotomic else "!="
         raise ParityError(f"{case} level {level} requires det rho {need} eps as characters")
-    v = least_nonsquare(p) if level.cyclotomic else pow(N, -1, p)
-    cocycles, curves = [build_xi(m, "plain", v=v)], [f"X({N},{p})_rho"]
+    cocycles, curves = [build_xi(m, "plain", v=level.v)], [f"X({N},{p})_rho"]
     field_k = char = None
     if level.cyclotomic:
-        cocycles.append(build_xi(m, "primed", v=v))
+        cocycles.append(build_xi(m, "primed", v=level.v))
         curves.append(f"X({N},{p})'_rho")
         for qc in m.characters.values():
             if qc.field in k_fields:
-                cocycles.append(build_xi(m, "plain", k_char=qc.values, v=v))
+                cocycles.append(build_xi(m, "plain", k_char=qc.values, v=level.v))
                 curves += [f"X({N},{p})_rho,k={qc.field}", f"X({N},{p})'_rho,k={qc.field}"]
     else:
         char = {s: m.epsilon(s) * m.det_class(s) for s in m.group.elements}

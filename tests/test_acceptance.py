@@ -169,7 +169,7 @@ def test_acceptance_07_w_group_structure():
             ok = ok and rep.order == p * (p * p - 1)
             if lv.cyclotomic:
                 ok = ok and rep.structure == "DirectProduct"
-                ok = ok and rep.central_involution_reduction is not None
+                ok = ok and rep.generators["Z_N"].reduce(p).is_identity()
                 ok = ok and rep.image_group.elements == psl2(p).elements
             else:
                 ok = ok and rep.structure == "FullPGL2"

@@ -158,7 +158,12 @@ def test_cyclotomic_iff_square_mod_p():
         for n in range(2, 30):
             if math.gcd(n, p) != 1:
                 continue
-            assert Level(n, p).cyclotomic == (kronecker(n, p) == 1)
+            lv = Level(n, p)
+            assert lv.cyclotomic == (kronecker(n, p) == 1)
+            # V = [[0, -v], [1, 0]] needs a non-square v, and N^-1 is one
+            # exactly off the cyclotomic case
+            assert lv.v == (least_nonsquare(p) if lv.cyclotomic else pow(n, -1, p))
+            assert kronecker(lv.v, p) == -1
 
 
 def test_level_cyclotomic_is_derived_not_passed():

@@ -386,6 +386,9 @@ TWO_ERROR_MODEL = {
         pytest.param(["genus", "2", "3", "--plus"], EXIT_USAGE,
                      "error: X+(2,3) requires a cyclotomic level\n", id="plus_non_cyclotomic"),
         pytest.param(["cusps", "0"], EXIT_USAGE, "error: N must be positive\n", id="cusps_0"),
+        pytest.param(["cusps", "1000001", "--oracle"], EXIT_USAGE,
+                     "error: cusps --oracle needs N at most 1000000, got 1000001\n",
+                     id="cusps_oracle_above_max"),
         pytest.param(["al-fixed", "12", "5"], EXIT_USAGE,
                      "error: al_fixed_points: need Q > 1 dividing M, got (12, 5)\n", id="al_fixed_12_5"),
         pytest.param(["al-fixed", "5", "0"], EXIT_USAGE,

@@ -1,12 +1,15 @@
 """Genus and cusp computations for X_0(N) and the twisted curves X(N,p),
 Atkin-Lehner fixed points and quotient genera."""
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modtwist import curves
-from modtwist.arith import InvariantError, Level, divisors, euler_phi, is_prime, psi_index
+from modtwist.arith import (InvariantError, Level, class_number_primitive, divisors, euler_phi, is_prime,
+                            psi_index)
 from modtwist.curves import (
     al_fixed_points,
     cusps_X0,
@@ -20,6 +23,8 @@ from modtwist.curves import (
     p1_local_T,
     xplus_verdict,
 )
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "goldens_curve.json"
 
 KNOWN_GENUS_X0 = {
     1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0, 10: 0,
@@ -280,3 +285,21 @@ def test_xplus_verdict_generic_case():
 def test_xplus_verdict_requires_cyclotomic():
     with pytest.raises(ValueError):
         xplus_verdict(Level(2, 3))
+
+
+def test_curve_goldens_replay():
+    # every stored curve-scan answer, in-process: the (M, Q) fixed-point
+    # counts with their quotient genera, the X+ verdicts, the class numbers,
+    # lemma_pairs(71) and the low-genus scan (curve-scan samples only some)
+    gold = json.loads(GOLDENS.read_text())
+    assert len(gold["al"]) == 811
+    for key, want in gold["al"].items():
+        M, Q = map(int, key.split(","))
+        assert [al_fixed_points(M, Q), genus_AL_quotient(M, Q)] == want, key
+    assert len(gold["xplus"]) > 100
+    for key, want in gold["xplus"].items():
+        rep = xplus_verdict(Level(*map(int, key.split(","))))
+        assert [rep.curve, rep.genus, rep.method, rep.note] == want, key
+    assert all(class_number_primitive(int(D)) == h for D, h in gold["class_numbers"].items())
+    assert sorted(map(list, lemma_pairs(71))) == gold["lemma_pairs_71"]
+    assert [[lv.N, lv.p, g] for lv, g in low_genus_XNp(300, 13)] == gold["low_genus_300_13"]

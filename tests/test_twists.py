@@ -101,7 +101,7 @@ def reference_build_xi_values(m, variant, k_char=None):
     hv = v_matrix(m.p, least_nonsquare(m.p)).hat()
     out = {}
     for s in m.group.elements:
-        a, b, c, d = m.rho[m.group.inv(s)].rep
+        a, b, c, d = m.rho[m.group.elements[m.group.inverse[m.group.index[s]]]].rep
         g = ProjMat(a, c, b, d, m.p)
         if variant == "primed":
             g = hv * g * hv
@@ -168,7 +168,7 @@ def test_rho_star_is_the_transpose_of_rho_at_the_inverse(p):
     for m in CORPORA[p]:
         want = {}
         for s in m.group.elements:
-            a, b, c, d = m.rho[m.group.inv(s)].rep
+            a, b, c, d = m.rho[m.group.elements[m.group.inverse[m.group.index[s]]]].rep
             want[s] = ProjMat(a, c, b, d, p)
         star = rho_star(m)
         assert star == want and list(star) == list(m.group.elements), (m.group.name, p)
