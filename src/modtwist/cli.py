@@ -56,9 +56,12 @@ EXIT_MODEL = 4
 EXIT_PARITY = 5
 
 SCAN_MAX = 1000  # bound on scan --max-n and --max-p: the scan at (1000, 1000) takes seconds
-# bound on cusps --oracle N: the oracle lists psi(N) >= N points of P^1(Z/N); at
-# N = 10^6 it takes 1.1-1.5 s and 90 MB peak RSS (2-vCPU VM, Python 3.11)
-CUSPS_ORACLE_MAX = 10**6
+# bound on the N of genus, cusps and twist-plan and the M of al-fixed: divisors
+# and class numbers trial-divide up to sqrt(N), and cusps --oracle lists
+# psi(N) >= N points of P^1(Z/N), 1.1-1.5 s and 90 MB peak RSS at N = 10^6;
+# al-fixed took 1.75 s at M = 10^7 and over 4 minutes at M = 10^12 (2-vCPU VM,
+# Python 3.11)
+MAX_N = 10**6
 
 
 @dataclass
@@ -91,6 +94,11 @@ class _Exit(Exception):
         self.code = code
 
 
+def _at_most_max_n(command: str, name: str, n: int) -> None:
+    if n > MAX_N:
+        raise _Exit(EXIT_USAGE, f"error: {command} needs {name} at most {MAX_N}, got {n}")
+
+
 def _level(N: int, p: int) -> Level:
     try:
         return Level(N, p)
@@ -111,6 +119,7 @@ def _model(path: str):
 
 
 def cmd_genus(args):
+    _at_most_max_n("genus", "N", args.N)
     level = _level(args.N, args.p)
     if args.plus:
         if not level.cyclotomic:
@@ -136,8 +145,7 @@ def cmd_genus(args):
 def cmd_cusps(args):
     if args.N <= 0:
         raise _Exit(EXIT_USAGE, "error: N must be positive")
-    if args.oracle and args.N > CUSPS_ORACLE_MAX:
-        raise _Exit(EXIT_USAGE, f"error: cusps --oracle needs N at most {CUSPS_ORACLE_MAX}, got {args.N}")
+    _at_most_max_n("cusps", "N", args.N)
     cusps = cusps_X0(args.N)
     outputs = {
         "N": args.N,
@@ -220,6 +228,7 @@ def cmd_scan(args):
 
 
 def cmd_al_fixed(args):
+    _at_most_max_n("al-fixed", "M", args.M)
     try:
         f = al_fixed_points(args.M, args.Q)
         g = genus_X0(args.M)
@@ -242,6 +251,7 @@ def cmd_classify(args):
 
 
 def cmd_twist_plan(args):
+    _at_most_max_n("twist-plan", "N", args.N)
     level = _level(args.N, args.p)
     model = _model(args.model)
     try:

@@ -1,30 +1,39 @@
 """Finite witnesses for Galois-theoretic data: a finite group together with
 a projective representation into PGL2(F_p), a cyclotomic character value
 map, an optional complex-conjugation element and optional named quadratic
-characters.
+characters.  A model is read-only: rho and chi are read-only copies, and
+``eps`` (chi's residue character as +-1) and ``rho_ix`` (rho as PGL2(F_p)
+indices) are derived once, by group number; variants are new models made
+with ``dataclasses.replace``.
 
 Also contains the finite-group container used throughout: a ``FiniteGroup``
 numbers its elements once and stores right multiplication by each as a list
 of numbers (the right regular representation, as ``projgroup.right_table``
 for PGL2(F_p)), read off a table or composed along a spanning tree; labels
 appear only at the boundary.  By the Cayley-graph criterion (proof in
-``FiniteGroup``) homomorphisms are checked on the generators' columns:
-``is_homomorphism``, for characters, ``twists.check_cocycle`` and rho and
-chi in ``validate_model`` (which scans all pairs only for a message), and the
-homomorphism searches, which walk one first-generator image per PGL2(F_p)
-conjugacy class and carry each homomorphism found over its class.
+``FiniteGroup``) homomorphisms are checked on the generators' columns, as
+table lookups on numbers: ``is_homomorphism``, for characters (as bits of
+Z/2), ``twists.check_cocycle`` and rho and chi in ``validate_model`` (which
+scans all pairs only for a message), a map into a product one factor at a
+time; and the homomorphism searches, which walk one first-generator image
+per PGL2(F_p) conjugacy class and carry each homomorphism found over its
+class.
 """
 from __future__ import annotations
 
 import itertools
-import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 from .arith import Level, is_prime, residue_tables
 from .projgroup import ProjMat, inverse_table, order_table, pgl2, pgl2_index, right_table, spanning_tree
 
 MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
+# right multiplication in Z/2 = {0, 1}: the w bits, and +-1 numbered 1 -> 0, -1 -> 1
+Z2_RIGHT = ((0, 1), (1, 0))
 
 
 class FiniteGroup:
@@ -156,14 +165,17 @@ class FiniteGroup:
             out[y] = one if edge is None else op(out[edge[0]], gen_values[edge[1]])
         return out
 
-    def is_homomorphism(self, f: dict, op) -> bool:
-        """Whether f (element -> value in a group under ``op``) is a
+    def is_homomorphism(self, f, table) -> bool:
+        """Whether f, a list by group number of numbers in a target group
+        whose right multiplication by v is the sequence ``table(v)``, is a
         homomorphism: by the Cayley-graph criterion, whether
-        f(x*g) = op(f(x), f(g)) along the generators' columns of ``right``,
-        failing at the first mismatch.  ValueError without generators."""
-        values = [f[x] for x in self.elements]
-        return all(all(map(operator.eq, map(values.__getitem__, self.right[self.index[g]]),
-                           map(op, values, itertools.repeat(f[g])))) for g in self.generators())
+        f[R_g[x]] = table(f[g])[f[x]] along each generator column R_g of
+        ``right``, two C-level maps of the column compared per generator.
+        A map into a product is a homomorphism exactly when each factor is
+        one, so product targets are checked a factor at a time.  ValueError
+        without generators."""
+        return all(list(map(f.__getitem__, self.right[j])) == list(map(table(f[j]).__getitem__, f))
+                   for j in map(self.index.__getitem__, self.generators()))
 
 
 def _compose(a, b):
@@ -221,26 +233,42 @@ class QuadraticCharacter:
     field: int | None = None  # squarefree integer labelling the fixed field
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteGaloisModel:
     """A finite quotient witness: group G with rho: G -> PGL2(F_p),
     chi: G -> F_p^* (the cyclotomic character), an optional conjugation
-    element and optional named quadratic characters."""
+    element and optional named quadratic characters.
+
+    Read-only: rho and chi are kept as read-only copies of the mappings
+    given, so ``eps`` and ``rho_ix``, derived once by group number, stay
+    true; a variant is a new model, ``dataclasses.replace(m, ...)``."""
 
     group: FiniteGroup
     p: int
-    rho: dict  # element -> ProjMat
-    chi: dict  # element -> int in [1, p-1]
+    rho: Mapping  # element -> ProjMat
+    chi: Mapping  # element -> int in [1, p-1]
     conj: object | None = None
     characters: dict = field(default_factory=dict)  # name -> QuadraticCharacter
 
-    def epsilon(self, sigma) -> int:
-        return self.epsilons((sigma,))[0]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rho", MappingProxyType(dict(self.rho)))
+        object.__setattr__(self, "chi", MappingProxyType(dict(self.chi)))
 
-    def epsilons(self, elements) -> list[int]:
-        """eps, the quadratic residue character of chi, on each of ``elements``."""
+    @cached_property
+    def eps(self) -> tuple[int, ...]:
+        """eps, the quadratic residue character of chi, as +-1 by group number."""
         symbol = residue_tables(self.p)[1]
-        return [symbol[self.chi[s] % self.p] for s in elements]
+        return tuple(symbol[self.chi[x] % self.p] for x in self.group.elements)
+
+    @cached_property
+    def rho_ix(self) -> tuple[int, ...]:
+        """rho by group number, as indices into the sorted PGL2(F_p); for a
+        rho valued in ProjMats mod p, as ``validate_model`` checks first."""
+        index = pgl2_index(self.p)[1]
+        return tuple(index[self.rho[x]] for x in self.group.elements)
+
+    def epsilon(self, sigma) -> int:
+        return self.eps[self.group.index[sigma]]
 
     def det_class(self, sigma) -> int:
         return self.rho[sigma].det_class
@@ -248,14 +276,16 @@ class FiniteGaloisModel:
     def det_is_epsilon(self) -> bool:
         """Whether det rho = eps as +-1 characters: the parity of the
         cyclotomic case."""
-        elements = self.group.elements
-        return [self.rho[s].det_class for s in elements] == self.epsilons(elements)
+        elems = pgl2_index(self.p)[0]
+        return all(elems[k].det_class == e for k, e in zip(self.rho_ix, self.eps))
 
 
 def validate_model(m: FiniteGaloisModel) -> list[str]:
-    """All violations of the model axioms, as human-readable strings.  All
-    pairs are scanned for the first failing one only where ``is_homomorphism``
-    rejects (rho, chi) into PGL2 x F_p^*, or the group has no generators."""
+    """All violations of the model axioms, as human-readable strings.  rho
+    (on PGL2 indices) and chi (on residues) are checked apart, a map into a
+    product being a homomorphism when each factor is; all pairs are scanned
+    for the first failing one only where ``is_homomorphism`` rejects one of
+    them, or the group has no generators."""
     if not (m.p > 2 and is_prime(m.p)):
         return [f"p = {m.p} is not an odd prime"]
     g = m.group
@@ -269,13 +299,11 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
             return errs + [f"rho({x}) is not a ProjMat mod {m.p}"]
         if not (1 <= m.chi[x] % m.p <= m.p - 1):
             errs.append(f"chi({x}) = {m.chi[x]} is not a unit mod {m.p}")
-    index = pgl2_index(m.p)[1]  # index(rho(a) rho(b)) = R_rho(b)[index(rho(a))]
-    rho = [index[m.rho[x]] for x in g.elements]
-    chi = [m.chi[x] % m.p for x in g.elements]
-    f = dict(zip(g.elements, zip(rho, chi)))
-    gen_tables = {f[x][0]: right_table(m.rho[x]) for x in g.gens.values()}
-    if not g.gens or not g.is_homomorphism(f, lambda x, y: (gen_tables[y[0]][x[0]], x[1] * y[1] % m.p)):
-        tables = [right_table(m.rho[x]) for x in g.elements]
+    elems = pgl2_index(m.p)[0]  # index(rho(a) rho(b)) = R_rho(b)[index(rho(a))]
+    rho, chi = m.rho_ix, [m.chi[x] % m.p for x in g.elements]
+    if not (g.gens and g.is_homomorphism(rho, lambda k: right_table(elems[k]))
+            and g.is_homomorphism(chi, lambda c: [x * c % m.p for x in range(m.p)])):
+        tables = [right_table(elems[k]) for k in rho]
         for a, (rho_a, chi_a) in enumerate(zip(rho, chi)):
             for b, col in enumerate(g.right):
                 ab = col[a]
@@ -298,7 +326,7 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
         if any(char.values[x] not in (1, -1) for x in g.elements):
             errs.append(f"character {name!r} takes values outside +-1")
             continue
-        if not g.is_homomorphism(char.values, lambda a, b: a * b):
+        if not g.is_homomorphism([(1 - char.values[x]) // 2 for x in g.elements], Z2_RIGHT.__getitem__):
             errs.append(f"character {name!r} is not a homomorphism")
     return errs
 
@@ -324,8 +352,8 @@ def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
 
 def all_quadratic_characters(group: FiniteGroup) -> list[dict]:
     """All homomorphisms group -> {1, -1}, searched by ``_homs`` with no
-    conjugations: {1, -1} indexed so has right tables (0, 1), (1, 0)."""
-    return _homs(group, (1, -1), ((0, 1), (1, 0)).__getitem__, (1, 2), [])
+    conjugations: {1, -1} numbered so has right tables ``Z2_RIGHT``."""
+    return _homs(group, (1, -1), Z2_RIGHT.__getitem__, (1, 2), [])
 
 
 def _element_order(group: FiniteGroup, x) -> int:

@@ -12,14 +12,16 @@ formal central w-component.
 Cocycle values are pairs (ProjMat, w_bit): the w_bit is the formal central
 component (always 0 outside the cyclotomic chi_k construction).  Inside,
 rho*, eta, xi and the untwisted values are indices into the sorted PGL2(F_p)
-(h * g is R_g[index(h)]); only these pairs and rho_star read off ProjMats.
+(h * g is R_g[index(h)]), by group number: each step reads the model's
+``eps`` and ``rho_ix``, derived once per model, and only these pairs read
+off ProjMats.
 
 Every check here runs on the generators of the model group.  The twist by s
 is conjugation by eta(s), eta a homomorphism, so xi is a cocycle exactly when
-its untwisting s -> xi(s) * eta(s) is a homomorphism, and c is a cohomology
-witness exactly when c * (xi' eta)(s) = (xi eta)(s) * c (Serre, Galois
-Cohomology, I.5.3).  The centralizer of the image of rho is that of the
-images of the generators.
+its untwisting s -> xi(s) * eta(s) is a homomorphism, checked apart on the
+PGL2 indices and the w bits, and c is a cohomology witness exactly when
+c * (xi' eta)(s) = (xi eta)(s) * c (Serre, Galois Cohomology, I.5.3).  The
+centralizer of the image of rho is that of the images of the generators.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from functools import lru_cache
 from .arith import Level, invariant, least_nonsquare
 from .curves import genus_XNp, xplus_verdict
 from .galmodel import (
+    Z2_RIGHT,
     FiniteGaloisModel,
     all_homs_to_pgl2,
     all_quadratic_characters,
@@ -66,16 +69,19 @@ def _hat_v(p: int, v: int) -> ProjMat:
     return v_matrix(p, v).hat()
 
 
-def _untwisted(c: Cocycle, m: FiniteGaloisModel, elements) -> dict:
-    """s -> (index of c(s) * eta(s), w(s)) on the given elements, eta read
-    from m's eps: R_hat(V) moves c's value where eps(s) = -1."""
+def _untwisted(c: Cocycle, m: FiniteGaloisModel, numbers) -> tuple[list, list]:
+    """The index of c(s) * eta(s), and w(s), for the elements s numbered
+    ``numbers``, as two lists; eta read from m's eps: R_hat(V) moves c's
+    value where eps(s) = -1."""
     index = pgl2_index(c.p)[1]
     rh = right_table(_hat_v(c.p, c.v))
-    out = {}
-    for s, e in zip(elements, m.epsilons(elements)):
-        g, w = c.values[s]
-        out[s] = (rh[index[g]] if e == -1 else index[g], w)
-    return out
+    elements, eps = m.group.elements, m.eps
+    ks, ws = [], []
+    for i in numbers:
+        g, w = c.values[elements[i]]
+        ks.append(rh[index[g]] if eps[i] == -1 else index[g])
+        ws.append(w)
+    return ks, ws
 
 
 def check_cocycle(c: Cocycle) -> bool:
@@ -84,33 +90,33 @@ def check_cocycle(c: Cocycle) -> bool:
 
     Precondition: eps is a homomorphism, so that eta is one.  Then xi is a
     cocycle exactly when its untwisting s -> (xi(s) * eta(s), w(s)) is a
-    homomorphism into PGL2 x Z/2 (Serre, Galois Cohomology, I.5.3), which
-    ``FiniteGroup.is_homomorphism`` decides on the |G|*|gens| Cayley-graph
-    edges, on indices.  ValueError on a group without generators.
+    homomorphism into PGL2 x Z/2 (Serre, Galois Cohomology, I.5.3), that is
+    when both factors are, which ``FiniteGroup.is_homomorphism`` decides on
+    the |G|*|gens| Cayley-graph edges: the PGL2 part on indices, the w part
+    on bits.  ValueError on a group without generators.
     """
     grp = c.model.group
     elems = pgl2_index(c.p)[0]
-    f = _untwisted(c, c.model, grp.elements)
-    tables = {f[g][0]: right_table(elems[f[g][0]]) for g in grp.generators()}
-    return grp.is_homomorphism(f, lambda x, y: (tables[y[0]][x[0]], (x[1] + y[1]) % 2))
+    ks, ws = _untwisted(c, c.model, range(len(grp.elements)))
+    return (grp.is_homomorphism(ks, lambda k: right_table(elems[k]))
+            and grp.is_homomorphism(ws, Z2_RIGHT.__getitem__))
 
 
-def rho_star(m: FiniteGaloisModel, primed: bool = False, v: int | None = None) -> dict:
-    """rho*(s) = transpose(rho(s^-1)); primed variant conjugates by hat(V).
-    On indices, by group number: transpose(g) = J g^-1 J with
-    J = [[0, 1], [-1, 0]], and c g c for an involution c is R_c after
-    L_c = inv R_c inv."""
+def rho_star(m: FiniteGaloisModel, primed: bool = False, v: int | None = None) -> list[int]:
+    """rho*(s) = transpose(rho(s^-1)) as PGL2(F_p) indices by group number;
+    the primed variant conjugates by hat(V).  Read off m's rho_ix:
+    transpose(g) = J g^-1 J with J = [[0, 1], [-1, 0]], and c g c for an
+    involution c is R_c after L_c = inv R_c inv."""
     if v is None:
         v = least_nonsquare(m.p)
-    elems, index = pgl2_index(m.p)
     inv = inverse_table(m.p)
     rj = right_table(ProjMat(0, 1, -1, 0, m.p))
-    rh = right_table(_hat_v(m.p, v))
-    grp = m.group
-    star = [rj[inv[rj[index[m.rho[grp.elements[i]]]]]] for i in grp.inverse]
+    rho = m.rho_ix
+    star = [rj[inv[rj[rho[i]]]] for i in m.group.inverse]
     if primed:
+        rh = right_table(_hat_v(m.p, v))
         star = [rh[inv[rh[inv[k]]]] for k in star]
-    return dict(zip(grp.elements, map(elems.__getitem__, star)))
+    return star
 
 
 def build_xi(
@@ -131,15 +137,16 @@ def build_xi(
     if v is None:
         v = least_nonsquare(m.p)
     cyclotomic_compatible = m.det_is_epsilon()
+    elements = m.group.elements
     if k_char is not None and not cyclotomic_compatible:
         raise ValueError("build_xi: chi_k components require det rho = eps (cyclotomic)")
-    if k_char is not None and any(k_char[s] not in (1, -1) for s in m.group.elements):
+    if k_char is not None and any(k_char[s] not in (1, -1) for s in elements):
         raise ValueError("build_xi: chi_k must be +-1 valued")
-    elems, index = pgl2_index(m.p)
+    elems = pgl2_index(m.p)[0]
     rh = right_table(_hat_v(m.p, v))  # eta(s) = hat(V) where eps(s) = -1, else 1
     star = rho_star(m, primed=(variant == "primed"), v=v)
-    values = {s: (elems[rh[index[g]]] if e == -1 else g, int(k_char is not None and k_char[s] == -1))
-              for (s, g), e in zip(star.items(), m.epsilons(m.group.elements))}
+    ws = itertools.repeat(0) if k_char is None else [int(k_char[s] == -1) for s in elements]
+    values = {s: (elems[rh[k] if e == -1 else k], w) for s, k, e, w in zip(elements, star, m.eps, ws)}
     ambient = Ambient.G_NP if cyclotomic_compatible else Ambient.W_NP
     invariant(ambient is Ambient.W_NP or all(g.det_class == 1 for g, _ in values.values()),
               "build_xi: a G(N,p) cocycle must take values in PSL2")
@@ -163,13 +170,16 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
         raise ValueError("cohomologous: cocycles live over different models")
     if c1.ambient != c2.ambient or c1.v != c2.v or c1.p != c2.p:
         raise ValueError("cohomologous: mismatched ambients")
-    gens = c1.model.group.generators()
-    f1, f2 = (_untwisted(c, c1.model, gens) for c in (c1, c2))
+    grp = c1.model.group
+    gens = [grp.index[s] for s in grp.generators()]
+    (k1, w1), (k2, w2) = (_untwisted(c, c1.model, gens) for c in (c1, c2))
+    if w1 != w2:
+        return None
     elems, inv = pgl2_index(c1.p)[0], inverse_table(c1.p)
     cands = [k for k, g in enumerate(elems) if c1.ambient is Ambient.W_NP or g.det_class == 1]
-    for s in gens:
-        r, ri = right_table(elems[f2[s][0]]), right_table(elems[inv[f1[s][0]]])
-        cands = [k for k in cands if f1[s][1] == f2[s][1] and r[k] == inv[ri[inv[k]]]]
+    for a, b in zip(k1, k2):
+        r, ri = right_table(elems[b]), right_table(elems[inv[a]])
+        cands = [k for k in cands if r[k] == inv[ri[inv[k]]]]
     return (elems[cands[0]], 0) if cands else None
 
 
@@ -269,7 +279,8 @@ def twist_plan(
                 cocycles.append(build_xi(m, "plain", k_char=qc.values, v=level.v))
                 curves += [f"X({N},{p})_rho,k={qc.field}", f"X({N},{p})'_rho,k={qc.field}"]
     else:
-        char = {s: m.epsilon(s) * m.det_class(s) for s in m.group.elements}
+        elems = pgl2_index(p)[0]
+        char = {s: e * elems[k].det_class for s, k, e in zip(m.group.elements, m.rho_ix, m.eps)}
         for qc in m.characters.values():
             if qc.values == char and qc.field is not None:
                 field_k = qc.field
@@ -300,6 +311,6 @@ def model_corpus(p: int = 3) -> list[FiniteGaloisModel]:
     for grp in (cyclic_group(2), klein_four(), symmetric_group(3), symmetric_group(4)):
         for rho, eps in itertools.product(all_homs_to_pgl2(grp, p), all_quadratic_characters(grp)):
             chi = {s: (1 if eps[s] == 1 else ns) for s in grp.elements}
-            out.append(FiniteGaloisModel(group=grp, p=p, rho=dict(rho), chi=chi))
+            out.append(FiniteGaloisModel(group=grp, p=p, rho=rho, chi=chi))
     return out
 

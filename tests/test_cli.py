@@ -387,8 +387,21 @@ TWO_ERROR_MODEL = {
                      "error: X+(2,3) requires a cyclotomic level\n", id="plus_non_cyclotomic"),
         pytest.param(["cusps", "0"], EXIT_USAGE, "error: N must be positive\n", id="cusps_0"),
         pytest.param(["cusps", "1000001", "--oracle"], EXIT_USAGE,
-                     "error: cusps --oracle needs N at most 1000000, got 1000001\n",
+                     "error: cusps needs N at most 1000000, got 1000001\n",
                      id="cusps_oracle_above_max"),
+        pytest.param(["cusps", "1000000000039"], EXIT_USAGE,
+                     "error: cusps needs N at most 1000000, got 1000000000039\n", id="cusps_above_max"),
+        pytest.param(["genus", "1000001", "3"], EXIT_USAGE,
+                     "error: genus needs N at most 1000000, got 1000001\n", id="genus_above_max"),
+        pytest.param(["genus", "1000000000039", "3", "--plus"], EXIT_USAGE,
+                     "error: genus needs N at most 1000000, got 1000000000039\n",
+                     id="genus_plus_above_max"),
+        pytest.param(["al-fixed", "1000000000039", "1000000000039"], EXIT_USAGE,
+                     "error: al-fixed needs M at most 1000000, got 1000000000039\n",
+                     id="al_fixed_above_max"),
+        pytest.param(["twist-plan", "1000001", "3", "{dir}/good.json"], EXIT_USAGE,
+                     "error: twist-plan needs N at most 1000000, got 1000001\n",
+                     id="twist_plan_above_max"),
         pytest.param(["al-fixed", "12", "5"], EXIT_USAGE,
                      "error: al_fixed_points: need Q > 1 dividing M, got (12, 5)\n", id="al_fixed_12_5"),
         pytest.param(["al-fixed", "5", "0"], EXIT_USAGE,

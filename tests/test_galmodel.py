@@ -5,15 +5,18 @@ import functools
 import itertools
 import json
 import operator
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from modtwist.arith import Level
+from modtwist.arith import Level, kronecker
 from modtwist.galmodel import (
     MAX_GROUP_ORDER,
+    Z2_RIGHT,
     Case,
     FiniteGaloisModel,
     FiniteGroup,
@@ -110,9 +113,11 @@ class ReferenceGroup:
             raise ValueError(f"{self.name}: group has no generators")
         return tuple(self.gens.values())
 
-    def is_homomorphism(self, f, op):
+    def is_homomorphism(self, f, table):
+        # f by number in ``elements`` order, table(v) right multiplication by v
         gens = self.generators()
-        return all(f[self.mul(x, g)] == op(f[x], f[g]) for x in self.elements for g in gens)
+        pos = {x: i for i, x in enumerate(self.elements)}
+        return all(f[pos[self.mul(x, g)]] == table(f[pos[g]])[f[pos[x]]] for x in self.elements for g in gens)
 
 
 def test_group_constructors():
@@ -351,7 +356,7 @@ def test_extend_generator_map():
     g = cyclic_group(4)
     vals = g.extend_generator_map({"g": 1j}, lambda a, b: a * b, 1 + 0j)
     assert set(vals.values()) == {1, 1j, -1, -1j}
-    assert g.is_homomorphism(vals, lambda a, b: a * b)
+    assert g.is_homomorphism(*_as_numbers(g, vals))
 
 
 def test_extend_generator_map_is_the_word_product(tree_words):
@@ -359,7 +364,7 @@ def test_extend_generator_map_is_the_word_product(tree_words):
     g = symmetric_group(4)
     values = {"s": ProjMat(1, 1, 0, 1, 5), "t": ProjMat(2, 1, 1, 1, 5)}
     f = g.extend_generator_map(values, lambda a, b: a * b, ProjMat.identity(5))
-    assert not g.is_homomorphism(f, lambda a, b: a * b)
+    assert not g.is_homomorphism(*_as_numbers(g, f))
     words = tree_words(g)
     assert list(f) == list(words)
     for x, word in words.items():
@@ -440,29 +445,31 @@ def reference_validate_model(m):
     return errs
 
 
+def _corruptions(m):
+    """Copies of m with rho(x), then separately chi(x), moved off its value
+    at each non-identity x, built with ``dataclasses.replace``."""
+    t = t_matrix(m.p)
+    for x in m.group.elements:
+        if x == m.group.identity:
+            continue
+        yield dataclasses.replace(m, rho={**m.rho, x: m.rho[x] * t})
+        yield dataclasses.replace(m, chi={**m.chi, x: -m.chi[x] % m.p})
+
+
 def _assert_validate_matches_reference_on_corruptions(models, alike) -> tuple[int, int]:
-    """Each model as it is, then with rho(x), then separately chi(x), moved
-    off its value at each non-identity x: the same error list, so the same
-    first failing pair, from ``validate_model``, from the ProjMat scan and
-    from each of ``alike(m)``, callables that validate models sharing m's
-    rho and chi dicts.  Returns (failing, total) over the corruptions."""
+    """Each model as it is, then each of its ``_corruptions``: the same error
+    list, so the same first failing pair, from ``validate_model``, from the
+    ProjMat scan and from each of ``alike(m)``, callables that validate a
+    model over m's elements, m or a corrupted copy, given to them.  Returns
+    (failing, total) over the corruptions."""
     failing = total = 0
     for m in models:
-        checks = [lambda: validate_model(m), lambda: reference_validate_model(m)] + alike(m)
-        assert len({tuple(check()) for check in checks}) == 1
-        t = t_matrix(m.p)
-        for x in m.group.elements:
-            if x == m.group.identity:
-                continue
-            for key, bad in (("rho", m.rho[x] * t), ("chi", -m.chi[x] % m.p)):
-                values = getattr(m, key)
-                good, values[x] = values[x], bad
-                try:
-                    errs = [check() for check in checks]
-                    assert all(e == errs[0] for e in errs), errs
-                    failing, total = failing + bool(errs[0]), total + 1
-                finally:
-                    values[x] = good
+        checks = [validate_model, reference_validate_model] + alike(m)
+        assert len({tuple(check(m)) for check in checks}) == 1
+        for bad in _corruptions(m):
+            errs = [check(bad) for check in checks]
+            assert all(e == errs[0] for e in errs), errs
+            failing, total = failing + bool(errs[0]), total + 1
     return failing, total
 
 
@@ -481,8 +488,8 @@ def test_validate_model_matches_reference_on_corrupted_corpus():
     assert all(validate_model(m) == [] for m in models)
 
     def on_reference_group(m):
-        on_ref = dataclasses.replace(m, group=_reference_of(m.group))
-        return [lambda: reference_validate_model(on_ref)]
+        ref = _reference_of(m.group)
+        return [lambda mm: reference_validate_model(dataclasses.replace(mm, group=ref))]
 
     failing, total = _assert_validate_matches_reference_on_corruptions(models, on_reference_group)
     assert total > 1000 and failing > total // 2, (failing, total)
@@ -501,8 +508,9 @@ def test_validate_model_scans_all_pairs_without_generators():
     # model_corpus(3) also on a table group without generators, where
     # validate_model scans all pairs without is_homomorphism first
     def without_generators(m):
-        plain = _without_generators(m)
-        return [lambda: validate_model(plain), lambda: reference_validate_model(plain)]
+        plain = _without_generators(m).group
+        return [lambda mm: validate_model(dataclasses.replace(mm, group=plain)),
+                lambda mm: reference_validate_model(dataclasses.replace(mm, group=plain))]
 
     assert not _without_generators(model_corpus(3)[0]).group.gens
     failing, total = _assert_validate_matches_reference_on_corruptions(model_corpus(3), without_generators)
@@ -524,14 +532,14 @@ def test_validate_model_accepts_good_model():
 
 def test_validate_model_rejects_bad_rho():
     m = _c2_model()
-    m.rho[m.group.gens["g"]] = ProjMat(1, 1, 0, 1, 3)  # order 3, not a hom
+    m = dataclasses.replace(m, rho={**m.rho, m.group.gens["g"]: ProjMat(1, 1, 0, 1, 3)})  # order 3, not a hom
     errs = validate_model(m)
     assert errs and "homomorphism" in errs[0]
 
 
 def test_validate_model_rejects_bad_chi():
     m = _c2_model()
-    m.chi[m.group.gens["g"]] = 3  # not a unit mod 3
+    m = dataclasses.replace(m, chi={**m.chi, m.group.gens["g"]: 3})  # not a unit mod 3
     errs = validate_model(m)
     assert errs
 
@@ -559,6 +567,41 @@ def test_epsilon_and_det_class():
     assert m.det_class(s) == -1  # [[0,1],[1,0]] has det -1
 
 
+def test_model_is_read_only():
+    g = cyclic_group(2)
+    s, one = g.gens["g"], ProjMat.identity(3)
+    rho, chi = {x: one for x in g}, {x: 1 for x in g}
+    m = FiniteGaloisModel(group=g, p=3, rho=rho, chi=chi)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.p = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.rho = {}
+    with pytest.raises(TypeError):
+        m.rho[s] = ProjMat(0, 1, 1, 0, 3)
+    with pytest.raises(TypeError):
+        m.chi[s] = 2
+    eps, rho_ix = m.eps, m.rho_ix
+    # the dicts given are copied: changing them later changes nothing
+    rho[s], chi[s] = ProjMat(0, 1, 1, 0, 3), 2
+    del rho[g.identity]
+    assert dict(m.rho) == {x: one for x in g} and dict(m.chi) == {x: 1 for x in g}
+    assert m.eps == eps == (1, 1) and m.rho_ix == rho_ix == (pgl2_index(3)[1][one],) * 2
+    assert validate_model(m) == []
+    # a variant is a new model, with its own derived data
+    variant = dataclasses.replace(m, chi={x: 2 for x in g})
+    assert variant.eps == (-1, -1) and m.eps == (1, 1) and m.chi[s] == 1
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_eps_and_rho_ix_are_the_elementwise_values(p):
+    # the Legendre symbol of chi and the sorted-PGL2 index of rho, element by element
+    index = pgl2_index(p)[1]
+    for m in model_corpus(p):
+        assert m.eps == tuple(kronecker(m.chi[x], p) for x in m.group.elements)
+        assert m.rho_ix == tuple(index[m.rho[x]] for x in m.group.elements)
+        assert [m.epsilon(x) for x in m.group] == list(m.eps)
+
+
 def test_det_is_epsilon():
     # det rho and eps are both nontrivial on s, or one of them is
     assert _c2_model().det_is_epsilon()
@@ -584,7 +627,7 @@ def test_all_homs_to_pgl2_counts():
 def test_all_homs_are_homomorphisms():
     g = symmetric_group(3)
     for f in all_homs_to_pgl2(g, 3):
-        assert g.is_homomorphism(f, lambda a, b: a * b)
+        assert g.is_homomorphism(*_as_numbers(g, f))
 
 
 def test_all_quadratic_characters():
@@ -597,6 +640,16 @@ def test_all_quadratic_characters():
 def _reference_is_homomorphism(group, f, op):
     """Whether f(ab) = op(f(a), f(b)) on all |G|^2 pairs."""
     return all(f[group.mul(a, b)] == op(f[a], f[b]) for a in group.elements for b in group.elements)
+
+
+def _as_numbers(group, f, op=operator.mul):
+    """f (element -> value) as ``is_homomorphism`` reads it: a list by group
+    number into the values f takes, numbered in order of first appearance,
+    and right multiplication by value number v under ``op``, None where a
+    product falls outside those values (where f cannot be a homomorphism)."""
+    values = list(dict.fromkeys(f[x] for x in group.elements))
+    pos = {v: i for i, v in enumerate(values)}
+    return [pos[f[x]] for x in group.elements], lambda v: [pos.get(op(u, values[v])) for u in values]
 
 
 def _reference_homs(group, images, one):
@@ -798,7 +851,7 @@ def test_s3_images_failing_the_braid_relation_give_no_homomorphism():
         values = {"s": a, "t": b}
         assert reference_extend_homomorphism(g, values, operator.mul, one) is None
         f = g.extend_generator_map(values, lambda x, y: x * y, one)
-        assert not g.is_homomorphism(f, lambda x, y: x * y)
+        assert not g.is_homomorphism(*_as_numbers(g, f))
     homs = all_homs_to_pgl2(g, p)
     assert not any((f[g.gens["s"]], f[g.gens["t"]]) in set(bad) for f in homs)
 
@@ -830,16 +883,73 @@ def test_is_homomorphism_walks_every_generator(group):
         f = _homomorphic_along(group, name)
         assert all(f[group.mul(x, group.gens[name])] == f[x] * f[group.gens[name]] for x in group)
         want = _reference_is_homomorphism(group, f, operator.mul)
-        assert group.is_homomorphism(f, operator.mul) == want
+        assert group.is_homomorphism(*_as_numbers(group, f)) == want
         assert want == (len(group.gens) == 1)
+
+
+def _sign_maps(group):
+    """Every +-1 map on a group of order at most 8; on a larger one the
+    characters and 2000 seeded random maps."""
+    if group.order <= 8:
+        yield from (dict(zip(group.elements, signs))
+                    for signs in itertools.product((1, -1), repeat=group.order))
+        return
+    yield from all_quadratic_characters(group)
+    rng = random.Random(group.order)
+    for _ in range(2000):
+        yield {x: rng.choice((1, -1)) for x in group.elements}
+
+
+@pytest.mark.parametrize("group", SEARCH_GROUPS + [C2_CUBED], ids=lambda g: g.name)
+def test_is_homomorphism_matches_reference_on_sign_maps(group):
+    # +-1 maps as bits of Z/2, as validate_model reads the characters
+    agree = Counter()
+    for f in _sign_maps(group):
+        want = _reference_is_homomorphism(group, f, operator.mul)
+        assert group.is_homomorphism([(1 - f[x]) // 2 for x in group.elements], Z2_RIGHT.__getitem__) == want
+        agree[want] += 1
+    assert agree[True] == len(all_quadratic_characters(group)) and agree[False] > 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_is_homomorphism_matches_reference_on_corpus_rho_chi_and_corruptions(p):
+    # rho on PGL2 indices with right tables, chi on residues with x -> x * c,
+    # against the all-pairs check on ProjMats and residues, for each model
+    # and each single-entry corruption of it
+    elems = pgl2_index(p)[0]
+
+    def rho_table(k):
+        return right_table(elems[k])
+
+    def chi_table(c):
+        return [x * c % p for x in range(p)]
+
+    def chi_mul(a, b):
+        return a * b % p
+
+    @functools.lru_cache(maxsize=None)  # the all-pairs verdict, by group and values
+    def reference(g, values, op):
+        return _reference_is_homomorphism(g, dict(zip(g.elements, values)), op)
+
+    verdicts = Counter()
+    for m in model_corpus(p):
+        g = m.group
+        for mm in itertools.chain([m], _corruptions(m)):
+            chi = [mm.chi[x] for x in g.elements]
+            got = (g.is_homomorphism(mm.rho_ix, rho_table), g.is_homomorphism(chi, chi_table))
+            want = (reference(g, tuple(mm.rho[x] for x in g.elements), operator.mul),
+                    reference(g, tuple(chi), chi_mul))
+            assert got == want, (g.name, dict(mm.rho), dict(mm.chi))
+            verdicts[got] += 1
+    assert verdicts[True, True] > 0 and verdicts[True, False] > 0 and verdicts[False, True] > 0
 
 
 def test_is_homomorphism_rejects_a_group_without_generators():
     table = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
     g = FiniteGroup.from_table(["e", "a"], table, "e")
     with pytest.raises(ValueError, match="no generators"):
-        g.is_homomorphism({"e": 1, "a": -1}, lambda a, b: a * b)
+        g.is_homomorphism([0, 1], Z2_RIGHT.__getitem__)
     t = trivial_group()
     t.set_generators({})
     with pytest.raises(ValueError, match="no generators"):
-        t.is_homomorphism({t.identity: -1}, lambda a, b: a * b)
+        t.is_homomorphism([1], Z2_RIGHT.__getitem__)

@@ -162,17 +162,17 @@ def test_check_cocycle_matches_pair_reference(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_rho_star_is_the_transpose_of_rho_at_the_inverse(p):
     # rho*(s) from the entries of rho(s^-1), and its primed variant as the
-    # ProjMat product hat(V) rho*(s) hat(V), against the index walk, keyed in
-    # the group's order
+    # ProjMat product hat(V) rho*(s) hat(V), against the index walk, by
+    # group number
     hv = v_matrix(p, least_nonsquare(p)).hat()
+    elems = pgl2_index(p)[0]
     for m in CORPORA[p]:
-        want = {}
+        want = []
         for s in m.group.elements:
             a, b, c, d = m.rho[m.group.elements[m.group.inverse[m.group.index[s]]]].rep
-            want[s] = ProjMat(a, c, b, d, p)
-        star = rho_star(m)
-        assert star == want and list(star) == list(m.group.elements), (m.group.name, p)
-        assert rho_star(m, primed=True) == {s: hv * g * hv for s, g in want.items()}
+            want.append(ProjMat(a, c, b, d, p))
+        assert [elems[k] for k in rho_star(m)] == want, (m.group.name, p)
+        assert [elems[k] for k in rho_star(m, primed=True)] == [hv * g * hv for g in want]
 
 
 def test_check_cocycle_matches_pair_reference_on_perturbations(perturbations):
@@ -260,7 +260,7 @@ def test_rho_star_example():
     rho = {e: ProjMat.identity(3), s: t, grp.mul(s, s): t * t}
     mm = FiniteGaloisModel(group=grp, p=3, rho=rho, chi={x: 1 for x in grp.elements})
     star = rho_star(mm)
-    assert star[s] == ProjMat(1, 0, -1, 1, 3)
+    assert pgl2_index(3)[0][star[grp.index[s]]] == ProjMat(1, 0, -1, 1, 3)
 
 
 def test_eta_is_cocycle():
@@ -446,13 +446,14 @@ def test_twist_value_conjugation():
     xi = build_xi(m, k_char={s: m.epsilon(s) for s in m.group.elements})
     hv = v_matrix(xi.p, xi.v).hat()
     elems, index = pgl2_index(xi.p)
-    f = _untwisted(xi, m, m.group.elements)
-    assert f.keys() == xi.values.keys()
+    ks, ws = _untwisted(xi, m, range(m.group.order))
+    assert list(xi.values) == list(m.group.elements)
     for s, (g, w) in xi.values.items():
-        assert f[s] == (index[g * hv if m.epsilon(s) == -1 else g], w), s
-    assert elems[f[m.group.identity][0]].is_identity()
-    gens = m.group.generators()
-    assert _untwisted(xi, m, gens) == {s: f[s] for s in gens}
+        i = m.group.index[s]
+        assert (ks[i], ws[i]) == (index[g * hv if m.epsilon(s) == -1 else g], w), s
+    assert elems[ks[m.group.index[m.group.identity]]].is_identity()
+    gens = [m.group.index[s] for s in m.group.generators()]
+    assert _untwisted(xi, m, gens) == ([ks[i] for i in gens], [ws[i] for i in gens])
 
 
 def _parity_models(p):
