@@ -6,7 +6,7 @@ Everything here is pure integer arithmetic; no floats are used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
 from functools import lru_cache
 
 
@@ -211,25 +211,56 @@ def lift_sqrt_mod_p2(N: int, p: int) -> tuple[int, int]:
     raise ValueError(f"lift_sqrt_mod_p2: {N} is not a square mod {p}")
 
 
-@dataclass(frozen=True)
-class Level:
+class ReadOnly:
+    """Base of the read-only classes that check or derive values when built.
+
+    A subclass names its attributes in ``__slots__`` and sets each once, in
+    its ``__init__``, through ``object.__setattr__``; equality, hashing and
+    ``repr`` read the two or more attributes named in ``_compared``.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = operator.attrgetter(*cls._compared)  # instance -> tuple of the compared values
+        # the repr's format, Name(a={!r}, b={!r}, ...)
+        cls._format = f"{cls.__qualname__}({', '.join(f'{name}={{!r}}' for name in cls._compared)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return self._format.format(*self._key(self))
+
+
+class Level(ReadOnly):
     """A level (N, p): N > 1 prime to the odd prime p.
 
     ``cyclotomic``, derived from N and p, records whether N is a square mod p.
     """
 
-    N: int
-    p: int
-    cyclotomic: bool = field(init=False)
+    __slots__ = _compared = ("N", "p", "cyclotomic")
 
-    def __post_init__(self) -> None:
-        if self.N <= 1:
-            raise ValueError(f"Level: need N > 1, got N={self.N}")
-        if self.p == 2 or not is_prime(self.p):
-            raise ValueError(f"Level: need p an odd prime, got p={self.p}")
-        if math.gcd(self.N, self.p) != 1:
-            raise ValueError(f"Level: need gcd(N, p) = 1, got ({self.N}, {self.p})")
-        object.__setattr__(self, "cyclotomic", kronecker(self.N, self.p) == 1)
+    def __init__(self, N: int, p: int) -> None:
+        if N <= 1:
+            raise ValueError(f"Level: need N > 1, got N={N}")
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"Level: need p an odd prime, got p={p}")
+        if math.gcd(N, p) != 1:
+            raise ValueError(f"Level: need gcd(N, p) = 1, got ({N}, {p})")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "cyclotomic", kronecker(N, p) == 1)
 
     @property
     def v(self) -> int:

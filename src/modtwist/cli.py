@@ -19,8 +19,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import selftest as selftest_mod
 from .arith import InvariantError, Level
@@ -56,16 +56,16 @@ EXIT_MODEL = 4
 EXIT_PARITY = 5
 
 SCAN_MAX = 1000  # bound on scan --max-n and --max-p: the scan at (1000, 1000) takes seconds
-# bound on the N of genus, cusps and twist-plan and the M of al-fixed: divisors
-# and class numbers trial-divide up to sqrt(N), and cusps --oracle lists
-# psi(N) >= N points of P^1(Z/N), 1.1-1.5 s and 90 MB peak RSS at N = 10^6;
-# al-fixed took 1.75 s at M = 10^7 and over 4 minutes at M = 10^12 (2-vCPU VM,
-# Python 3.11)
+# bound on the N of genus, cusps and twist-plan, the M of al-fixed and the p
+# of every level: divisors, class numbers and is_prime trial-divide up to
+# sqrt(N) (genus 4 2^61-1 was still running after 5 s), and cusps --oracle
+# lists psi(N) >= N points of P^1(Z/N), 1.1-1.5 s and 90 MB peak RSS at
+# N = 10^6; al-fixed took 1.75 s at M = 10^7 and over 4 minutes at M = 10^12
+# (2-vCPU VM, Python 3.11)
 MAX_N = 10**6
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Structured result of one CLI invocation; JSON round-trippable as
     ``Report(**json.loads(report.to_json()))``."""
 
@@ -99,7 +99,8 @@ def _at_most_max_n(command: str, name: str, n: int) -> None:
         raise _Exit(EXIT_USAGE, f"error: {command} needs {name} at most {MAX_N}, got {n}")
 
 
-def _level(N: int, p: int) -> Level:
+def _level(command: str, N: int, p: int) -> Level:
+    _at_most_max_n(command, "p", p)
     try:
         return Level(N, p)
     except ValueError as exc:
@@ -120,7 +121,7 @@ def _model(path: str):
 
 def cmd_genus(args):
     _at_most_max_n("genus", "N", args.N)
-    level = _level(args.N, args.p)
+    level = _level("genus", args.N, args.p)
     if args.plus:
         if not level.cyclotomic:
             raise _Exit(EXIT_USAGE, f"error: X+({level.N},{level.p}) requires a cyclotomic level")
@@ -170,9 +171,9 @@ def cmd_cusps(args):
 
 
 def cmd_structure(args):
-    level = _level(args.N, args.p)
-    if level.p > MAX_P:
-        raise _Exit(EXIT_USAGE, f"error: structure needs p at most {MAX_P}, got {level.p}")
+    if args.p > MAX_P:
+        raise _Exit(EXIT_USAGE, f"error: structure needs p at most {MAX_P}, got {args.p}")
+    level = _level("structure", args.N, args.p)
     rep = wgroup(level)
     outputs = {
         "level": {"N": level.N, "p": level.p},
@@ -244,7 +245,7 @@ def cmd_al_fixed(args):
 
 
 def cmd_classify(args):
-    level = _level(args.N, args.p)
+    level = _level("classify", args.N, args.p)
     case = classify(level)
     outputs = {"level": {"N": level.N, "p": level.p}, "case": case.value}
     return outputs, [f"level ({level.N}, {level.p}): {case.value}"], EXIT_OK
@@ -252,7 +253,7 @@ def cmd_classify(args):
 
 def cmd_twist_plan(args):
     _at_most_max_n("twist-plan", "N", args.N)
-    level = _level(args.N, args.p)
+    level = _level("twist-plan", args.N, args.p)
     model = _model(args.model)
     try:
         k_fields = tuple(int(k) for k in args.k.split(",") if k)

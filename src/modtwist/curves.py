@@ -8,8 +8,8 @@ computation from the cusp data of X_0(N), and the two are cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     InvariantError,
@@ -27,8 +27,7 @@ from .arith import (
 )
 
 
-@dataclass(frozen=True)
-class CuspData:
+class CuspData(NamedTuple):
     """A cusp m/n of X_0(N): n | N, gcd(m, n) = 1, m taken mod gcd(n, N/n)."""
 
     n: int
@@ -310,8 +309,7 @@ def lemma_pairs(bound: int = _HYPERELLIPTIC_BOUND) -> set[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     curve: str
     genus: int | None  # None means "not computed exactly"
     method: str

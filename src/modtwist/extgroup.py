@@ -16,23 +16,23 @@ is the index-2 extension by the extra involution w:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arith import Level, invariant, lift_sqrt_mod_p2
+from .arith import Level, ReadOnly, invariant, lift_sqrt_mod_p2
 from .projgroup import (MatGroup, ProjMat, in_psl2, inverse_table, pgl2, pgl2_index, right_table,
                         spanning_tree)
 
 
-@dataclass(frozen=True)
-class IntMat:
+class IntMat(ReadOnly):
     """A 2x2 integer matrix with nonzero determinant."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _compared = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
         if self.det == 0:
             raise ValueError(f"IntMat: singular matrix {self.entries}")
 
@@ -81,8 +81,7 @@ def build_generators(level: Level) -> dict[str, IntMat]:
     return gens
 
 
-@dataclass(frozen=True)
-class WGroupReport:
+class WGroupReport(NamedTuple):
     """Structure report for W(N, p)."""
 
     order: int  # abstract group order, always p(p^2-1)
@@ -133,8 +132,7 @@ def verify_relations(level: Level) -> bool:
     return v * t == (u ** (-N)) * v and v * u == (t ** (-ninv)) * v
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
+class InvolutionReport(NamedTuple):
     involutions: frozenset  # classes in PGL2 \ PSL2 squaring to 1
     single_conjugacy_class: bool
     integer_models: dict  # ProjMat -> conjugate of V_N by a word in T_N, U_N

@@ -1,10 +1,11 @@
 """Finite witnesses for Galois-theoretic data: a finite group together with
 a projective representation into PGL2(F_p), a cyclotomic character value
 map, an optional complex-conjugation element and optional named quadratic
-characters.  A model is read-only: rho and chi are read-only copies, and
-``eps`` (chi's residue character as +-1) and ``rho_ix`` (rho as PGL2(F_p)
-indices) are derived once, by group number; variants are new models made
-with ``dataclasses.replace``.
+characters.  A model is read-only: rho, chi, the characters and each
+character's values are read-only copies, and ``eps`` (chi's residue
+character as +-1) and ``rho_ix`` (rho as PGL2(F_p) indices) are derived
+once, by group number; a variant is a new model, built from the old one's
+attributes.
 
 Also contains the finite-group container used throughout: a ``FiniteGroup``
 numbers its elements once and stores right multiplication by each as a list
@@ -23,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .arith import Level, is_prime, residue_tables
+from .arith import Level, ReadOnly, is_prime, residue_tables
 from .projgroup import ProjMat, inverse_table, order_table, pgl2, pgl2_index, right_table, spanning_tree
 
 MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
@@ -225,34 +226,37 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup.from_permutations({"s": swap, "t": cycle}, name=f"S{n}")
 
 
-@dataclass(frozen=True)
-class QuadraticCharacter:
+class QuadraticCharacter(NamedTuple):
     """A +-1-valued character with an optional squarefree-field annotation."""
 
-    values: dict  # element -> +-1
+    values: Mapping  # element -> +-1
     field: int | None = None  # squarefree integer labelling the fixed field
 
 
-@dataclass(frozen=True)
-class FiniteGaloisModel:
+class FiniteGaloisModel(ReadOnly):
     """A finite quotient witness: group G with rho: G -> PGL2(F_p),
     chi: G -> F_p^* (the cyclotomic character), an optional conjugation
     element and optional named quadratic characters.
 
-    Read-only: rho and chi are kept as read-only copies of the mappings
+    Read-only: rho, chi, the characters (name -> QuadraticCharacter) and
+    each character's values are kept as read-only copies of the mappings
     given, so ``eps`` and ``rho_ix``, derived once by group number, stay
-    true; a variant is a new model, ``dataclasses.replace(m, ...)``."""
+    true; a variant is a new model, built from this one's attributes."""
 
-    group: FiniteGroup
-    p: int
-    rho: Mapping  # element -> ProjMat
-    chi: Mapping  # element -> int in [1, p-1]
-    conj: object | None = None
-    characters: dict = field(default_factory=dict)  # name -> QuadraticCharacter
+    # __dict__ holds the cached eps and rho_ix
+    __slots__ = ("group", "p", "rho", "chi", "conj", "characters", "__dict__")
+    _compared = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", MappingProxyType(dict(self.rho)))
-        object.__setattr__(self, "chi", MappingProxyType(dict(self.chi)))
+    def __init__(self, group: FiniteGroup, p: int, rho: Mapping, chi: Mapping,
+                 conj: object | None = None, characters: Mapping | None = None) -> None:
+        chars = {name: QuadraticCharacter(MappingProxyType(dict(qc.values)), qc.field)
+                 for name, qc in (characters or {}).items()}
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rho", MappingProxyType(dict(rho)))
+        object.__setattr__(self, "chi", MappingProxyType(dict(chi)))
+        object.__setattr__(self, "conj", conj)
+        object.__setattr__(self, "characters", MappingProxyType(chars))
 
     @cached_property
     def eps(self) -> tuple[int, ...]:

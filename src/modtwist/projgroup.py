@@ -24,11 +24,10 @@ the centralizer of x is where R_x and L_x agree.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import invariant, kronecker, least_nonsquare, residue_tables
+from .arith import ReadOnly, invariant, kronecker, least_nonsquare, residue_tables
 
 # model files and ``structure`` enumerate all p^3 - p elements of PGL2(F_p):
 # ``structure 3 31`` takes about 1 s and 42 MB, ``structure 2 61`` 13 s and 221 MB
@@ -130,15 +129,18 @@ def in_psl2(g: ProjMat) -> bool:
     return g.det_class == 1
 
 
-@dataclass(frozen=True)
-class MatGroup:
+class MatGroup(ReadOnly):
     """A finite set of ProjMat closed under multiplication, with generators
     and, from ``pgl2``, each element's parent in their spanning tree."""
 
-    p: int
-    elements: frozenset
-    generators: tuple
-    parents: dict | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("p", "elements", "generators", "parents")
+    _compared = __slots__[:3]  # the parents stay out of equality, hashing and repr
+
+    def __init__(self, p: int, elements: frozenset, generators: tuple, parents: dict | None = None) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "parents", parents)
 
     @property
     def order(self) -> int:

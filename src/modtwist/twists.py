@@ -26,9 +26,9 @@ centralizer of the image of rho is that of the images of the generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import Level, invariant, least_nonsquare
 from .curves import genus_XNp, xplus_verdict
@@ -50,8 +50,7 @@ class Ambient(Enum):
     W_NP = "W(N,p)"
 
 
-@dataclass
-class Cocycle:
+class Cocycle(NamedTuple):
     """A 1-cochain on the model group valued in (ProjMat, w_bit) pairs."""
 
     model: FiniteGaloisModel
@@ -205,8 +204,7 @@ class ParityError(ValueError):
     """det rho does not have the parity required by the level's case."""
 
 
-@dataclass
-class TwistPlan:
+class TwistPlan(NamedTuple):
     level: Level
     case: str  # "cyclotomic" | "non-cyclotomic"
     curves: list  # names of the twisted curves parametrizing the lifts

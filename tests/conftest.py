@@ -1,11 +1,12 @@
 """Shared test helpers: generator words, conjugacy classes, subgroup
-closures, the cocycle perturbations and their check, the order-18 table
-groups, malformed table-group model files and model files with booleans for
-integers."""
+closures, model variants, the cocycle perturbations and their check, the
+order-18 table groups, malformed table-group model files and model files
+with booleans for integers."""
 import operator
 
 import pytest
 
+from modtwist.galmodel import FiniteGaloisModel
 from modtwist.projgroup import MatGroup, ProjMat, pgl2, spanning_tree
 from modtwist.twists import Cocycle, check_cocycle
 
@@ -51,6 +52,19 @@ def _closure(gens) -> MatGroup:
 def closure():
     """``_closure``, the product-by-product reference for subgroups of PGL2."""
     return _closure
+
+
+def _variant(m: FiniteGaloisModel, **changes) -> FiniteGaloisModel:
+    """A new model built from m's attributes, with ``changes`` in place of
+    some: a model is read-only, so a corrupted or extended model is a new one."""
+    args = {name: getattr(m, name) for name in ("group", "p", "rho", "chi", "conj", "characters")}
+    return FiniteGaloisModel(**{**args, **changes})
+
+
+@pytest.fixture
+def variant():
+    """``_variant``, for the tests that corrupt or extend a model."""
+    return _variant
 
 
 def _perturbations(c: Cocycle, s):

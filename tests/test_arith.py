@@ -173,6 +173,20 @@ def test_level_cyclotomic_is_derived_not_passed():
         Level(5, 3, cyclotomic=False)
 
 
+def test_level_is_a_read_only_value():
+    lv = Level(4, 3)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'N'$"):
+        lv.N = 7
+    with pytest.raises(AttributeError, match="^cannot assign to field 'other'$"):
+        lv.other = 1
+    with pytest.raises(AttributeError, match="^cannot delete field 'cyclotomic'$"):
+        del lv.cyclotomic
+    # equal and hashed by (N, p, cyclotomic), as the per-level caches key them
+    assert lv == Level(4, 3) and hash(lv) == hash(Level(4, 3)) and {lv: 1}[Level(4, 3)] == 1
+    assert lv != Level(7, 3) and lv != (4, 3, True)
+    assert repr(lv) == "Level(N=4, p=3, cyclotomic=True)" and str(lv) == "(4, 3)"
+
+
 KNOWN_PRIMITIVE_CLASS_NUMBERS = {
     -3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -12: 1, -15: 2, -16: 1, -19: 1,
     -20: 2, -23: 3, -24: 2, -27: 1, -28: 1, -31: 3, -32: 2, -36: 2,

@@ -320,6 +320,21 @@ def test_closed_stdout_exits_quietly_with_the_command_code(argv):
     assert proc.returncode == EXIT_OK
 
 
+# dataclasses imports inspect, which imports ast, dis and tokenize: about
+# 6-9 ms of every CLI call, and the record classes need none of them
+STARTUP_FORBIDDEN = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_leaves_out_the_dataclass_machinery():
+    # a fresh interpreter without site, so that only modtwist's own imports count
+    code = f"import sys, modtwist.cli; print(*(m for m in {STARTUP_FORBIDDEN!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    offending = proc.stdout.split()
+    assert not offending, f"import modtwist.cli imports {', '.join(offending)}"
+
+
 def test_report_json_roundtrip():
     rep = Report(command="x", inputs={"a": 1}, outputs={"b": [1, 2]}, elapsed_s=0.5)
     assert Report(**json.loads(rep.to_json())) == rep
@@ -402,6 +417,25 @@ TWO_ERROR_MODEL = {
         pytest.param(["twist-plan", "1000001", "3", "{dir}/good.json"], EXIT_USAGE,
                      "error: twist-plan needs N at most 1000000, got 1000001\n",
                      id="twist_plan_above_max"),
+        # 2^61 - 1: is_prime would trial-divide up to sqrt(p) before any other check
+        pytest.param(["genus", "4", "2305843009213693951"], EXIT_USAGE,
+                     "error: genus needs p at most 1000000, got 2305843009213693951\n",
+                     id="genus_p_above_max"),
+        pytest.param(["genus", "4", "2305843009213693951", "--plus"], EXIT_USAGE,
+                     "error: genus needs p at most 1000000, got 2305843009213693951\n",
+                     id="genus_plus_p_above_max"),
+        pytest.param(["classify", "4", "2305843009213693951"], EXIT_USAGE,
+                     "error: classify needs p at most 1000000, got 2305843009213693951\n",
+                     id="classify_p_above_max"),
+        pytest.param(["classify", "4", "1000003"], EXIT_USAGE,
+                     "error: classify needs p at most 1000000, got 1000003\n",
+                     id="classify_prime_p_above_max"),
+        pytest.param(["structure", "4", "2305843009213693951"], EXIT_USAGE,
+                     "error: structure needs p at most 31, got 2305843009213693951\n",
+                     id="structure_p_far_above_max"),
+        pytest.param(["twist-plan", "4", "2305843009213693951", "{dir}/good.json"], EXIT_USAGE,
+                     "error: twist-plan needs p at most 1000000, got 2305843009213693951\n",
+                     id="twist_plan_p_above_max"),
         pytest.param(["al-fixed", "12", "5"], EXIT_USAGE,
                      "error: al_fixed_points: need Q > 1 dividing M, got (12, 5)\n", id="al_fixed_12_5"),
         pytest.param(["al-fixed", "5", "0"], EXIT_USAGE,

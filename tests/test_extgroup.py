@@ -29,6 +29,11 @@ def test_intmat_arithmetic():
     assert (m * n).det == m.det * n.det
     assert m.adj() == IntMat(4, -2, -3, 1) and (m * m.adj()).entries == (-2, 0, 0, -2)
     assert m.reduce(5) == ProjMat(1, 2, 3, 4, 5)
+    assert repr(m) == "IntMat(a=1, b=2, c=3, d=4)" and hash(m) == hash(IntMat(1, 2, 3, 4))
+    with pytest.raises(AttributeError, match="^cannot assign to field 'a'$"):
+        m.a = 0
+    with pytest.raises(ValueError, match=r"^IntMat: singular matrix \(1, 2, 2, 4\)$"):
+        IntMat(1, 2, 2, 4)
 
 
 @pytest.mark.parametrize("N,p", CYCLOTOMIC_LEVELS)

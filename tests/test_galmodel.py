@@ -1,6 +1,5 @@
 """Finite group containers, model validation, the det rho = eps predicate
 and the homomorphism searches."""
-import dataclasses
 import functools
 import itertools
 import json
@@ -307,18 +306,18 @@ def _reference_of(group):
     return ReferenceGroup.from_permutations(group.gens, group.name)
 
 
-def test_check_cocycle_on_perturbations_matches_reference_group(perturbations):
+def test_check_cocycle_on_perturbations_matches_reference_group(perturbations, variant):
     # is_homomorphism through check_cocycle's untwisting into PGL2 x Z/2, on the
     # perturbation fixture's cochains over the groups of order <= 6
     rejected = 0
     for m in model_corpus(3):
         if m.group.order > 6:
             continue
-        on_ref = dataclasses.replace(m, group=_reference_of(m.group))
+        on_ref = variant(m, group=_reference_of(m.group))
         for s in m.group.elements:
             for d in perturbations(build_xi(m), s):
                 valid = check_cocycle(d)
-                assert valid == check_cocycle(dataclasses.replace(d, model=on_ref))
+                assert valid == check_cocycle(d._replace(model=on_ref))
                 rejected += not valid
     assert rejected > 1000, rejected
 
@@ -445,18 +444,18 @@ def reference_validate_model(m):
     return errs
 
 
-def _corruptions(m):
+def _corruptions(m, variant):
     """Copies of m with rho(x), then separately chi(x), moved off its value
-    at each non-identity x, built with ``dataclasses.replace``."""
+    at each non-identity x, built with ``variant``."""
     t = t_matrix(m.p)
     for x in m.group.elements:
         if x == m.group.identity:
             continue
-        yield dataclasses.replace(m, rho={**m.rho, x: m.rho[x] * t})
-        yield dataclasses.replace(m, chi={**m.chi, x: -m.chi[x] % m.p})
+        yield variant(m, rho={**m.rho, x: m.rho[x] * t})
+        yield variant(m, chi={**m.chi, x: -m.chi[x] % m.p})
 
 
-def _assert_validate_matches_reference_on_corruptions(models, alike) -> tuple[int, int]:
+def _assert_validate_matches_reference_on_corruptions(models, alike, variant) -> tuple[int, int]:
     """Each model as it is, then each of its ``_corruptions``: the same error
     list, so the same first failing pair, from ``validate_model``, from the
     ProjMat scan and from each of ``alike(m)``, callables that validate a
@@ -466,22 +465,22 @@ def _assert_validate_matches_reference_on_corruptions(models, alike) -> tuple[in
     for m in models:
         checks = [validate_model, reference_validate_model] + alike(m)
         assert len({tuple(check(m)) for check in checks}) == 1
-        for bad in _corruptions(m):
+        for bad in _corruptions(m, variant):
             errs = [check(bad) for check in checks]
             assert all(e == errs[0] for e in errs), errs
             failing, total = failing + bool(errs[0]), total + 1
     return failing, total
 
 
-def _without_generators(m):
+def _without_generators(m, variant):
     """m on a table group with m's elements, in m's order, and no generators,
     on which ``validate_model`` scans all pairs."""
     g = m.group
     table = {a: {b: g.mul(a, b) for b in g.elements} for a in g.elements}
-    return dataclasses.replace(m, group=FiniteGroup.from_table(g.elements, table, g.identity, g.name))
+    return variant(m, group=FiniteGroup.from_table(g.elements, table, g.identity, g.name))
 
 
-def test_validate_model_matches_reference_on_corrupted_corpus():
+def test_validate_model_matches_reference_on_corrupted_corpus(variant):
     # every model of model_corpus(3), all valid, also scanned by the
     # reference on the reference group
     models = model_corpus(3)
@@ -489,31 +488,32 @@ def test_validate_model_matches_reference_on_corrupted_corpus():
 
     def on_reference_group(m):
         ref = _reference_of(m.group)
-        return [lambda mm: reference_validate_model(dataclasses.replace(mm, group=ref))]
+        return [lambda mm: reference_validate_model(variant(mm, group=ref))]
 
-    failing, total = _assert_validate_matches_reference_on_corruptions(models, on_reference_group)
+    failing, total = _assert_validate_matches_reference_on_corruptions(models, on_reference_group, variant)
     assert total > 1000 and failing > total // 2, (failing, total)
 
 
-def test_validate_model_matches_reference_on_corrupted_corpus_p5():
+def test_validate_model_matches_reference_on_corrupted_corpus_p5(variant):
     # every model of model_corpus(5), valid or not: a chi sending eps = -1
     # to 2, of order 4 mod 5, is not a homomorphism
     models = model_corpus(5)
     assert 0 < sum(validate_model(m) == [] for m in models) < len(models)
-    failing, total = _assert_validate_matches_reference_on_corruptions(models, lambda m: [])
+    failing, total = _assert_validate_matches_reference_on_corruptions(models, lambda m: [], variant)
     assert total > 1000 and failing > total // 2, (failing, total)
 
 
-def test_validate_model_scans_all_pairs_without_generators():
+def test_validate_model_scans_all_pairs_without_generators(variant):
     # model_corpus(3) also on a table group without generators, where
     # validate_model scans all pairs without is_homomorphism first
     def without_generators(m):
-        plain = _without_generators(m).group
-        return [lambda mm: validate_model(dataclasses.replace(mm, group=plain)),
-                lambda mm: reference_validate_model(dataclasses.replace(mm, group=plain))]
+        plain = _without_generators(m, variant).group
+        return [lambda mm: validate_model(variant(mm, group=plain)),
+                lambda mm: reference_validate_model(variant(mm, group=plain))]
 
-    assert not _without_generators(model_corpus(3)[0]).group.gens
-    failing, total = _assert_validate_matches_reference_on_corruptions(model_corpus(3), without_generators)
+    assert not _without_generators(model_corpus(3)[0], variant).group.gens
+    failing, total = _assert_validate_matches_reference_on_corruptions(model_corpus(3), without_generators,
+                                                                       variant)
     assert total > 1000 and failing > total // 2, (failing, total)
 
 
@@ -530,16 +530,16 @@ def test_validate_model_accepts_good_model():
     assert validate_model(_c2_model()) == []
 
 
-def test_validate_model_rejects_bad_rho():
+def test_validate_model_rejects_bad_rho(variant):
     m = _c2_model()
-    m = dataclasses.replace(m, rho={**m.rho, m.group.gens["g"]: ProjMat(1, 1, 0, 1, 3)})  # order 3, not a hom
+    m = variant(m, rho={**m.rho, m.group.gens["g"]: ProjMat(1, 1, 0, 1, 3)})  # order 3, not a hom
     errs = validate_model(m)
     assert errs and "homomorphism" in errs[0]
 
 
-def test_validate_model_rejects_bad_chi():
+def test_validate_model_rejects_bad_chi(variant):
     m = _c2_model()
-    m = dataclasses.replace(m, chi={**m.chi, m.group.gens["g"]: 3})  # not a unit mod 3
+    m = variant(m, chi={**m.chi, m.group.gens["g"]: 3})  # not a unit mod 3
     errs = validate_model(m)
     assert errs
 
@@ -551,10 +551,10 @@ def test_validate_model_checks_conj():
     assert any("chi(conj)" in e for e in errs)
 
 
-def test_validate_model_checks_characters():
+def test_validate_model_checks_characters(variant):
     m = _c2_model()
     e, s = m.group.identity, m.group.gens["g"]
-    m.characters["k"] = QuadraticCharacter(values={e: 1, s: 5}, field=-1)
+    m = variant(m, characters={"k": QuadraticCharacter(values={e: 1, s: 5}, field=-1)})
     errs = validate_model(m)
     assert any("k" in err for err in errs)
 
@@ -567,29 +567,42 @@ def test_epsilon_and_det_class():
     assert m.det_class(s) == -1  # [[0,1],[1,0]] has det -1
 
 
-def test_model_is_read_only():
+def test_model_is_read_only(variant):
     g = cyclic_group(2)
     s, one = g.gens["g"], ProjMat.identity(3)
     rho, chi = {x: one for x in g}, {x: 1 for x in g}
-    m = FiniteGaloisModel(group=g, p=3, rho=rho, chi=chi)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    k = {x: 1 for x in g}
+    chars = {"k": QuadraticCharacter(values=k, field=-1)}
+    m = FiniteGaloisModel(group=g, p=3, rho=rho, chi=chi, characters=chars)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'p'$"):
         m.p = 5
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'rho'$"):
         m.rho = {}
+    with pytest.raises(AttributeError, match="^cannot delete field 'characters'$"):
+        del m.characters
     with pytest.raises(TypeError):
         m.rho[s] = ProjMat(0, 1, 1, 0, 3)
     with pytest.raises(TypeError):
         m.chi[s] = 2
+    with pytest.raises(TypeError):
+        m.characters["j"] = QuadraticCharacter(values=k)
+    with pytest.raises(TypeError):
+        m.characters["k"].values[s] = -1
+    with pytest.raises(AttributeError):
+        m.characters["k"].values = {}
     eps, rho_ix = m.eps, m.rho_ix
     # the dicts given are copied: changing them later changes nothing
-    rho[s], chi[s] = ProjMat(0, 1, 1, 0, 3), 2
+    rho[s], chi[s], k[s] = ProjMat(0, 1, 1, 0, 3), 2, -1
     del rho[g.identity]
+    chars["j"] = chars.pop("k")
     assert dict(m.rho) == {x: one for x in g} and dict(m.chi) == {x: 1 for x in g}
+    assert list(m.characters) == ["k"] and dict(m.characters["k"].values) == {x: 1 for x in g}
     assert m.eps == eps == (1, 1) and m.rho_ix == rho_ix == (pgl2_index(3)[1][one],) * 2
     assert validate_model(m) == []
     # a variant is a new model, with its own derived data
-    variant = dataclasses.replace(m, chi={x: 2 for x in g})
-    assert variant.eps == (-1, -1) and m.eps == (1, 1) and m.chi[s] == 1
+    other = variant(m, chi={x: 2 for x in g})
+    assert other.eps == (-1, -1) and m.eps == (1, 1) and m.chi[s] == 1
+    assert other != m and variant(m) == m
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -912,7 +925,7 @@ def test_is_homomorphism_matches_reference_on_sign_maps(group):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_is_homomorphism_matches_reference_on_corpus_rho_chi_and_corruptions(p):
+def test_is_homomorphism_matches_reference_on_corpus_rho_chi_and_corruptions(p, variant):
     # rho on PGL2 indices with right tables, chi on residues with x -> x * c,
     # against the all-pairs check on ProjMats and residues, for each model
     # and each single-entry corruption of it
@@ -934,7 +947,7 @@ def test_is_homomorphism_matches_reference_on_corpus_rho_chi_and_corruptions(p):
     verdicts = Counter()
     for m in model_corpus(p):
         g = m.group
-        for mm in itertools.chain([m], _corruptions(m)):
+        for mm in itertools.chain([m], _corruptions(m, variant)):
             chi = [mm.chi[x] for x in g.elements]
             got = (g.is_homomorphism(mm.rho_ix, rho_table), g.is_homomorphism(chi, chi_table))
             want = (reference(g, tuple(mm.rho[x] for x in g.elements), operator.mul),

@@ -219,6 +219,16 @@ def test_v_matrix_shape():
         v_matrix(5, 4)  # 4 is a square mod 5
 
 
+def test_matgroup_equality_and_repr_leave_out_the_parents():
+    g = pgl2(3)
+    same = MatGroup(3, g.elements, g.generators)
+    assert g.parents and same.parents is None
+    assert g == same and hash(g) == hash(same) and repr(g) == repr(same)
+    assert "parents" not in repr(g) and g != MatGroup(3, g.elements, g.generators[:2])
+    with pytest.raises(AttributeError, match="^cannot assign to field 'parents'$"):
+        g.parents = None
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_element_orders_divide_group_order(p):
     full = pgl2(p)

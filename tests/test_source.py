@@ -60,14 +60,23 @@ def _refs(node):
     return _names([node])
 
 
-def _is_dataclass(node):
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-               for d in node.decorator_list)
+def _record_fields(cls):
+    """A class's record fields, as (name, node): the annotated names of a
+    ``NamedTuple`` and the names in ``__slots__``, dunders (__dict__) aside."""
+    named_tuple = any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases)
+    fields = []
+    for item in cls.body:
+        if named_tuple and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            fields.append((item.target.id, item))
+        elif isinstance(item, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                                  for t in item.targets):
+            fields += [(c.value, item) for c in ast.walk(item.value)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str) and not _is_dunder(c.value)]
+    return fields
 
 
 def test_no_code_kept_only_for_tests():
-    # Every top-level function, class and method and every dataclass field in
+    # Every top-level function, class and method and every record field in
     # src/modtwist must be reached from what runs without the tests:
     # module-level code, cli.main and perfbench.  A top-level definition is
     # reached by name; a method or field only by an attribute read
@@ -77,6 +86,7 @@ def test_no_code_kept_only_for_tests():
     # is read (say a field `level` beside TwistPlan.level) slips past.
     defs = []  # (qualified name, name, node, index of the owning class or None)
     roots = []
+    fields = 0
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -94,10 +104,9 @@ def test_no_code_kept_only_for_tests():
                 for item in stmt.body:
                     if isinstance(item, FUNCTIONS):
                         defs.append((f"{path.stem}.{stmt.name}.{item.name}", item.name, item, owner))
-                    elif (_is_dataclass(stmt) and isinstance(item, ast.AnnAssign)
-                          and isinstance(item.target, ast.Name)):
-                        name = item.target.id
-                        defs.append((f"{path.stem}.{stmt.name}.{name}", name, item, owner))
+                for name, item in _record_fields(stmt):
+                    defs.append((f"{path.stem}.{stmt.name}.{name}", name, item, owner))
+                    fields += 1
     used, read = _names(roots)
     for p in (ROOT / "perfbench").glob("*.py"):
         names, reads = _names([ast.parse(p.read_text(), filename=str(p))])
@@ -119,6 +128,8 @@ def test_no_code_kept_only_for_tests():
                 read |= reads
                 grew = True
     assert len(defs) >= 100
+    # the 51 fields of the twelve record classes and ProjMat's 4 slots
+    assert fields >= 55, fields
     unreached = [qual for i, (qual, name, _n, _o) in enumerate(defs)
                  if i not in reached and not _is_dunder(name)]
     assert not unreached, unreached

@@ -392,13 +392,13 @@ def test_twist_plan_cyclotomic_finite():
     assert "finite" in plan.finiteness
 
 
-def test_twist_plan_k_fields():
+def test_twist_plan_k_fields(variant):
     level = Level(7, 3)
     m = next(
         mm for mm in COMPATIBLE if any(mm.epsilon(s) == -1 for s in mm.group.elements)
     )
     k = {s: m.epsilon(s) for s in m.group.elements}
-    m.characters["k"] = QuadraticCharacter(values=k, field=-1)
+    m = variant(m, characters={"k": QuadraticCharacter(values=k, field=-1)})
     plan = twist_plan(level, m, k_fields=(-1,))
     assert any("k=-1" in name for name in plan.curves)
     assert plan.cocycles_valid
@@ -413,11 +413,11 @@ def test_twist_plan_parity_errors():
         twist_plan(Level(2, 3), compatible)  # non-cyclotomic needs det rho != eps
 
 
-def test_twist_plan_non_cyclotomic():
+def test_twist_plan_non_cyclotomic(variant):
     level = Level(5, 3)
     m = next(m for m in CORPUS if not m.det_is_epsilon())
     char = {s: m.epsilon(s) * m.det_class(s) for s in m.group.elements}
-    m.characters["k"] = QuadraticCharacter(values=char, field=5)
+    m = variant(m, characters={"k": QuadraticCharacter(values=char, field=5)})
     plan = twist_plan(level, m)
     assert plan.case == "non-cyclotomic"
     assert plan.curves == ["X(5,3)_rho"]
