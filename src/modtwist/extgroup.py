@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import Level, ReadOnly, invariant, lift_sqrt_mod_p2
+from .arith import InvariantError, Level, ReadOnly, invariant, lift_sqrt_mod_p2
 from .projgroup import (MatGroup, ProjMat, in_psl2, inverse_table, pgl2, pgl2_index, right_table,
                         spanning_tree)
 
@@ -180,8 +180,9 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
         if g not in models:
             gamma = word(h)
             m = gamma.adj() * gens["V_N"] * gamma
-            invariant(m.det == N and g in invs and m.reduce(p) == g,
-                      f"involutions_extending_wN: {m} is no determinant-N model of {g} outside PSL2")
+            if not (m.det == N and g in invs and m.reduce(p) == g):  # the reprs only on failure
+                raise InvariantError(
+                    f"involutions_extending_wN: {m} is no determinant-N model of {g} outside PSL2")
             models[g] = m
     missing = invs - models.keys()
     invariant(not missing, f"involutions_extending_wN: no integer model for {sorted(missing)}")

@@ -61,9 +61,10 @@ def _variant(m: FiniteGaloisModel, **changes) -> FiniteGaloisModel:
     return FiniteGaloisModel(**{**args, **changes})
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def variant():
-    """``_variant``, for the tests that corrupt or extend a model."""
+    """``_variant``, for the tests that corrupt or extend a model; for the
+    whole session, so that module fixtures can build with it."""
     return _variant
 
 

@@ -101,6 +101,18 @@ def test_involutions_extending_wN(N, p, conjugacy_class):
         assert max(abs(x) for x in m.entries) < 10**13
 
 
+def test_involution_walk_formats_no_message_on_success(monkeypatch):
+    # the invariant's message, with the repr of an IntMat and a ProjMat, is
+    # built only when the check fails
+    def no_repr(self):
+        raise AssertionError("a repr on a successful walk")
+
+    monkeypatch.setattr(IntMat, "__repr__", no_repr)
+    monkeypatch.setattr(ProjMat, "__repr__", no_repr)
+    for N, p in [(2, 3), (28, 11)]:
+        assert involutions_extending_wN(Level(N, p)).single_conjugacy_class
+
+
 def reference_involutions_extending_wN(level):
     """The integer models as the word-carrying walk finds them: the spanning
     tree of PSL2 under ``ProjMat`` products by T_N, U_N and their inverses,

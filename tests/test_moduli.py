@@ -3,16 +3,15 @@
 The exhaustive checks in ``modtwist.moduli`` act on state indices through
 right-multiplication tables.  The reference oracle here is the ProjMat form
 they replaced: one ProjMat product per action and state (``act_G``,
-``act_w``, ``act_galois`` and the two loops), itself checked against the
-split (basis, twist bit) actions."""
+``act_w``, ``act_galois``) and the Galois-conjugation loop.  A state's
+twist bit is its determinant class: PGL2(F_p) is PSL2(F_p) and its coset
+by V, one to one."""
 import random
-from functools import cache
 
 import pytest
-from hypothesis import given, strategies as st
 
 from modtwist import moduli
-from modtwist.arith import InvariantError, Level, kronecker, least_nonsquare, sqrt_mod
+from modtwist.arith import InvariantError, Level, kronecker, least_nonsquare
 from modtwist.moduli import hat_table_walk, verify_galois_conjugation, verify_w_rationality
 from modtwist.projgroup import (
     ProjMat,
@@ -73,176 +72,15 @@ def reference_verify_galois_conjugation(p):
     return True
 
 
-def reference_verify_w_rationality(level):
-    """The ProjMat loop over every chi and every state."""
-    p = level.p
-    v = least_nonsquare(p) if level.cyclotomic else pow(level.N, -1, p)
-    for chi in range(1, p):
-        for s in sorted(pgl2(p).elements):
-            t = act_w(s, level)
-            t = act_galois(t, pow(chi, -1, p), v)
-            t = act_w(t, level)
-            t = act_galois(t, chi, v)
-            if t != s:
-                return False
-    return True
-
-
-def gl2_tuples(p):
-    """Entries (a, b, c, d) of invertible 2x2 matrices mod p."""
-    entries = st.integers(min_value=0, max_value=p - 1)
-
-    def ok(t):
-        a, b, c, d = t
-        return (a * d - b * c) % p != 0
-
-    return st.tuples(entries, entries, entries, entries).filter(ok)
-
-
-def nonsquares(p):
-    return [x for x in range(1, p) if kronecker(x, p) == -1]
-
-
-@cache
-def reference_normal_form(t, p, v):
-    """Reference normal form by scaling, on raw entries: if det is a
-    non-square, first multiply by V^-1 = [[0, 1], [-1/v, 0]]; then scale by
-    1/sqrt(det) into SL2 and make the first nonzero entry 1.  Returns
-    (entries, twist_bit): the class of ``t`` is basis * V^twist_bit."""
-    a, b, c, d = t
-    twist = int(kronecker(a * d - b * c, p) == -1)
-    if twist:
-        vi = pow(v, -1, p)
-        a, b, c, d = -b * vi, a, -d * vi, c
-    ri = pow(sqrt_mod((a * d - b * c) % p, p), -1, p)
-    a, b, c, d = (x * ri % p for x in (a, b, c, d))
-    assert (a * d - b * c) % p == 1
-    lead = pow(next(x for x in (a, b, c, d) if x), -1, p)
-    return tuple(x * lead % p for x in (a, b, c, d)), twist
-
-
-# Reference oracle: the actions on split states (basis, twist bit), as they
-# were computed before a state became a plain ProjMat.  Each one multiplies
-# the underlying basis * V^twist_bit by a matrix on raw entries and splits
-# the product again with reference_normal_form; no ProjMat product is used.
-
-
-def _mul(x, y, p):
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
-
-
-def _v(v):
-    return (0, -v, 1, 0)
-
-
-def reference_act(state, m, p, v):
-    basis, twist = state
-    underlying = _mul(basis, _v(v), p) if twist else basis
-    return reference_normal_form(_mul(underlying, m, p), p, v)
-
-
-def reference_act_G(state, gamma, p, v):
-    a, b, c, d = gamma
-    if kronecker(a * d - b * c, p) != 1:
-        raise ValueError("gamma must lie in PSL2")
-    return reference_act(state, (d, c, b, a), p, v)
-
-
-def reference_act_w(state, level, v):
-    if level.cyclotomic:
-        return state
-    if v != pow(level.N, -1, level.p):
-        raise ValueError("the state must carry v = N^-1 mod p")
-    return reference_act(state, _v(v), level.p, v)
-
-
-def reference_act_galois(state, chi, p, v):
-    if chi % p == 0:
-        raise ValueError("chi must be a unit mod p")
-    if kronecker(chi, p) == 1:
-        return state
-    return reference_act(state, _v(v), p, v)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_actions_match_split_reference(p):
-    # every state, every gamma, every chi and every non-square v; for w every
-    # N < 30 prime to p, with the v that verify_w_rationality uses
-    states = sorted(pgl2(p).elements)
-    gammas = sorted(psl2(p).elements)
-    for v in nonsquares(p):
-        split = {s: reference_normal_form(s.rep, p, v) for s in states}
-        for s in states:
-            for gamma in gammas:
-                assert split[act_G(s, gamma)] == reference_act_G(split[s], gamma.rep, p, v)
-            for chi in range(1, p):
-                assert split[act_galois(s, chi, v)] == reference_act_galois(split[s], chi, p, v)
-    for N in range(2, 30):
-        if N % p == 0:
-            continue
-        level = Level(N, p)
-        v = least_nonsquare(p) if level.cyclotomic else pow(N, -1, p)
-        split = {s: reference_normal_form(s.rep, p, v) for s in states}
-        for s in states:
-            assert split[act_w(s, level)] == reference_act_w(split[s], level, v)
-
-
-def test_normal_form_square_det():
-    # a scalar matrix with square det 4 mod 5 is the identity state
-    m = ProjMat(2, 0, 0, 2, 5)
-    assert m.is_identity()
-    assert reference_normal_form(m.rep, 5, 2) == ((1, 0, 0, 1), 0)
-
-
-def test_normal_form_nonsquare_det_splits_V():
-    p, v = 5, 2
-    assert reference_normal_form(v_matrix(p, v).rep, p, v) == ((1, 0, 0, 1), 1)
-
-
-@given(st.sampled_from([3, 5, 7]), st.data())
-def test_normal_form_recovers_class(p, data):
-    t = data.draw(gl2_tuples(p))
-    v = data.draw(st.sampled_from(nonsquares(p)))
-    basis, twist = reference_normal_form(t, p, v)
-    underlying = ProjMat(*basis, p) * (v_matrix(p, v) if twist else ProjMat.identity(p))
-    assert underlying == ProjMat(*t, p)
-
-
-@given(st.sampled_from([3, 5, 7]), st.data())
-def test_normal_form_twist_bit_tracks_det_class(p, data):
-    # the twist bit of a state needs no field: it is (1 - det_class) // 2
-    t = data.draw(gl2_tuples(p))
-    _basis, twist = reference_normal_form(t, p, least_nonsquare(p))
-    assert twist == (1 - ProjMat(*t, p).det_class) // 2
-
-
-@given(st.sampled_from([3, 5, 7]), st.booleans(), st.data())
-def test_normal_form_matches_reference(p, square_det, data):
-    # the split g -> (g or g * V, twist bit) on ProjMat classes gives the
-    # reference basis
-    want = 1 if square_det else -1
-    t = data.draw(
-        gl2_tuples(p).filter(lambda t: kronecker(t[0] * t[3] - t[1] * t[2], p) == want)
-    )
-    v = data.draw(st.sampled_from(nonsquares(p)))
-    g = ProjMat(*t, p)
-    basis = g if g.det_class == 1 else g * v_matrix(p, v)
-    assert reference_normal_form(basis.rep, p, v) == (reference_normal_form(t, p, v)[0], 0)
-
-
 def test_all_states_count():
     # the states walked by the verify_* checks, all of PGL2, split one to one
-    # onto PSL2 x {0, 1}
-    for p in (3, 5):
-        v = least_nonsquare(p)
-        states = sorted(pgl2(p).elements)
-        assert len(states) == 2 * psl2(p).order
-        splits = {reference_normal_form(s.rep, p, v) for s in states}
-        bases = {reference_normal_form(h.rep, p, v)[0] for h in psl2(p).elements}
-        assert splits == {(b, t) for b in bases for t in (0, 1)}
-        assert len(splits) == len(states)
+    # onto PSL2 x {0, 1} as h * V^t, the twist bit t = (1 - det_class) // 2
+    for p in (3, 5, 7):
+        vv = v_matrix(p, least_nonsquare(p))
+        split = {h * vv if t else h: (h, t) for h in psl2(p).elements for t in (0, 1)}
+        assert len(split) == 2 * psl2(p).order == pgl2(p).order
+        assert split.keys() == set(pgl2_index(p)[0])
+        assert all(t == (1 - g.det_class) // 2 for g, (_h, t) in split.items())
 
 
 def test_act_G_identity_state_example():
@@ -361,11 +199,10 @@ def test_indexed_actions_match_projmat_actions(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_verify_matches_projmat_reference(p):
+    # w-rationality has no reference: R_V o R_V = id, true for every v, is
+    # all it can check, so it is only run, at every N < 30 prime to p
     assert verify_galois_conjugation(p) is reference_verify_galois_conjugation(p) is True
-    for N in range(2, 30):
-        if N % p:
-            level = Level(N, p)
-            assert verify_w_rationality(level) is reference_verify_w_rationality(level) is True
+    assert all(verify_w_rationality(Level(N, p)) for N in range(2, 30) if N % p)
 
 
 def test_verify_galois_conjugation_checks_walk_reaches_psl2(monkeypatch):

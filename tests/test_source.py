@@ -2,6 +2,8 @@
 import ast
 from pathlib import Path
 
+from mutants import CATALOGUE
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "modtwist"
 
@@ -164,3 +166,20 @@ def test_every_cache_decorates_a_module_level_function():
                 (module_level if id(node) in allowed else elsewhere).append(f"{path.name}:{node.lineno}")
     assert len(module_level) >= 13, module_level
     assert not elsewhere, elsewhere
+
+
+def test_mutant_catalogue_is_current():
+    # each mutant's text occurs exactly once in its file and the mutated file
+    # compiles; each test it names is a module-level def test_... that
+    # exists; a survives entry gives its reason and names tests to run
+    assert len({m.name for m in CATALOGUE}) == len(CATALOGUE) >= 30
+    for m in CATALOGUE:
+        text = (SRC / m.path).read_text()
+        assert text.count(m.old) == 1 and m.new != m.old, m.name
+        compile(text.replace(m.old, m.new), m.path, "exec")
+        assert m.tests and (m.survives == "" or len(m.survives) > 40), m.name
+        for test_id in m.tests:
+            path, _, name = test_id.partition("::")
+            tree = ast.parse((ROOT / path).read_text())
+            defs = {node.name for node in tree.body if isinstance(node, FUNCTIONS)}
+            assert name.startswith("test_") and name.split("[")[0] in defs, (m.name, test_id)
