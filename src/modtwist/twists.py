@@ -3,11 +3,12 @@ plans.
 
 Given a model (group G, rho: G -> PGL2(F_p), chi), the basic cocycle is
 xi(s) = rho*(s) * eta(s), where rho*(s) = transpose(rho(s^-1)), eta(s) is
-trivial or hat(V) according to the quadratic residue character eps of chi,
-and the Galois twist acts on values by conjugation with hat(V) exactly when
-eps(s) = -1.  The primed variant conjugates rho* by hat(V) first; at
-cyclotomic levels an extra quadratic character chi_k may multiply in a
-formal central w-component.
+trivial or hat(V), V = [[0, -v], [1, 0]] with v the least non-square mod p,
+according to the quadratic residue character eps of chi, and the Galois
+twist acts on values by conjugation with hat(V) exactly when eps(s) = -1.
+The primed variant conjugates rho* by hat(V) first; at cyclotomic levels an
+extra quadratic character chi_k may multiply in a formal central
+w-component.
 
 Cocycle values are pairs (ProjMat, w_bit): the w_bit is the formal central
 component (always 0 outside the cyclotomic chi_k construction).  Inside,
@@ -56,7 +57,6 @@ class Cocycle(NamedTuple):
     model: FiniteGaloisModel
     ambient: Ambient
     values: dict  # element -> (ProjMat, int)
-    v: int
 
     @property
     def p(self) -> int:
@@ -64,8 +64,8 @@ class Cocycle(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _hat_v(p: int, v: int) -> ProjMat:
-    return v_matrix(p, v).hat()
+def _hat_v(p: int) -> ProjMat:
+    return v_matrix(p).hat()
 
 
 def _untwisted(c: Cocycle, m: FiniteGaloisModel, numbers) -> tuple[list, list]:
@@ -73,7 +73,7 @@ def _untwisted(c: Cocycle, m: FiniteGaloisModel, numbers) -> tuple[list, list]:
     ``numbers``, as two lists; eta read from m's eps: R_hat(V) moves c's
     value where eps(s) = -1."""
     index = pgl2_index(c.p)[1]
-    rh = right_table(_hat_v(c.p, c.v))
+    rh = right_table(_hat_v(c.p))
     elements, eps = m.group.elements, m.eps
     ks, ws = [], []
     for i in numbers:
@@ -101,19 +101,17 @@ def check_cocycle(c: Cocycle) -> bool:
             and grp.is_homomorphism(ws, Z2_RIGHT.__getitem__))
 
 
-def rho_star(m: FiniteGaloisModel, primed: bool = False, v: int | None = None) -> list[int]:
+def rho_star(m: FiniteGaloisModel, primed: bool = False) -> list[int]:
     """rho*(s) = transpose(rho(s^-1)) as PGL2(F_p) indices by group number;
     the primed variant conjugates by hat(V).  Read off m's rho_ix:
     transpose(g) = J g^-1 J with J = [[0, 1], [-1, 0]], and c g c for an
     involution c is R_c after L_c = inv R_c inv."""
-    if v is None:
-        v = least_nonsquare(m.p)
     inv = inverse_table(m.p)
     rj = right_table(ProjMat(0, 1, -1, 0, m.p))
     rho = m.rho_ix
     star = [rj[inv[rj[rho[i]]]] for i in m.group.inverse]
     if primed:
-        rh = right_table(_hat_v(m.p, v))
+        rh = right_table(_hat_v(m.p))
         star = [rh[inv[rh[inv[k]]]] for k in star]
     return star
 
@@ -122,7 +120,6 @@ def build_xi(
     m: FiniteGaloisModel,
     variant: str = "plain",
     k_char: dict | None = None,
-    v: int | None = None,
 ) -> Cocycle:
     """The twisting cocycle xi = rho* . eta (or primed), optionally with a
     formal central w-component given by a quadratic character chi_k.
@@ -133,8 +130,6 @@ def build_xi(
     """
     if variant not in ("plain", "primed"):
         raise ValueError(f"build_xi: unknown variant {variant!r}")
-    if v is None:
-        v = least_nonsquare(m.p)
     cyclotomic_compatible = m.det_is_epsilon()
     elements = m.group.elements
     if k_char is not None and not cyclotomic_compatible:
@@ -142,14 +137,14 @@ def build_xi(
     if k_char is not None and any(k_char[s] not in (1, -1) for s in elements):
         raise ValueError("build_xi: chi_k must be +-1 valued")
     elems = pgl2_index(m.p)[0]
-    rh = right_table(_hat_v(m.p, v))  # eta(s) = hat(V) where eps(s) = -1, else 1
-    star = rho_star(m, primed=(variant == "primed"), v=v)
+    rh = right_table(_hat_v(m.p))  # eta(s) = hat(V) where eps(s) = -1, else 1
+    star = rho_star(m, primed=(variant == "primed"))
     ws = itertools.repeat(0) if k_char is None else [int(k_char[s] == -1) for s in elements]
     values = {s: (elems[rh[k] if e == -1 else k], w) for s, k, e, w in zip(elements, star, m.eps, ws)}
     ambient = Ambient.G_NP if cyclotomic_compatible else Ambient.W_NP
     invariant(ambient is Ambient.W_NP or all(g.det_class == 1 for g, _ in values.values()),
               "build_xi: a G(N,p) cocycle must take values in PSL2")
-    return Cocycle(model=m, ambient=ambient, values=values, v=v)
+    return Cocycle(model=m, ambient=ambient, values=values)
 
 
 def cohomologous(c1: Cocycle, c2: Cocycle):
@@ -167,7 +162,7 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
     """
     if c1.model is not c2.model and c1.model.group is not c2.model.group:
         raise ValueError("cohomologous: cocycles live over different models")
-    if c1.ambient != c2.ambient or c1.v != c2.v or c1.p != c2.p:
+    if c1.ambient != c2.ambient or c1.p != c2.p:
         raise ValueError("cohomologous: mismatched ambients")
     grp = c1.model.group
     gens = [grp.index[s] for s in grp.generators()]
@@ -211,7 +206,6 @@ class TwistPlan(NamedTuple):
     field_k: int | None  # squarefree label of the fixed field of eps*det rho
     field_k_character: dict | None  # eps * det rho as a +-1 character
     centralizer: CentralizerVerdict
-    cocycles_valid: bool
     finiteness: str
 
     def to_jsonable(self) -> dict:
@@ -226,7 +220,7 @@ class TwistPlan(NamedTuple):
                 else None
             ),
             "centralizer": self.centralizer.value,
-            "cocycles_valid": self.cocycles_valid,
+            "cocycles_valid": True,  # a theorem on a valid model (see twist_plan), not a check
             "finiteness": self.finiteness,
         }
 
@@ -256,7 +250,12 @@ def twist_plan(
     curves parametrize the lifts, over which field(s), with the centralizer
     verdict and the finiteness consequence.
 
-    The model must be valid, as ``modelfile.parse_and_validate`` ensures.
+    The model must be valid, as ``modelfile.parse_and_validate`` ensures:
+    ``validate_model`` has checked rho, chi and every character.  So each
+    xi of the plan is a cocycle, and none is built: eta(s) in {1, hat(V)} is
+    an involution, so xi(s) * eta(s) = rho*(s), a homomorphism exactly when
+    rho is; so is its primed conjugate, and a chi_k part is a validated
+    character (Serre, Galois Cohomology, I.5.3).
     Raises ParityError when det rho does not match the case of the level
     (cyclotomic needs det rho = eps; non-cyclotomic needs det rho != eps).
     """
@@ -267,14 +266,12 @@ def twist_plan(
     if m.det_is_epsilon() != level.cyclotomic:
         need = "=" if level.cyclotomic else "!="
         raise ParityError(f"{case} level {level} requires det rho {need} eps as characters")
-    cocycles, curves = [build_xi(m, "plain", v=level.v)], [f"X({N},{p})_rho"]
+    curves = [f"X({N},{p})_rho"]
     field_k = char = None
     if level.cyclotomic:
-        cocycles.append(build_xi(m, "primed", v=level.v))
         curves.append(f"X({N},{p})'_rho")
         for qc in m.characters.values():
             if qc.field in k_fields:
-                cocycles.append(build_xi(m, "plain", k_char=qc.values, v=level.v))
                 curves += [f"X({N},{p})_rho,k={qc.field}", f"X({N},{p})'_rho,k={qc.field}"]
     else:
         elems = pgl2_index(p)[0]
@@ -290,7 +287,6 @@ def twist_plan(
         field_k=field_k,
         field_k_character=char,
         centralizer=centralizer_verdict(m),
-        cocycles_valid=all(check_cocycle(xi) for xi in cocycles),
         finiteness=_finiteness_verdict(level),
     )
 

@@ -75,7 +75,7 @@ def _perturbations(c: Cocycle, s):
     for mult in sorted(pgl2(c.p).elements):
         if not mult.is_identity():
             values = {**c.values, s: (g * mult, w)}
-            yield Cocycle(model=c.model, ambient=c.ambient, values=values, v=c.v)
+            yield Cocycle(model=c.model, ambient=c.ambient, values=values)
 
 
 def _perturbation_breaks(c: Cocycle) -> bool:

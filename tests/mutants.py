@@ -80,17 +80,17 @@ CATALOGUE = (
     # the search up to conjugacy
     Mutant("search_result_unsorted", "galmodel.py",
            "    found.sort(key=lambda f: [f[j] for j in keys])\n", "",
-           (GALMODEL + "test_all_homs_to_pgl2_matches_brute_force",)),
+           (GALMODEL + "test_all_homs_to_pgl2_matches_the_product_search",)),
     Mutant("search_carries_one_orbit_edge", "galmodel.py",
            "itertools.islice(orbit.items(), 1, None)", "itertools.islice(orbit.items(), 1, 2)",
-           (GALMODEL + "test_all_homs_to_pgl2_matches_brute_force",)),
+           (GALMODEL + "test_all_homs_to_pgl2_matches_the_product_search",)),
     Mutant("search_prefilters_on_the_order_of_b", "galmodel.py",
            "n12 % orders[right[b]] == 0", "n12 % orders[b] == 0",
-           (GALMODEL + "test_all_homs_to_pgl2_matches_brute_force",)),
+           (GALMODEL + "test_all_homs_to_pgl2_matches_the_product_search",)),
     Mutant("search_conjugation_not_an_automorphism", "galmodel.py",
            "conj = [[r[inv[r[inv[x]]]] for x in range(len(elems))]",
            "conj = [[r[x] for x in range(len(elems))]",
-           (GALMODEL + "test_all_homs_to_pgl2_matches_brute_force",)),
+           (GALMODEL + "test_all_homs_to_pgl2_matches_the_product_search",)),
     Mutant("search_candidates_of_equal_order_only", "galmodel.py",
            "if n % k == 0]", "if n == k]",
            (GALMODEL + "test_candidates_are_the_images_of_dividing_order",)),
@@ -108,6 +108,10 @@ CATALOGUE = (
     Mutant("validate_model_without_the_chi_part", "galmodel.py",
            "and g.is_homomorphism(chi, lambda c: [x * c % m.p for x in range(m.p)])):", "):",
            (GALMODEL + "test_validate_model_matches_reference_on_corrupted_corpus",)),
+    Mutant("rho_star_without_the_inverse", "twists.py",
+           "for i in m.group.inverse]", "for i in range(len(rho))]",
+           (TWISTS + "test_plain_and_primed_cocycles_valid_over_corpus",
+            ACCEPTANCE + "10_cocycle_corpus")),
     Mutant("primed_is_plain", "twists.py",
            'primed=(variant == "primed")', "primed=False",
            (ACCEPTANCE + "11_equivalence_criterion",)),
@@ -164,12 +168,6 @@ CATALOGUE = (
            "walk and the products use the same map; test_projgroup's hat and table tests "
            "kill it"),
     # report fields that cannot read false
-    Mutant("cocycles_valid_true", "twists.py",
-           "cocycles_valid=all(check_cocycle(xi) for xi in cocycles),", "cocycles_valid=True,",
-           (TWISTS + "test_twist_plan_cyclotomic", TWISTS + "test_twist_plan_k_fields",
-            TWISTS + "test_twist_plan_non_cyclotomic", "tests/test_cli.py::test_cli_goldens_replay"),
-           "xi is a cocycle for every model validate_model accepts, so the field reads true for "
-           "every model a plan is built from"),
     Mutant("single_conjugacy_class_true", "extgroup.py",
            "single_conjugacy_class=models.keys() == invs,", "single_conjugacy_class=True,",
            (EXTGROUP + "test_involutions_extending_wN",),

@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import pytest
 
+from modtwist import twists
 from modtwist.arith import Level, least_nonsquare
 from modtwist.galmodel import (
     FiniteGaloisModel,
@@ -47,7 +48,7 @@ def reference_check_cocycle(c):
     """Exhaustive check of xi(st) = xi(s) * twist_s(xi(t)) on all |G|^2
     pairs, the twist by s being conjugation by hat(V) where eps(s) = -1."""
     grp = c.model.group
-    hv = v_matrix(c.p, c.v).hat()
+    hv = v_matrix(c.p).hat()
     for s in grp.elements:
         gs, ws = c.values[s]
         twisted = c.model.epsilon(s) == -1
@@ -65,7 +66,7 @@ def reference_cohomologous(c1, c2):
     """The first witness in sorted order checked on every group element."""
     grp = c1.model.group
     pool = psl2(c1.p) if c1.ambient is Ambient.G_NP else pgl2(c1.p)
-    hv = v_matrix(c1.p, c1.v).hat()
+    hv = v_matrix(c1.p).hat()
     for cand in sorted(pool.elements):
         ci = cand.inverse()
         ok = True
@@ -99,7 +100,7 @@ def reference_centralizer_verdict(image: frozenset, p: int) -> CentralizerVerdic
 def reference_rho_star(m, primed=False) -> dict:
     """rho*(s), the transpose of rho(s^-1) read off its entries, conjugated
     by hat(V) when primed, by group element."""
-    hv = v_matrix(m.p, least_nonsquare(m.p)).hat()
+    hv = v_matrix(m.p).hat()
     out = {}
     for s in m.group.elements:
         a, b, c, d = m.rho[m.group.elements[m.group.inverse[m.group.index[s]]]].rep
@@ -111,7 +112,7 @@ def reference_rho_star(m, primed=False) -> dict:
 def reference_build_xi_values(m, variant, k_char=None):
     """xi(s) = rho*(s) * eta(s) by ProjMat products, eta(s) = hat(V) where
     eps(s) = -1; the w-bit 1 where chi_k(s) = -1."""
-    hv = v_matrix(m.p, least_nonsquare(m.p)).hat()
+    hv = v_matrix(m.p).hat()
     return {s: (g * hv if m.epsilon(s) == -1 else g, int(k_char is not None and k_char[s] == -1))
             for s, g in reference_rho_star(m, variant == "primed").items()}
 
@@ -119,9 +120,9 @@ def reference_build_xi_values(m, variant, k_char=None):
 def eta(m):
     """The basic quadratic cocycle, by ProjMats: the identity where eps = +1,
     hat(V) where eps = -1, a homomorphism onto a group of order at most 2."""
-    hv = v_matrix(m.p, least_nonsquare(m.p)).hat()
+    hv = v_matrix(m.p).hat()
     values = {s: (ProjMat.identity(m.p) if m.epsilon(s) == 1 else hv, 0) for s in m.group.elements}
-    return Cocycle(model=m, ambient=Ambient.W_NP, values=values, v=least_nonsquare(m.p))
+    return Cocycle(model=m, ambient=Ambient.W_NP, values=values)
 
 
 def _cocycles(m):
@@ -135,7 +136,7 @@ def _cocycles(m):
 
 def _with_w_flipped(c, s):
     g, w = c.values[s]
-    return Cocycle(model=c.model, ambient=c.ambient, values={**c.values, s: (g, 1 - w)}, v=c.v)
+    return Cocycle(model=c.model, ambient=c.ambient, values={**c.values, s: (g, 1 - w)})
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -339,7 +340,7 @@ def test_cohomologous_witness_property():
         if wit is None:
             continue
         cand, _ = wit
-        hv = v_matrix(xi.p, xi.v).hat()
+        hv = v_matrix(xi.p).hat()
         for s in m.group.elements:
             tc = hv * cand * hv if m.epsilon(s) == -1 else cand
             assert xi_p.values[s][0] == cand.inverse() * xi.values[s][0] * tc
@@ -381,7 +382,6 @@ def test_twist_plan_cyclotomic():
     )
     plan = twist_plan(level, m)
     assert plan.case == "cyclotomic"
-    assert plan.cocycles_valid
     assert "X(4,3)_rho" in plan.curves and "X(4,3)'_rho" in plan.curves
     assert "possibly infinite" in plan.finiteness  # the excluded rational case
     doc = plan.to_jsonable()
@@ -402,7 +402,6 @@ def test_twist_plan_k_fields(variant):
     m = variant(m, characters={"k": QuadraticCharacter(values=k, field=-1)})
     plan = twist_plan(level, m, k_fields=(-1,))
     assert any("k=-1" in name for name in plan.curves)
-    assert plan.cocycles_valid
 
 
 def test_twist_plan_parity_errors():
@@ -424,7 +423,27 @@ def test_twist_plan_non_cyclotomic(variant):
     assert plan.curves == ["X(5,3)_rho"]
     assert plan.field_k == 5
     assert plan.field_k_character == char
-    assert plan.cocycles_valid
+
+
+def test_twist_plan_builds_no_cocycle(monkeypatch, variant):
+    # the plan reports its cocycles valid as a theorem on a validated model
+    # (see twist_plan): it builds none and checks none, at a cyclotomic level
+    # with a chi_k curve and at a non-cyclotomic one
+    def unreachable(*args, **kwargs):
+        raise AssertionError("twist_plan builds or checks a cocycle")
+
+    monkeypatch.setattr(twists, "build_xi", unreachable)
+    monkeypatch.setattr(twists, "check_cocycle", unreachable)
+    m = next(mm for mm in COMPATIBLE if any(mm.epsilon(s) == -1 for s in mm.group.elements))
+    k = {s: m.epsilon(s) for s in m.group.elements}
+    m = variant(m, characters={"k": QuadraticCharacter(values=k, field=-1)})
+    cyclotomic = twist_plan(Level(7, 3), m, k_fields=(-1,))
+    assert "X(7,3)_rho,k=-1" in cyclotomic.curves
+    incompatible = next(m for m in CORPUS if not m.det_is_epsilon())
+    non_cyclotomic = twist_plan(Level(5, 3), incompatible)
+    assert non_cyclotomic.curves == ["X(5,3)_rho"]
+    for plan in (cyclotomic, non_cyclotomic):
+        assert plan.to_jsonable()["cocycles_valid"] is True
 
 
 def test_twist_plan_non_cyclotomic_excluded_case():
@@ -445,7 +464,7 @@ def test_twist_value_conjugation():
         mm for mm in COMPATIBLE if any(mm.epsilon(s) == -1 for s in mm.group.elements)
     )
     xi = build_xi(m, k_char={s: m.epsilon(s) for s in m.group.elements})
-    hv = v_matrix(xi.p, xi.v).hat()
+    hv = v_matrix(xi.p).hat()
     elems, index = pgl2_index(xi.p)
     ks, ws = _untwisted(xi, m, range(m.group.order))
     assert list(xi.values) == list(m.group.elements)
