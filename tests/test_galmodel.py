@@ -586,6 +586,7 @@ def _reference_homs(group, images, one):
     return out
 
 
+@functools.lru_cache(maxsize=None)  # shared by the two comparisons below
 def _reference_homs_to_pgl2(group, p):
     """Candidates: the images whose order divides the generator's."""
     one, images = ProjMat.identity(p), {}
@@ -619,6 +620,18 @@ SEARCH_GROUPS = [
 # three generators: the search's path past the second generator
 C2_CUBED = FiniteGroup.from_permutations(
     {"a": (1, 0, 2, 3, 4, 5), "b": (0, 1, 3, 2, 4, 5), "c": (0, 1, 2, 3, 5, 4)}, name="C2^3")
+
+
+@pytest.mark.parametrize("group, p", [
+    pytest.param(group, p, id=f"{group.name}-{p}")
+    for group in SEARCH_GROUPS for p in (3, 5, 7) if p < 7 or group.order <= 6
+])
+def test_all_homs_to_pgl2_matches_brute_force(group, p):
+    got = all_homs_to_pgl2(group, p)
+    want = _reference_homs_to_pgl2(group, p)
+    assert got == want
+    assert [list(f) for f in got] == [list(f) for f in want]
+    assert all(list(f) == list(group.tree) for f in got)
 
 
 @pytest.mark.parametrize("group", SEARCH_GROUPS + [C2_CUBED], ids=lambda g: g.name)
