@@ -14,7 +14,6 @@ from .arith import (
     least_nonsquare,
     lift_sqrt_mod_p2,
     psi_index,
-    sqrt_mod,
 )
 from .curves import (
     CuspData,

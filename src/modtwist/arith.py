@@ -1,5 +1,6 @@
-"""Exact arithmetic helpers: divisors, totients, Kronecker symbols, modular
-square roots, and class numbers of negative discriminants.
+"""Exact arithmetic helpers: divisors, totients, Kronecker symbols, the
+residue tables of an odd prime, square roots mod p^2, and class numbers of
+negative discriminants.
 
 Everything here is pure integer arithmetic; no floats are used anywhere.
 """
@@ -147,46 +148,14 @@ def kronecker(a: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def residue_tables(n: int) -> tuple[tuple, tuple[int, ...]]:
-    """Indexed by the residue x mod n: x^-1 mod n (None off the units), and
-    ``kronecker(x, n)``, which is nonzero exactly on the units."""
-    inverses = tuple(pow(x, -1, n) if math.gcd(x, n) == 1 else None for x in range(n))
-    return inverses, tuple(kronecker(x, n) for x in range(n))
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """Least nonnegative square root of a mod the odd prime p, or None.
-
-    Tonelli-Shanks; of the two roots r and p - r the smaller is returned.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"sqrt_mod: need an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    if kronecker(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while kronecker(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return min(r, p - r)
+def residue_tables(p: int) -> tuple[tuple, tuple[int, ...]]:
+    """Indexed by the residue x mod the odd prime p: x^-1 mod p (None at 0),
+    and the Legendre symbol ``kronecker(x, p)``.  The one check of a
+    ``ProjMat`` modulus, run once per p: ValueError unless p is an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"need an odd prime modulus, got {p}")
+    inverses = (None, *(pow(x, -1, p) for x in range(1, p)))
+    return inverses, tuple(kronecker(x, p) for x in range(p))
 
 
 @lru_cache(maxsize=None)

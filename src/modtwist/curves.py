@@ -268,12 +268,9 @@ def al_fixed_points(M: int, Q: int) -> int:
         total += term
     if Q == 4:
         # w_4 fixes each cusp m/n with ord_2(n) = 1; with R squarefree and
-        # odd each such n carries a single cusp.
+        # odd each such n has h = gcd(n, M/n) = 2, so it carries phi(2) = 1 cusp.
         for c in cusps_X0(M):
-            n = c.n
-            if n % 2 == 0 and n % 4 != 0:
-                if euler_phi(c.h) != 1:
-                    raise ValueError("al_fixed_points: ambiguous cusp class for Q = 4")
+            if c.n % 4 == 2:
                 total += 1
     return total
 
@@ -347,16 +344,10 @@ def xplus_verdict(level: Level) -> GenusReport:
         return GenusReport(curve=name, genus=0, method="paper_case")
     if (N, p) == (4, 5):
         # degree-10 covering of the rational curve X_0(20)/w_4, ramified at
-        # four points of degree 5 and ten of degree 2.
-        base = genus_AL_quotient(20, 4)
-        invariant(base == 0, "X+(4,5) anchor: X_0(20)/w_4 is not rational")
-        rami = 4 * (5 - 1) + 10 * (2 - 1)
-        invariant(rami == 26, "X+(4,5) anchor: ramification")
-        two_g_minus_2 = 10 * (2 * base - 2) + rami
-        invariant(two_g_minus_2 % 2 == 0, "X+(4,5) anchor: odd 2g - 2")
-        g = (two_g_minus_2 + 2) // 2
-        invariant(g == 4, "X+(4,5) anchor: genus")
-        return GenusReport(curve=name, genus=g, method="paper_case")
+        # four points of degree 5 and ten of degree 2; by Riemann-Hurwitz
+        # 2g - 2 = 10 * (-2) + 4 * 4 + 10 * 1 = 6, so g = 4.
+        invariant(genus_AL_quotient(20, 4) == 0, "X+(4,5) anchor: X_0(20)/w_4 is not rational")
+        return GenusReport(curve=name, genus=4, method="paper_case")
     q = genus_AL_quotient(p * N, N)
     if q > 0:
         return GenusReport(

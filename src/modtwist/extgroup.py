@@ -12,15 +12,16 @@ is the index-2 extension by the extra involution w:
   is a faithful isomorphism W(N,p) -> PGL2(F_p).  The involutions extending
   w_N are the conjugates of V_N by words in T_N and U_N: integer matrices
   [[aN, b], [cN, -aN]] of determinant N, one spanning-tree walk of PSL2(F_p)
-  constructing a model for every one of them.
+  constructing a model for every one of them.  That they form a single
+  conjugacy class is decided apart from the walk, by orbit-stabilizer.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .arith import InvariantError, Level, ReadOnly, invariant, lift_sqrt_mod_p2
-from .projgroup import (MatGroup, ProjMat, in_psl2, inverse_table, pgl2, pgl2_index, right_table,
-                        spanning_tree)
+from .projgroup import (MatGroup, ProjMat, centralizer, in_psl2, inverse_table, pgl2, pgl2_index,
+                        right_table, spanning_tree)
 
 
 class IntMat(ReadOnly):
@@ -147,10 +148,13 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
     [[aN, b], [cN, -aN]].  V's class in PGL2(F_p) is its PSL2-conjugation
     orbit, since V centralizes itself, so one walk of the spanning tree of
     PSL2 = <T, U> reaches every involution outside PSL2 that is conjugate to
-    V; the involutions form a single class exactly when it reaches all.
-    The walk steps by the right tables of T_N, U_N and their inverses and
-    carries each vertex's conjugate h^-1 V h as an index; the first vertex to
-    reach an involution multiplies out its word gamma for that model.
+    V.  The involutions form a single class exactly when V's class, of size
+    |PGL2(F_p)| / |C(V)| by orbit-stabilizer, holds all of them; that is
+    decided before the walk, from ``centralizer``, so it can read False
+    while the walk still finds every model.  The walk steps by the right
+    tables of T_N, U_N and their inverses and carries each vertex's
+    conjugate h^-1 V h as an index; the first vertex to reach an involution
+    multiplies out its word gamma for that model.
     """
     if level.cyclotomic:
         raise ValueError("involutions_extending_wN: non-cyclotomic levels only")
@@ -165,7 +169,9 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
     inv = inverse_table(p)
     tree = spanning_tree(index[ProjMat.identity(p)], rights, lambda k, r: r[k])
     invs = frozenset(g for g in pgl2(p).involutions() if not in_psl2(g))
-    conj = {index[ProjMat.identity(p)]: index[gens["V_N"].reduce(p)]}
+    v = gens["V_N"].reduce(p)
+    single = pgl2(p).order // centralizer([v], p).order == len(invs)
+    conj = {index[ProjMat.identity(p)]: index[v]}
     models = {}
 
     def word(h):  # gamma, the product of the steps along the tree path to h
@@ -186,5 +192,4 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
             models[g] = m
     missing = invs - models.keys()
     invariant(not missing, f"involutions_extending_wN: no integer model for {sorted(missing)}")
-    return InvolutionReport(involutions=invs, single_conjugacy_class=models.keys() == invs,
-                            integer_models=models)
+    return InvolutionReport(involutions=invs, single_conjugacy_class=single, integer_models=models)

@@ -1,12 +1,13 @@
-"""Exact arithmetic in PGL2/PSL2 over a prime field.
+"""Exact arithmetic in PGL2/PSL2 over F_p, p an odd prime.
 
 ``ProjMat`` is the one representation of a PGL2(F_p) element: the class of an
 invertible 2x2 matrix modulo scalars, stored as its canonical representative
 (first nonzero entry in row-major order scaled to 1) plus the square class of
 the determinant, which is well defined mod scalars.  PSL2(F_p) is the subgroup
-of square determinant class.  The prime p is checked where it enters (levels
-and model files), not on every matrix; a matrix reads the per-p
-``arith.residue_tables`` where it would invert or take a symbol.
+of square determinant class.  A matrix reads the per-p
+``arith.residue_tables`` where it would invert or take a symbol, and they are
+the one check of the modulus, run once per p: any modulus other than an odd
+prime is a ValueError.
 
 ``spanning_tree`` is the one breadth-first search of a Cayley graph, here and
 for ``galmodel.FiniteGroup``: ``pgl2(p)`` is the vertex set of its tree for T,
@@ -40,36 +41,32 @@ class ProjMat:
     The canonical representative has its first nonzero row-major entry (a
     or b) equal to 1; ``det_class`` is the Legendre symbol of any
     representative's determinant, +1 or -1; both read ``residue_tables(p)``.
-    Products, inverses and hats take the class in closed form (a nonzero
-    symbol marks a unit, and units multiply to units) and skip the
-    singularity check.  A composite modulus constructs too, with the Jacobi
-    symbol as class (0 off the units); ValueError on a singular matrix or a
-    leading entry that is not a unit.
+    Products, inverses and hats take the class in closed form and skip the
+    singularity check.  ValueError on a singular matrix, or, from the tables,
+    on a p that is not an odd prime.
     """
 
     __slots__ = ("rep", "p", "det_class", "_hash")
 
     def __init__(self, a: int, b: int, c: int, d: int, p: int):
+        symbols = residue_tables(p)[1]  # first: it checks p
         det = (a * d - b * c) % p
         if det == 0:
             raise ValueError(f"ProjMat: singular matrix {(a % p, b % p, c % p, d % p)} mod {p}")
-        self._set(a, b, c, d, p, residue_tables(p)[1][det])
+        self._set(a, b, c, d, p, symbols[det])
 
     def _set(self, a: int, b: int, c: int, d: int, p: int, det_class: int) -> None:
-        """Canonical form of the nonsingular (a, b, c, d) mod p."""
+        """Canonical form of the nonsingular (a, b, c, d) mod p; a or b is
+        nonzero, so a unit."""
         a, b, c, d = a % p, b % p, c % p, d % p
         s = residue_tables(p)[0][a or b]
-        if s is None:
-            raise ValueError(f"ProjMat: leading entry of {(a, b, c, d)} is not a unit mod {p}")
         self.rep = (a * s % p, b * s % p, c * s % p, d * s % p)
         self.p = p
         self.det_class = det_class
         self._hash = hash((self.rep, p))
 
     def _derived(self, a: int, b: int, c: int, d: int, det_class: int) -> "ProjMat":
-        """(a, b, c, d) mod self.p, of known det class; 0 takes the full check."""
-        if not det_class:
-            return ProjMat(a, b, c, d, self.p)
+        """(a, b, c, d) mod self.p, of known det class."""
         g = ProjMat.__new__(ProjMat)
         g._set(a, b, c, d, self.p, det_class)
         return g

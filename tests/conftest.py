@@ -1,14 +1,20 @@
 """Shared test helpers: generator words, conjugacy classes, subgroup
 closures, model variants, the cocycle perturbations and their check, the
 order-18 table groups, malformed table-group model files and model files
-with booleans for integers."""
+with booleans for integers; and the fixed Hypothesis profile."""
 import operator
 
 import pytest
+from hypothesis import settings
 
 from modtwist.galmodel import FiniteGaloisModel
 from modtwist.projgroup import MatGroup, ProjMat, pgl2, spanning_tree
 from modtwist.twists import Cocycle, check_cocycle
+
+# the one Hypothesis profile, with no option to change it: every run draws
+# the same examples, and no example database carries them between runs
+settings.register_profile("modtwist", derandomize=True, database=None)
+settings.load_profile("modtwist")
 
 
 def _tree_words(group) -> dict:

@@ -18,7 +18,6 @@ from modtwist.arith import (
     lift_sqrt_mod_p2,
     prime_factors,
     psi_index,
-    sqrt_mod,
     squarefree_part,
 )
 
@@ -102,18 +101,6 @@ def test_kronecker_even_bottom():
     assert kronecker(-4, 2) == 0
     # multiplicativity in the bottom argument
     assert kronecker(-3, 6) == kronecker(-3, 2) * kronecker(-3, 3)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 101])
-def test_sqrt_mod_exhaustive(p):
-    squares = {pow(x, 2, p) for x in range(p)}
-    for a in range(p):
-        r = sqrt_mod(a, p)
-        if a in squares:
-            assert r is not None and pow(r, 2, p) == a % p
-            assert r <= p - r or r == 0  # least root is returned
-        else:
-            assert r is None
 
 
 @pytest.mark.parametrize("p,expected", [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2), (17, 3)])

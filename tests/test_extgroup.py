@@ -1,9 +1,11 @@
 """The extended automorphism groups W(N,p): integer generators, structure,
 defining relations and the involutions extending w_N."""
 import operator
+from types import SimpleNamespace
 
 import pytest
 
+from modtwist import extgroup
 from modtwist.arith import Level, kronecker, least_nonsquare
 from modtwist.extgroup import (
     IntMat,
@@ -111,6 +113,19 @@ def test_involution_walk_formats_no_message_on_success(monkeypatch):
     monkeypatch.setattr(ProjMat, "__repr__", no_repr)
     for N, p in [(2, 3), (28, 11)]:
         assert involutions_extending_wN(Level(N, p)).single_conjugacy_class
+
+
+def test_single_conjugacy_class_is_decided_apart_from_the_walk(monkeypatch):
+    # a centralizer of twice its true order halves V's class by
+    # orbit-stabilizer: the verdict reads False, while the walk still finds
+    # a model for every involution
+    true_centralizer = extgroup.centralizer
+    monkeypatch.setattr(extgroup, "centralizer",
+                        lambda s, p: SimpleNamespace(order=2 * true_centralizer(s, p).order))
+    for N, p in [(2, 3), (3, 5), (28, 11)]:
+        rep = involutions_extending_wN(Level(N, p))
+        assert not rep.single_conjugacy_class
+        assert set(rep.integer_models) == rep.involutions
 
 
 def reference_involutions_extending_wN(level):

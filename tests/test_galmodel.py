@@ -428,8 +428,9 @@ def test_validate_model_scans_all_pairs_without_generators(corrupted_corpus3, va
 
 @pytest.mark.parametrize("p", [9, 4, 2])
 def test_validate_model_reports_a_p_that_is_not_an_odd_prime(p):
+    # rho over F_3, as no ProjMat has another modulus: p is checked first
     g = cyclic_group(2)
-    rho = {x: ProjMat.identity(p) for x in g}
+    rho = {x: ProjMat.identity(3) for x in g}
     assert validate_model(FiniteGaloisModel(group=g, p=p, rho=rho, chi={x: 1 for x in g})) == [
         f"p = {p} is not an odd prime"
     ]
@@ -620,6 +621,11 @@ SEARCH_GROUPS = [
 # three generators: the search's path past the second generator
 C2_CUBED = FiniteGroup.from_permutations(
     {"a": (1, 0, 2, 3, 4, 5), "b": (0, 1, 3, 2, 4, 5), "c": (0, 1, 2, 3, 5, 4)}, name="C2^3")
+# the regular representation of Q8: i, j and ij all have order 4, so the
+# order filters allow the infinite triangle group (4,4,4), and only the
+# walk's edges, the last generator's among them, enforce i^2 = j^2
+Q8 = FiniteGroup.from_permutations(
+    {"i": (1, 4, 7, 2, 5, 0, 3, 6), "j": (2, 3, 4, 5, 6, 7, 0, 1)}, name="Q8")
 
 
 @pytest.mark.parametrize("group, p", [
@@ -672,7 +678,7 @@ def test_candidates_are_the_images_of_dividing_order(p, monkeypatch):
 PRODUCT_SEARCH_CASES = [
     pytest.param(group, p, id=f"{group.name}-{p}")
     for group, p in [(g, p) for g in SEARCH_GROUPS for p in (3, 5, 7)]
-    + [(g, 11) for g in SEARCH_GROUPS[:4]] + [(C2_CUBED, 3), (C2_CUBED, 5)]
+    + [(g, 11) for g in SEARCH_GROUPS[:4]] + [(C2_CUBED, 3), (C2_CUBED, 5), (Q8, 3), (Q8, 5)]
 ]
 
 
