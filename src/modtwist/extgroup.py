@@ -12,8 +12,8 @@ is the index-2 extension by the extra involution w:
   is a faithful isomorphism W(N,p) -> PGL2(F_p).  The involutions extending
   w_N are the conjugates of V_N by words in T_N and U_N: integer matrices
   [[aN, b], [cN, -aN]] of determinant N, one spanning-tree walk of PSL2(F_p)
-  constructing a model for every one of them.  That they form a single
-  conjugacy class is decided apart from the walk, by orbit-stabilizer.
+  constructing a model for every one of them, so they form a single
+  conjugacy class; orbit-stabilizer cross-checks its size apart from the walk.
 """
 from __future__ import annotations
 
@@ -148,13 +148,13 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
     [[aN, b], [cN, -aN]].  V's class in PGL2(F_p) is its PSL2-conjugation
     orbit, since V centralizes itself, so one walk of the spanning tree of
     PSL2 = <T, U> reaches every involution outside PSL2 that is conjugate to
-    V.  The involutions form a single class exactly when V's class, of size
-    |PGL2(F_p)| / |C(V)| by orbit-stabilizer, holds all of them; that is
-    decided before the walk, from ``centralizer``, so it can read False
-    while the walk still finds every model.  The walk steps by the right
-    tables of T_N, U_N and their inverses and carries each vertex's
-    conjugate h^-1 V h as an index; the first vertex to reach an involution
-    multiplies out its word gamma for that model.
+    V.  PSL2 is normal, so V's class lies among those involutions; the
+    walk's invariant puts all of them in it, so ``single_conjugacy_class``
+    is always True.  Orbit-stabilizer cross-checks the class apart from the
+    walk: |PGL2(F_p)| / |C(V)|, C from ``centralizer``, must count them all.
+    The walk steps by the right tables of T_N, U_N and their inverses and
+    carries each vertex's conjugate h^-1 V h as an index; the first vertex to
+    reach an involution multiplies out its word gamma for that model.
     """
     if level.cyclotomic:
         raise ValueError("involutions_extending_wN: non-cyclotomic levels only")
@@ -170,7 +170,8 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
     tree = spanning_tree(index[ProjMat.identity(p)], rights, lambda k, r: r[k])
     invs = frozenset(g for g in pgl2(p).involutions() if not in_psl2(g))
     v = gens["V_N"].reduce(p)
-    single = pgl2(p).order // centralizer([v], p).order == len(invs)
+    invariant(pgl2(p).order // centralizer([v], p).order == len(invs),
+              "involutions_extending_wN: V_N's class by orbit-stabilizer is not every involution")
     conj = {index[ProjMat.identity(p)]: index[v]}
     models = {}
 
@@ -192,4 +193,4 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
             models[g] = m
     missing = invs - models.keys()
     invariant(not missing, f"involutions_extending_wN: no integer model for {sorted(missing)}")
-    return InvolutionReport(involutions=invs, single_conjugacy_class=single, integer_models=models)
+    return InvolutionReport(involutions=invs, single_conjugacy_class=True, integer_models=models)

@@ -52,6 +52,11 @@ CATALOGUE = (
            '    if p == 2 or not is_prime(p):\n        raise ValueError(f"need an odd prime modulus, got {p}")\n',
            "",
            ("tests/test_projgroup.py::test_composite_moduli_construct_or_raise_value_error",)),
+    Mutant("projmat_accepts_singular_matrices", "projgroup.py",
+           '        if det == 0:\n            raise ValueError(f"ProjMat: singular matrix '
+           '{(a % p, b % p, c % p, d % p)} mod {p}")\n',
+           "",
+           ("tests/test_projgroup.py::test_table_constructor_matches_reference",)),
     Mutant("right_table_composed_in_the_wrong_order", "projgroup.py",
            "tuple(map(right_table(x.inverse() * g).__getitem__, right_table(x)))",
            "tuple(map(right_table(x).__getitem__, right_table(x.inverse() * g)))",
@@ -173,10 +178,10 @@ CATALOGUE = (
            "verify_galois_conjugation's comparisons hold for the transpose as for hat: the "
            "walk and the products use the same map; test_projgroup's hat and table tests "
            "kill it"),
-    # the structure report: the single-class verdict and the relations
+    # the structure report: the single-class cross-check and the relations
     Mutant("single_conjugacy_class_true", "extgroup.py",
-           "single = pgl2(p).order // centralizer([v], p).order == len(invs)", "single = True",
-           (EXTGROUP + "test_single_conjugacy_class_is_decided_apart_from_the_walk",)),
+           "pgl2(p).order // centralizer([v], p).order == len(invs)", "True",
+           (EXTGROUP + "test_single_class_cross_check_raises_on_a_wrong_centralizer",)),
     Mutant("verify_relations_returns_true", "extgroup.py",
            "    return v * t == (u ** (-N)) * v and v * u == (t ** (-ninv)) * v",
            "    return True",

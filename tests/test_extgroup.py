@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from modtwist import extgroup
-from modtwist.arith import Level, kronecker, least_nonsquare
+from modtwist.arith import InvariantError, Level, kronecker, least_nonsquare
 from modtwist.extgroup import (
     IntMat,
     build_generators,
@@ -115,17 +115,16 @@ def test_involution_walk_formats_no_message_on_success(monkeypatch):
         assert involutions_extending_wN(Level(N, p)).single_conjugacy_class
 
 
-def test_single_conjugacy_class_is_decided_apart_from_the_walk(monkeypatch):
+def test_single_class_cross_check_raises_on_a_wrong_centralizer(monkeypatch):
     # a centralizer of twice its true order halves V's class by
-    # orbit-stabilizer: the verdict reads False, while the walk still finds
-    # a model for every involution
+    # orbit-stabilizer, which then no longer counts every involution
+    # outside PSL2
     true_centralizer = extgroup.centralizer
     monkeypatch.setattr(extgroup, "centralizer",
                         lambda s, p: SimpleNamespace(order=2 * true_centralizer(s, p).order))
     for N, p in [(2, 3), (3, 5), (28, 11)]:
-        rep = involutions_extending_wN(Level(N, p))
-        assert not rep.single_conjugacy_class
-        assert set(rep.integer_models) == rep.involutions
+        with pytest.raises(InvariantError, match="V_N's class by orbit-stabilizer is not every involution$"):
+            involutions_extending_wN(Level(N, p))
 
 
 def reference_involutions_extending_wN(level):

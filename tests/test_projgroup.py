@@ -1,6 +1,7 @@
 """Projective matrix groups over F_p: canonical representatives, PGL2/PSL2
 enumeration, closures and centralizers."""
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,17 @@ def test_table_constructor_matches_reference(p):
         assert _same_as_reference(g.inverse(), (d, -b, -c, a), p), g
         assert _same_as_reference(g.hat(), (d, c, b, a), p), g
         assert _same_as_reference(ProjMat(*g.rep, p), g.rep, p), g
+    if p <= 7:
+        # every 4-tuple of residues: a singular one is refused, naming it,
+        # any other constructs as the reference does
+        for entries in itertools.product(range(p), repeat=4):
+            a, b, c, d = entries
+            if (a * d - b * c) % p:
+                assert _same_as_reference(ProjMat(*entries, p), entries, p), entries
+            else:
+                refusal = re.escape(f"ProjMat: singular matrix {entries} mod {p}")
+                with pytest.raises(ValueError, match=f"^{refusal}$"):
+                    ProjMat(*entries, p)
 
 
 @pytest.mark.parametrize("n", [2, 4, 9, 15, 0, 1, -3])
