@@ -49,9 +49,7 @@ from .galmodel import (
 from .modelfile import ModelParseError, parse_and_validate, parse_model
 from .moduli import verify_galois_conjugation, verify_w_rationality
 from .projgroup import (
-    MatGroup,
     ProjMat,
-    centralizer,
     in_psl2,
     pgl2,
     psl2,

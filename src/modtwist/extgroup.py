@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import InvariantError, Level, ReadOnly, invariant, lift_sqrt_mod_p2
-from .projgroup import (MatGroup, ProjMat, centralizer, in_psl2, inverse_table, pgl2, pgl2_index,
-                        right_table, spanning_tree)
+from .projgroup import ProjMat, Subgroup, in_psl2, pgl2, spanning_tree
 
 
 class IntMat(ReadOnly):
@@ -89,29 +88,28 @@ class WGroupReport(NamedTuple):
     structure: str  # "DirectProduct" or "FullPGL2"
     v: int  # the non-square of V, Level.v (non-cyclotomic: N^-1 mod p)
     generators: dict
-    image_group: MatGroup  # generated by the mod-p reductions
+    image_group: Subgroup  # of pgl2(p), generated by the mod-p reductions
 
 
 def wgroup(level: Level) -> WGroupReport:
     """Compute W(N, p) and its structure invariants."""
     p = level.p
     gens = build_generators(level)
-    reductions = tuple(m.reduce(p) for m in gens.values())
-    elems, index = pgl2_index(p)
-    tree = spanning_tree(index[ProjMat.identity(p)], dict(enumerate(map(right_table, reductions))),
+    full = pgl2(p)
+    reductions = [full.index[m.reduce(p)] for m in gens.values()]
+    tree = spanning_tree(full.index[full.identity], dict(enumerate(map(full.right, reductions))),
                          lambda k, r: r[k])
-    image = MatGroup(p, frozenset(elems[k] for k in tree), reductions)
-    full_order = p * (p * p - 1)
+    image = Subgroup(sorted(tree))
     if level.cyclotomic:
         # Z_N reduces to a scalar, hence to the identity class: the image is
         # just PSL2 and w survives only as a formal central generator.
         invariant(gens["Z_N"].reduce(p).is_identity(), "cyclotomic Z_N should reduce to a scalar")
-        invariant(image.order == full_order // 2, "cyclotomic image should be PSL2")
+        invariant(image.order == full.order // 2, "cyclotomic image should be PSL2")
     else:
         # non-cyclotomic: reduction is faithful onto PGL2
-        invariant(image.order == full_order, "non-cyclotomic image should be all of PGL2")
+        invariant(image.order == full.order, "non-cyclotomic image should be all of PGL2")
     return WGroupReport(
-        order=full_order,
+        order=full.order,
         structure="DirectProduct" if level.cyclotomic else "FullPGL2",
         v=level.v,
         generators=gens,
@@ -151,28 +149,30 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
     V.  PSL2 is normal, so V's class lies among those involutions; the
     walk's invariant puts all of them in it, so ``single_conjugacy_class``
     is always True.  Orbit-stabilizer cross-checks the class apart from the
-    walk: |PGL2(F_p)| / |C(V)|, C from ``centralizer``, must count them all.
-    The walk steps by the right tables of T_N, U_N and their inverses and
-    carries each vertex's conjugate h^-1 V h as an index; the first vertex to
+    walk: |PGL2(F_p)| / |C(V)|, C from ``NumberedGroup.centralizer``, must
+    count them all.  The walk steps by the right tables of T_N, U_N and their
+    inverses and carries each vertex's conjugate h^-1 V h as a number, moved
+    by the step's ``NumberedGroup.conj`` permutation; the first vertex to
     reach an involution multiplies out its word gamma for that model.
     """
     if level.cyclotomic:
         raise ValueError("involutions_extending_wN: non-cyclotomic levels only")
     N, p = level.N, level.p
-    gens = build_generators(level)
-    steps, rights = {}, {}
+    gens, full = build_generators(level), pgl2(p)
+    steps, rights, conjs = {}, {}, {}
     for name in ("T_N", "U_N"):
         steps.update({name: gens[name], name + "^-1": gens[name].adj()})
-        r = right_table(gens[name].reduce(p))  # R_(s^-1) is r inverted, so it caches no table
-        rights.update({name: r, name + "^-1": sorted(range(len(r)), key=r.__getitem__)})
-    elems, index = pgl2_index(p)
-    inv = inverse_table(p)
-    tree = spanning_tree(index[ProjMat.identity(p)], rights, lambda k, r: r[k])
-    invs = frozenset(g for g in pgl2(p).involutions() if not in_psl2(g))
-    v = gens["V_N"].reduce(p)
-    invariant(pgl2(p).order // centralizer([v], p).order == len(invs),
+        s = full.index[gens[name].reduce(p)]
+        for perms, perm in ((rights, full.right(s)), (conjs, full.conj(s))):
+            # for s^-1 the permutation inverted, as a mapping, so that no table of s^-1 is cached
+            perms.update({name: perm, name + "^-1": dict(zip(perm, range(len(perm))))})
+    one = full.index[full.identity]
+    tree = spanning_tree(one, rights, lambda k, r: r[k])
+    invs = frozenset(g for g, n in zip(full.elements, full.orders) if n == 2 and not in_psl2(g))
+    v = full.index[gens["V_N"].reduce(p)]
+    invariant(full.order // len(full.centralizer([v])) == len(invs),
               "involutions_extending_wN: V_N's class by orbit-stabilizer is not every involution")
-    conj = {index[ProjMat.identity(p)]: index[v]}
+    conj = {one: v}
     models = {}
 
     def word(h):  # gamma, the product of the steps along the tree path to h
@@ -181,9 +181,8 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
 
     for h, edge in tree.items():
         if edge is not None:
-            r = rights[edge[1]]
-            conj[h] = r[inv[r[inv[conj[edge[0]]]]]]  # s^-1 c s
-        g = elems[conj[h]]
+            conj[h] = conjs[edge[1]][conj[edge[0]]]  # s^-1 c s
+        g = full.elements[conj[h]]
         if g not in models:
             gamma = word(h)
             m = gamma.adj() * gens["V_N"] * gamma

@@ -3,22 +3,22 @@ a projective representation into PGL2(F_p), a cyclotomic character value
 map, an optional complex-conjugation element and optional named quadratic
 characters.  A model is read-only: rho, chi, the characters and each
 character's values are read-only copies, and ``eps`` (chi's residue
-character as +-1) and ``rho_ix`` (rho as PGL2(F_p) indices) are derived
-once, by group number; a variant is a new model, built from the old one's
-attributes.
+character as +-1) and ``rho_ix`` (rho as numbers in ``projgroup.pgl2(p)``)
+are derived once, by group number; a variant is a new model, built from the
+old one's attributes.
 
-Also contains the finite-group container used throughout: a ``FiniteGroup``
-numbers its elements once and stores right multiplication by each as a list
-of numbers (the right regular representation, as ``projgroup.right_table``
-for PGL2(F_p)), read off a table or composed along a spanning tree; labels
-appear only at the boundary.  By the Cayley-graph criterion (proof in
-``FiniteGroup``) homomorphisms are checked on the generators' columns, as
-table lookups on numbers: ``is_homomorphism``, for characters (as bits of
-Z/2), ``twists.check_cocycle`` and rho and chi in ``validate_model`` (which
-scans all pairs only for a message), a map into a product one factor at a
-time; and the homomorphism searches, which walk one first-generator image
-per PGL2(F_p) conjugacy class and carry each homomorphism found over its
-class.
+A model's group is a ``FiniteGroup``, the ``projgroup.NumberedGroup`` that
+stores right multiplication by every element as a column of numbers, read
+off a table or composed along a spanning tree; labels appear only at the
+boundary.  By the Cayley-graph criterion (proof in ``FiniteGroup``)
+homomorphisms are checked on the generators' columns, as lookups on
+numbers: ``is_homomorphism``, for characters (as bits of Z/2),
+``twists.check_cocycle`` and rho and chi in ``validate_model`` (which scans
+all pairs only for a message), a map into a product one factor at a time.
+The homomorphism searches take their target as one numbered group,
+``pgl2(p)`` or ``SIGNS``, and walk one first-generator image per conjugacy
+class under the target's generators, carrying each homomorphism found over
+its class.
 """
 from __future__ import annotations
 
@@ -30,17 +30,16 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .arith import Level, ReadOnly, is_prime, residue_tables
-from .projgroup import ProjMat, inverse_table, order_table, pgl2, pgl2_index, right_table, spanning_tree
+from .projgroup import NumberedGroup, ProjMat, pgl2, spanning_tree
 
 MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
-# right multiplication in Z/2 = {0, 1}: the w bits, and +-1 numbered 1 -> 0, -1 -> 1
-Z2_RIGHT = ((0, 1), (1, 0))
 
 
-class FiniteGroup:
+class FiniteGroup(NumberedGroup):
     """A finite group, its elements numbered 0..n-1 by ``index`` in
-    ``elements`` order (sorted permutations, or a table's order); right[j][i]
-    is the number of elements[i] * elements[j], inverse[j] of elements[j]^-1.
+    ``elements`` order (sorted permutations, or a table's order), with every
+    column stored: right(j) = columns[j], whose entry i is the number of
+    elements[i] * elements[j]; inverse[j] is that of elements[j]^-1.
 
     With generators (``set_generators``), ``tree`` is the breadth-first
     spanning tree of the Cayley graph with edges x -> x*g, g a generator
@@ -56,23 +55,20 @@ class FiniteGroup:
     the case x = 1 of the same induction.
     """
 
-    def __init__(self, index: dict, right: list, identity, name="G"):
+    def __init__(self, index: dict, columns: list, identity, name="G"):
         self.elements = tuple(index)
         self.index = index
-        self.right = right
+        self.columns = columns
+        self.right = columns.__getitem__
         self.identity = identity
         self.name = name
         self.gens = {}  # generator name -> element
         self.tree = None
         e = index[identity]
-        self.inverse = [col.index(e) for col in right]  # the i with x_i * x_j = 1
+        self.inverse = [col.index(e) for col in columns]  # the i with x_i * x_j = 1
 
     def mul(self, a, b):
-        return self.elements[self.right[self.index[b]][self.index[a]]]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+        return self.elements[self.columns[self.index[b]][self.index[a]]]
 
     def __iter__(self):
         return iter(self.elements)
@@ -99,11 +95,11 @@ class FiniteGroup:
         if table.keys() != index.keys() or any(row.keys() != index.keys() for row in table.values()):
             raise ValueError("FiniteGroup: the table's rows and columns are not exactly the elements")
         try:
-            right = [[index[table[a][b]] for a in index] for b in index]
+            columns = [[index[table[a][b]] for a in index] for b in index]
         except KeyError:
             raise ValueError("FiniteGroup: the table is not closed") from None
-        _check_group_axioms(right, index[identity])
-        return cls(index, right, identity, name=name)
+        _check_group_axioms(columns, index[identity])
+        return cls(index, columns, identity, name=name)
 
     @classmethod
     def from_permutations(cls, gen_perms: dict, name="G"):
@@ -131,11 +127,11 @@ class FiniteGroup:
         step = {gname: [0] * len(index) for gname in gens}
         for (x, gname), y in zip(itertools.product(tree, gens), targets):
             step[gname][index[x]] = index[y]
-        right = [None] * len(index)
-        right[index[ident]] = list(range(len(index)))
+        columns = [None] * len(index)
+        columns[index[ident]] = list(range(len(index)))
         for y, (x, gname) in itertools.islice(tree.items(), 1, None):
-            right[index[y]] = list(map(step[gname].__getitem__, right[index[x]]))
-        g = cls(index, right, ident, name=name)
+            columns[index[y]] = list(map(step[gname].__getitem__, columns[index[x]]))
+        g = cls(index, columns, ident, name=name)
         g.gens, g.tree = gens, tree  # the walk is the generators' spanning tree
         return g
 
@@ -170,12 +166,12 @@ class FiniteGroup:
         """Whether f, a list by group number of numbers in a target group
         whose right multiplication by v is the sequence ``table(v)``, is a
         homomorphism: by the Cayley-graph criterion, whether
-        f[R_g[x]] = table(f[g])[f[x]] along each generator column R_g of
-        ``right``, two C-level maps of the column compared per generator.
+        f[R_g[x]] = table(f[g])[f[x]] along each generator column R_g, two
+        C-level maps of the column compared per generator.
         A map into a product is a homomorphism exactly when each factor is
         one, so product targets are checked a factor at a time.  ValueError
         without generators."""
-        return all(list(map(f.__getitem__, self.right[j])) == list(map(table(f[j]).__getitem__, f))
+        return all(list(map(f.__getitem__, self.columns[j])) == list(map(table(f[j]).__getitem__, f))
                    for j in map(self.index.__getitem__, self.generators()))
 
 
@@ -201,6 +197,10 @@ def _check_group_axioms(right: list, e: int) -> None:
         for y, col in enumerate(right):
             if list(map(col.__getitem__, right[a])) != right[right[y][a]]:
                 raise ValueError("FiniteGroup: associativity fails")
+
+
+# {1, -1} under multiplication, numbered 1 -> 0, -1 -> 1: the w bits are its numbers
+SIGNS = FiniteGroup({1: 0, -1: 1}, [[0, 1], [1, 0]], 1, name="+-1")
 
 
 def trivial_group() -> FiniteGroup:
@@ -266,9 +266,9 @@ class FiniteGaloisModel(ReadOnly):
 
     @cached_property
     def rho_ix(self) -> tuple[int, ...]:
-        """rho by group number, as indices into the sorted PGL2(F_p); for a
+        """rho by group number, as numbers in ``pgl2(p)``; for a
         rho valued in ProjMats mod p, as ``validate_model`` checks first."""
-        index = pgl2_index(self.p)[1]
+        index = pgl2(self.p).index
         return tuple(index[self.rho[x]] for x in self.group.elements)
 
     def epsilon(self, sigma) -> int:
@@ -280,7 +280,7 @@ class FiniteGaloisModel(ReadOnly):
     def det_is_epsilon(self) -> bool:
         """Whether det rho = eps as +-1 characters: the parity of the
         cyclotomic case."""
-        elems = pgl2_index(self.p)[0]
+        elems = pgl2(self.p).elements
         return all(elems[k].det_class == e for k, e in zip(self.rho_ix, self.eps))
 
 
@@ -303,13 +303,13 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
             return errs + [f"rho({x}) is not a ProjMat mod {m.p}"]
         if not (1 <= m.chi[x] % m.p <= m.p - 1):
             errs.append(f"chi({x}) = {m.chi[x]} is not a unit mod {m.p}")
-    elems = pgl2_index(m.p)[0]  # index(rho(a) rho(b)) = R_rho(b)[index(rho(a))]
+    target = pgl2(m.p)  # number(rho(a) rho(b)) = R_rho(b)[number(rho(a))]
     rho, chi = m.rho_ix, [m.chi[x] % m.p for x in g.elements]
-    if not (g.gens and g.is_homomorphism(rho, lambda k: right_table(elems[k]))
+    if not (g.gens and g.is_homomorphism(rho, target.right)
             and g.is_homomorphism(chi, lambda c: [x * c % m.p for x in range(m.p)])):
-        tables = [right_table(elems[k]) for k in rho]
+        tables = [target.right(k) for k in rho]
         for a, (rho_a, chi_a) in enumerate(zip(rho, chi)):
-            for b, col in enumerate(g.right):
+            for b, col in enumerate(g.columns):
                 ab = col[a]
                 if rho[ab] != tables[b][rho_a]:
                     return errs + [f"rho is not a homomorphism at ({g.elements[a]}, {g.elements[b]})"]
@@ -330,7 +330,7 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
         if any(char.values[x] not in (1, -1) for x in g.elements):
             errs.append(f"character {name!r} takes values outside +-1")
             continue
-        if not g.is_homomorphism([(1 - char.values[x]) // 2 for x in g.elements], Z2_RIGHT.__getitem__):
+        if not g.is_homomorphism([(1 - char.values[x]) // 2 for x in g.elements], SIGNS.right):
             errs.append(f"character {name!r} is not a homomorphism")
     return errs
 
@@ -345,73 +345,65 @@ def classify(level: Level) -> Case:
 
 
 def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
-    """All homomorphisms group -> PGL2(F_p), in ``itertools.product`` order
-    over the images whose order (``projgroup.order_table``) divides the
-    generator's, found by ``_homs`` up to conjugation by T, U and V, read on
-    indices as s^-1 x s = R_s[inv[R_s[inv[x]]]]."""
-    elems, inv = pgl2_index(p)[0], inverse_table(p)
-    conj = [[r[inv[r[inv[x]]]] for x in range(len(elems))] for r in map(right_table, pgl2(p).generators)]
-    return _homs(group, elems, lambda i: right_table(elems[i]), order_table(p), conj)
+    """All homomorphisms group -> PGL2(F_p), found by ``_homs`` in
+    ``itertools.product`` order over the images whose order divides the
+    generator's, up to conjugation by T, U and V."""
+    return _homs(group, pgl2(p))
 
 
 def all_quadratic_characters(group: FiniteGroup) -> list[dict]:
-    """All homomorphisms group -> {1, -1}, searched by ``_homs`` with no
-    conjugations: {1, -1} numbered so has right tables ``Z2_RIGHT``."""
-    return _homs(group, (1, -1), Z2_RIGHT.__getitem__, (1, 2), [])
-
-
-def _element_order(group: FiniteGroup, x) -> int:
-    n, y = 1, x
-    while y != group.identity:
-        y, n = group.mul(y, x), n + 1
-    return n
+    """All homomorphisms group -> {1, -1}, searched by ``_homs`` in ``SIGNS``,
+    which has no generators to conjugate by."""
+    return _homs(group, SIGNS)
 
 
 def _candidates(group: FiniteGroup, gens: list, orders) -> list[list[int]]:
-    """Per generator, the increasing indices whose order divides its own."""
-    return [[i for i, k in enumerate(orders) if n % k == 0] for n in (_element_order(group, x) for x in gens)]
+    """Per generator, the increasing numbers whose order divides its own."""
+    return [[i for i, k in enumerate(orders) if n % k == 0]
+            for n in (group.orders[group.index[x]] for x in gens)]
 
 
-def _homs(group: FiniteGroup, target, table, orders, conj: list) -> list[dict]:
-    """The homomorphisms into the group indexed by ``target`` (right tables
-    ``table(i)``, orders ``orders``), in ``itertools.product`` order over the
-    generators' ``_candidates``, keys in ``tree`` order.
+def _homs(group: FiniteGroup, target: NumberedGroup) -> list[dict]:
+    """The homomorphisms into ``target``, in ``itertools.product`` order over
+    the generators' ``_candidates``, keys in ``tree`` order.
 
-    The first generator's candidates fall into orbits under ``conj``, index
-    permutations that are automorphisms, along ``spanning_tree``; only each
-    orbit's first member a is walked.  The second generator's b is walked
-    only if the order of b*a = R_a[b], conjugate to a*b, divides that of
-    g1*g2, as a homomorphism needs; later generators take every candidate.
-    Each walk visits the numbers in tree order, sets f[R_g[i]] = table[f[i]]
-    on tree edges, R_g a generator's column of ``group.right``, and compares
-    it on all others, failing at the first mismatch: exact by the
-    Cayley-graph criterion.  An automorphism c maps the homomorphisms with
-    f(g1) = x one to one onto those with f(g1) = c[x], so composing along
-    each orbit's tree finds every homomorphism exactly once."""
+    The first generator's candidates fall into orbits under conjugation by
+    the target's generators, permutations that are automorphisms, along
+    ``spanning_tree``; only each orbit's first member a is walked.  The second
+    generator's b is walked only if the order of b*a = R_a[b], conjugate to
+    a*b, divides that of g1*g2, as a homomorphism needs; later generators
+    take every candidate.  Each walk visits the numbers in tree order, sets
+    f[R_g[i]] = R_(f(g))[f[i]] on tree edges, R_g a generator's column of
+    ``group``, and compares it on all others, failing at the first mismatch:
+    exact by the Cayley-graph criterion.  An automorphism c maps the
+    homomorphisms with f(g1) = x one to one onto those with f(g1) = c[x], so
+    composing along each orbit's tree finds every homomorphism exactly once."""
     order = [group.index[x] for x in group.tree]
-    gens, one = [group.gens[name] for name in group.generator_names()], orders.index(1)
+    gens, one = [group.gens[name] for name in group.generator_names()], target.index[target.identity]
     if not gens:
-        return [{x: target[one] for x in group.tree}]
+        return [{x: target.identity for x in group.tree}]
     keys = [group.index[x] for x in gens]
-    cols = [group.right[j] for j in keys]
+    cols = [group.right(j) for j in keys]
+    orders = target.orders
     pools = _candidates(group, gens, orders)
-    n12 = len(gens) > 1 and _element_order(group, group.mul(gens[0], gens[1]))
+    n12 = len(gens) > 1 and group.orders[cols[1][keys[0]]]
+    conj = [target.conj(target.index[s]) for s in target.gens.values()]
     found, seen = [], set()
     for a in pools[0]:
         if a in seen:
             continue
         orbit = spanning_tree(a, dict(enumerate(conj)), lambda x, c: c[x])
         seen.update(orbit)
-        right = table(a)
+        right = target.right(a)
         second = [[b for b in pool if n12 % orders[right[b]] == 0] for pool in pools[1:2]]
-        walks = (_walk(order, list(zip(cols, map(table, values))), one)
+        walks = (_walk(order, list(zip(cols, map(target.right, values))), one)
                  for values in itertools.product([a], *second, *pools[2:]))
         homs = {a: [f for f in walks if f is not None]}
         for y, (x, k) in itertools.islice(orbit.items(), 1, None):
             homs[y] = [list(map(conj[k].__getitem__, f)) for f in homs[x]]
         found.extend(itertools.chain.from_iterable(homs.values()))
     found.sort(key=lambda f: [f[j] for j in keys])
-    return [{group.elements[i]: target[f[i]] for i in order} for f in found]
+    return [{group.elements[i]: target.elements[f[i]] for i in order} for f in found]
 
 
 def _walk(order: list, steps: list, one: int) -> list | None:

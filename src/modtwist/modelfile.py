@@ -40,7 +40,7 @@ from .galmodel import (
     QuadraticCharacter,
     validate_model,
 )
-from .projgroup import MAX_P, ProjMat, pgl2_index, right_table
+from .projgroup import MAX_P, ProjMat, pgl2, right_table
 
 
 class ModelParseError(ValueError):
@@ -155,10 +155,10 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
         if type(val) is not int or val % p == 0:
             raise ModelParseError(f"chi[{name!r}] must be an integer unit mod {p}")
         chi_gens[name] = val % p
-    elems, index = pgl2_index(p)  # rho on indices: a right-table lookup per tree edge
+    full = pgl2(p)  # rho on numbers: a right-table lookup per tree edge
     rho_ks = grp.extend_generator_map({name: right_table(g) for name, g in rho_gens.items()},
-                                      lambda k, r: r[k], index[ProjMat.identity(p)])
-    rho = {s: elems[k] for s, k in rho_ks.items()}
+                                      lambda k, r: r[k], full.index[full.identity])
+    rho = {s: full.elements[k] for s, k in rho_ks.items()}
     chi = grp.extend_generator_map(chi_gens, lambda a, b: a * b % p, 1)
     conj = None
     if "conj" in doc and doc["conj"] is not None:

@@ -12,7 +12,7 @@ basis by a square root of N^-1, a scalar) and by V with v = N^-1 mod p at
 non-cyclotomic levels; a Galois element sigma with non-square cyclotomic
 character value acts by V as well.
 
-The exhaustive checks take a state as its index in PGL2(F_p) and an action
+The exhaustive checks take a state as its number in ``pgl2(p)`` and an action
 as a lookup in a ``projgroup.right_table``.  R_hat(gamma) is carried
 depth-first along the spanning tree of PSL2 = <T, U>, one composition per
 tree edge, since hat is multiplicative and swaps T and U.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 
 from .arith import Level, invariant, kronecker
-from .projgroup import (ProjMat, in_psl2, pgl2_index, right_table, spanning_tree,
+from .projgroup import (ProjMat, in_psl2, pgl2, right_table, spanning_tree,
                         t_matrix, u_matrix, v_matrix)
 
 
@@ -40,7 +40,7 @@ def hat_table_walk(p: int):
     for y, edge in spanning_tree(ProjMat.identity(p), gens, operator.mul).items():
         if edge is not None:
             children.setdefault(edge[0], []).append((y, edge[1]))
-    identity = tuple(range(len(pgl2_index(p)[0])))
+    identity = tuple(range(pgl2(p).order))
     stack = [(ProjMat.identity(p), None, identity, identity)]
     while stack:
         gamma, name, r, r_sigma = stack.pop()

@@ -1,34 +1,29 @@
-"""Exact arithmetic in PGL2/PSL2 over F_p, p an odd prime.
+"""Exact arithmetic in PGL2/PSL2 over F_p, p an odd prime, and the one
+interface of finite groups with numbered elements.
 
 ``ProjMat`` is the one representation of a PGL2(F_p) element: the class of an
 invertible 2x2 matrix modulo scalars, stored as its canonical representative
 (first nonzero entry in row-major order scaled to 1) plus the square class of
-the determinant, which is well defined mod scalars.  PSL2(F_p) is the subgroup
-of square determinant class.  A matrix reads the per-p
+the determinant, which is well defined mod scalars.  A matrix reads the per-p
 ``arith.residue_tables`` where it would invert or take a symbol, and they are
 the one check of the modulus, run once per p: any modulus other than an odd
-prime is a ValueError.
+prime is a ValueError.  Matrices enter as integers and leave as printed
+entries; sweeps in between move numbers.
 
-``spanning_tree`` is the one breadth-first search of a Cayley graph, here and
-for ``galmodel.FiniteGroup``: ``pgl2(p)`` is the vertex set of its tree for T,
-U and V, and ``extgroup.wgroup`` walks it over indices with right tables.
-
-Sweeps over all of PGL2(F_p) move indices: ``pgl2_index(p)`` numbers the
-sorted elements, and ``right_table(g)``, cached, is right multiplication by
-g as a permutation of those numbers (the right regular representation), so
-R_(gh) is s -> R_h[R_g[s]]: T, U and V take |G| products, and any other g,
-x * gen in the spanning tree whose parents ``pgl2(p)`` keeps, the |G| lookups
-R_gen[R_x[s]].  With inversion ``inverse_table(p)``, left multiplication is
-L_h = inv R_(h^-1) inv, conjugation h^-1 c h is R_h[inv[R_h[inv[c]]]], and
-the centralizer of x is where R_x and L_x agree.
+A ``NumberedGroup`` (``galmodel.FiniteGroup``, or ``pgl2(p)``, the sorted
+classes) is read through its right regular representation, with conjugation
+and centralizers written once over it.  PGL2's column for g is
+``right_table(g)``, cached: |G| products for 1, T, U and V, else one step
+R_(x * gen)[s] = R_gen[R_x[s]] along the spanning tree.  Its subgroups,
+``psl2(p)``, centralizers and ``extgroup.wgroup``'s image, are sets of those
+numbers.  ``spanning_tree`` is the one breadth-first search of a Cayley graph.
 """
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
-from typing import Iterable
+from functools import cached_property, lru_cache
 
-from .arith import ReadOnly, invariant, kronecker, least_nonsquare, residue_tables
+from .arith import invariant, kronecker, least_nonsquare, residue_tables
 
 # model files and ``structure`` enumerate all p^3 - p elements of PGL2(F_p):
 # ``structure 3 31`` takes about 1 s and 42 MB, ``structure 2 61`` 13 s and 221 MB
@@ -126,35 +121,6 @@ def in_psl2(g: ProjMat) -> bool:
     return g.det_class == 1
 
 
-class MatGroup(ReadOnly):
-    """A finite set of ProjMat closed under multiplication, with generators
-    and, from ``pgl2``, each element's parent in their spanning tree."""
-
-    __slots__ = ("p", "elements", "generators", "parents")
-    _compared = __slots__[:3]  # the parents stay out of equality, hashing and repr
-
-    def __init__(self, p: int, elements: frozenset, generators: tuple, parents: dict | None = None) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "parents", parents)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, g: ProjMat) -> bool:
-        return g in self.elements
-
-    def __iter__(self):
-        return iter(sorted(self.elements))
-
-    def involutions(self) -> list[ProjMat]:
-        """The elements of order 2, sorted: by Cayley-Hamilton g^2 =
-        tr(g) g - det(g), a scalar for non-scalar g exactly when tr(g) = 0."""
-        return sorted(g for g in self.elements if (g.rep[0] + g.rep[3]) % self.p == 0)
-
-
 def spanning_tree(identity, gens: dict, mul, max_order: int | None = None) -> dict:
     """Breadth-first spanning tree of the Cayley graph of ``gens`` (name ->
     element), edges x -> mul(x, g) in generator order, from the identity:
@@ -175,23 +141,120 @@ def spanning_tree(identity, gens: dict, mul, max_order: int | None = None) -> di
     return tree
 
 
+class NumberedGroup:
+    """A finite group with ``elements`` numbered 0..n-1 (``index`` maps
+    back), held as its right regular representation (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005): ``right(j)`` is
+    the column of right multiplication by element j, entry i the number of
+    elements[i] * elements[j]; ``inverse[j]`` is the number of
+    elements[j]^-1, ``orders[j]`` its order, ``identity`` an element and
+    ``tree`` the ``spanning_tree`` of the generators ``gens``.  Left
+    multiplication L_x = inv R_(x^-1) inv, conjugation and centralizers are
+    read off the columns here, for ``galmodel.FiniteGroup``, which stores
+    them all, and for ``PGL2``, which composes and caches them on demand.
+    """
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """Each element's order, by number: the length of the identity's
+        cycle under its column.  ``PGL2`` overrides it, as it would build a
+        column per element there."""
+        e, out = self.index[self.identity], []
+        for x in range(self.order):
+            r, y, n = self.right(x), x, 1
+            while y != e:
+                y, n = r[y], n + 1
+            out.append(n)
+        return tuple(out)
+
+    def conj(self, s: int, xs=None) -> list[int]:
+        """s^-1 x s for each number x of ``xs``, by default every number, which
+        gives conjugation by s as a permutation: R_s[inv[R_s[inv[x]]]]."""
+        r, inv = self.right(s), self.inverse
+        return [r[inv[r[inv[x]]]] for x in (range(self.order) if xs is None else xs)]
+
+    def centralizer(self, xs, ys=None, ks=None) -> list[int]:
+        """The numbers k among ``ks`` (by default every number, in order)
+        with x k = k y for each x of ``xs`` and y its partner in ``ys``, by
+        default x itself, which gives the centralizer of ``xs``: the k with
+        R_y[k] = L_x[k] = inv[R_(x^-1)[inv[k]]], cut down one pair at a time."""
+        xs, inv = list(xs), self.inverse
+        ks = range(self.order) if ks is None else ks
+        for x, y in zip(xs, xs if ys is None else ys):
+            r, ri = self.right(y), self.right(inv[x])
+            ks = [k for k in ks if r[k] == inv[ri[inv[k]]]]
+        return list(ks)
+
+
+class PGL2(NumberedGroup):
+    """PGL2(F_p), its ``ProjMat``s numbered in sorted order: the vertices of
+    the spanning tree of T, U and V (v the least non-square mod p).  A column
+    is ``right_table``'s, composed along the tree and cached, as the full
+    table would hold (p^3 - p)^2 entries, 886 million at p = 31; ``inverse``
+    (the classes of the adjugates) and ``orders`` are read on first use."""
+
+    def __init__(self, p: int) -> None:
+        self.p = p
+        self.identity = ProjMat.identity(p)
+        self.gens = {"T": t_matrix(p), "U": u_matrix(p), "V": v_matrix(p)}
+        self.tree = spanning_tree(self.identity, self.gens, operator.mul)
+        self.elements = tuple(sorted(self.tree, key=operator.attrgetter("rep")))  # as ProjMat.__lt__
+        self.index = {g: i for i, g in enumerate(self.elements)}
+
+    def right(self, j: int) -> tuple[int, ...]:
+        return right_table(self.elements[j])
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        return tuple(map(self.index.__getitem__, [g.inverse() for g in self.elements]))
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """A non-scalar class's order depends only on u = tr^2/det
+        (Beauville, Finite subgroups of PGL2(K), 2010): u = 4 gives p, u = 0
+        gives 2, any other u the order of [[0, -1/u], [1, 1]], read off its
+        powers once per u, with no column."""
+        p = self.p
+        inverse = residue_tables(p)[0]
+        by_u = {4 % p: p, 0: 2}
+        orders = []
+        for g in self.elements:
+            a, b, c, d = g.rep
+            u = (a + d) ** 2 * inverse[(a * d - b * c) % p] % p
+            if u not in by_u:
+                r = x = ProjMat(0, -inverse[u], 1, 1, p)
+                by_u[u] = 1
+                while not x.is_identity():
+                    by_u[u], x = by_u[u] + 1, x * r
+            orders.append(1 if g.is_identity() else by_u[u])
+        return tuple(orders)
+
+
+class Subgroup(tuple):
+    """A subgroup of a numbered group: the increasing numbers of its elements."""
+
+    __slots__ = ()
+    order = property(len)
+
+
 @lru_cache(maxsize=None)
-def pgl2(p: int) -> MatGroup:
-    """The full group PGL2(F_p): the vertices of the spanning tree of T, U and
-    V (v the least non-square mod p), with their parents."""
-    gens = (t_matrix(p), u_matrix(p), v_matrix(p))
-    tree = spanning_tree(ProjMat.identity(p), dict(enumerate(gens)), operator.mul)
-    full = MatGroup(p, frozenset(tree), gens, {y: edge and edge[0] for y, edge in tree.items()})
+def pgl2(p: int) -> PGL2:
+    """PGL2(F_p) as a numbered group, built once per p."""
+    full = PGL2(p)
     invariant(full.order == p * (p * p - 1), f"|PGL2(F_{p})| != p(p^2-1)")
     return full
 
 
 @lru_cache(maxsize=None)
-def psl2(p: int) -> MatGroup:
-    """The subgroup PSL2(F_p) of classes with square determinant."""
-    elems = frozenset(g for g in pgl2(p).elements if g.det_class == 1)
-    invariant(len(elems) == p * (p * p - 1) // 2, f"|PSL2(F_{p})| != p(p^2-1)/2")
-    return MatGroup(p, elems, (t_matrix(p), u_matrix(p)))
+def psl2(p: int) -> Subgroup:
+    """The subgroup PSL2(F_p) of ``pgl2(p)``: the classes with square determinant."""
+    half = Subgroup(k for k, g in enumerate(pgl2(p).elements) if g.det_class == 1)
+    invariant(half.order == p * (p * p - 1) // 2, f"|PSL2(F_{p})| != p(p^2-1)/2")
+    return half
 
 
 def t_matrix(p: int) -> ProjMat:
@@ -213,60 +276,12 @@ def v_matrix(p: int, v: int | None = None) -> ProjMat:
 
 
 @lru_cache(maxsize=None)
-def pgl2_index(p: int) -> tuple[tuple[ProjMat, ...], dict]:
-    """The elements of PGL2(F_p) in sorted order, and each one's position."""
-    elems = tuple(sorted(pgl2(p).elements))
-    return elems, {g: i for i, g in enumerate(elems)}
-
-
-@lru_cache(maxsize=None)
 def right_table(g: ProjMat) -> tuple[int, ...]:
-    """Right multiplication by g on the indexed PGL2(F_p): entry i is the
-    index of elements[i] * g, from products for 1, T, U and V, else composed."""
-    full, (elems, index) = pgl2(g.p), pgl2_index(g.p)
-    x = full.parents[g]  # g = x * gen, gen = x^-1 g one of T, U and V
-    if x is None or x.is_identity():
-        return tuple(index[y * g] for y in elems)
-    return tuple(map(right_table(x.inverse() * g).__getitem__, right_table(x)))
-
-
-@lru_cache(maxsize=None)
-def inverse_table(p: int) -> tuple[int, ...]:
-    """Inversion on the indexed PGL2(F_p): entry i is the index of
-    elements[i]^-1, the class of the adjugate (d, -b, -c, a)."""
-    elems, index = pgl2_index(p)
-    return tuple(index[g.inverse()] for g in elems)
-
-
-@lru_cache(maxsize=None)
-def order_table(p: int) -> tuple[int, ...]:
-    """Orders on the indexed PGL2(F_p): entry i is the order of elements[i].
-    A non-scalar class's order depends only on u = tr^2/det (Beauville,
-    Finite subgroups of PGL2(K), 2010): u = 4 gives p, u = 0 gives 2, any
-    other u the order of [[0, -1/u], [1, 1]], read off its powers once per u."""
-    inverse = residue_tables(p)[0]
-    by_u = {4 % p: p, 0: 2}
-    orders = []
-    for g in pgl2_index(p)[0]:
-        a, b, c, d = g.rep
-        u = (a + d) ** 2 * inverse[(a * d - b * c) % p] % p
-        if u not in by_u:
-            r = x = ProjMat(0, -inverse[u], 1, 1, p)
-            by_u[u] = 1
-            while not x.is_identity():
-                by_u[u], x = by_u[u] + 1, x * r
-        orders.append(1 if g.is_identity() else by_u[u])
-    return tuple(orders)
-
-
-def centralizer(s: Iterable[ProjMat], p: int) -> MatGroup:
-    """Centralizer of the set ``s`` inside PGL2(F_p): the indices k with
-    R_x[k] = L_x[k] = inv[R_(x^-1)[inv[k]]] for every x in ``s``, cut down one x at a time."""
-    elems, index = pgl2_index(p)
-    inv = inverse_table(p)
-    ks = range(len(elems))
-    for x in s:
-        r, ri = right_table(x), right_table(elems[inv[index[x]]])
-        ks = [k for k in ks if r[k] == inv[ri[inv[k]]]]
-    cen = tuple(elems[k] for k in ks)
-    return MatGroup(p, frozenset(cen), cen)
+    """Right multiplication by g on the numbered PGL2(F_p): entry i is the
+    number of elements[i] * g, from products for 1, T, U and V, else R_gen
+    after R_x for the tree edge g = x * gen."""
+    full = pgl2(g.p)
+    edge = full.tree[g]
+    if edge is None or edge[0].is_identity():
+        return tuple(map(full.index.__getitem__, [y * g for y in full.elements]))
+    return tuple(map(right_table(full.gens[edge[1]]).__getitem__, right_table(edge[0])))

@@ -12,10 +12,10 @@ w-component.
 
 Cocycle values are pairs (ProjMat, w_bit): the w_bit is the formal central
 component (always 0 outside the cyclotomic chi_k construction).  Inside,
-rho*, eta, xi and the untwisted values are indices into the sorted PGL2(F_p)
-(h * g is R_g[index(h)]), by group number: each step reads the model's
-``eps`` and ``rho_ix``, derived once per model, and only these pairs read
-off ProjMats.
+rho*, eta, xi and the untwisted values are numbers in ``pgl2(p)`` (h * g is
+R_g[number(h)]), by group number, conjugated and cut down to centralizers by
+its ``conj`` and ``centralizer``: each step reads the model's ``eps`` and
+``rho_ix``, derived once per model, and only these pairs read off ProjMats.
 
 Every check here runs on the generators of the model group.  The twist by s
 is conjugation by eta(s), eta a homomorphism, so xi is a cocycle exactly when
@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .arith import Level, invariant, least_nonsquare
 from .curves import genus_XNp, xplus_verdict
 from .galmodel import (
-    Z2_RIGHT,
+    SIGNS,
     FiniteGaloisModel,
     all_homs_to_pgl2,
     all_quadratic_characters,
@@ -43,7 +43,7 @@ from .galmodel import (
     klein_four,
     symmetric_group,
 )
-from .projgroup import ProjMat, centralizer, inverse_table, pgl2_index, right_table, v_matrix
+from .projgroup import ProjMat, pgl2, psl2, right_table, v_matrix
 
 
 class Ambient(Enum):
@@ -72,7 +72,7 @@ def _untwisted(c: Cocycle, m: FiniteGaloisModel, numbers) -> tuple[list, list]:
     """The index of c(s) * eta(s), and w(s), for the elements s numbered
     ``numbers``, as two lists; eta read from m's eps: R_hat(V) moves c's
     value where eps(s) = -1."""
-    index = pgl2_index(c.p)[1]
+    index = pgl2(c.p).index
     rh = right_table(_hat_v(c.p))
     elements, eps = m.group.elements, m.eps
     ks, ws = [], []
@@ -95,24 +95,19 @@ def check_cocycle(c: Cocycle) -> bool:
     on bits.  ValueError on a group without generators.
     """
     grp = c.model.group
-    elems = pgl2_index(c.p)[0]
     ks, ws = _untwisted(c, c.model, range(len(grp.elements)))
-    return (grp.is_homomorphism(ks, lambda k: right_table(elems[k]))
-            and grp.is_homomorphism(ws, Z2_RIGHT.__getitem__))
+    return (grp.is_homomorphism(ks, pgl2(c.p).right)
+            and grp.is_homomorphism(ws, SIGNS.right))
 
 
 def rho_star(m: FiniteGaloisModel, primed: bool = False) -> list[int]:
     """rho*(s) = transpose(rho(s^-1)) as PGL2(F_p) indices by group number;
     the primed variant conjugates by hat(V).  Read off m's rho_ix:
-    transpose(g) = J g^-1 J with J = [[0, 1], [-1, 0]], and c g c for an
-    involution c is R_c after L_c = inv R_c inv."""
-    inv = inverse_table(m.p)
-    rj = right_table(ProjMat(0, 1, -1, 0, m.p))
-    rho = m.rho_ix
-    star = [rj[inv[rj[rho[i]]]] for i in m.group.inverse]
+    transpose(g) = J^-1 g^-1 J with J = [[0, 1], [-1, 0]]."""
+    full, rho = pgl2(m.p), m.rho_ix
+    star = full.conj(full.index[ProjMat(0, 1, -1, 0, m.p)], [full.inverse[rho[i]] for i in m.group.inverse])
     if primed:
-        rh = right_table(_hat_v(m.p))
-        star = [rh[inv[rh[inv[k]]]] for k in star]
+        star = full.conj(full.index[_hat_v(m.p)], star)
     return star
 
 
@@ -136,7 +131,7 @@ def build_xi(
         raise ValueError("build_xi: chi_k components require det rho = eps (cyclotomic)")
     if k_char is not None and any(k_char[s] not in (1, -1) for s in elements):
         raise ValueError("build_xi: chi_k must be +-1 valued")
-    elems = pgl2_index(m.p)[0]
+    elems = pgl2(m.p).elements
     rh = right_table(_hat_v(m.p))  # eta(s) = hat(V) where eps(s) = -1, else 1
     star = rho_star(m, primed=(variant == "primed"))
     ws = itertools.repeat(0) if k_char is None else [int(k_char[s] == -1) for s in elements]
@@ -152,13 +147,14 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
     s, the twist read from c1's eps; returns the witness (ProjMat, w_bit) or
     None.
 
-    Untwisted by c1's eta, that is c * (c2 eta)(s) = (c1 eta)(s) * c with
-    equal w-bits (Serre, Galois Cohomology, I.5.3): R_(c2 eta)(s)[k] =
-    L_(c1 eta)(s)[k] = inv[R_((c1 eta)(s)^-1)[inv[k]]] on indices.  The
-    witness ranges over the ambient group in sorted order: PSL2 for G(N,p),
-    PGL2 for W(N,p).  For c1, c2 cocycles under that twist and eps a
-    homomorphism, the s where this holds form a subgroup, so the candidates
-    are cut down on each generator in turn.  ValueError without generators.
+    Untwisted by c1's eta, that is (c1 eta)(s) * c = c * (c2 eta)(s) with
+    equal w-bits (Serre, Galois Cohomology, I.5.3), which
+    ``NumberedGroup.centralizer`` cuts out with xs the (c1 eta)(s) and ys
+    the (c2 eta)(s).  The witness ranges over the ambient group in sorted
+    order: PSL2 for G(N,p), PGL2 for W(N,p).  For c1, c2 cocycles under
+    that twist and eps a homomorphism, the s where this holds form a
+    subgroup, so the candidates are cut down on each generator in turn.
+    ValueError without generators.
     """
     if c1.model is not c2.model and c1.model.group is not c2.model.group:
         raise ValueError("cohomologous: cocycles live over different models")
@@ -169,12 +165,9 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
     (k1, w1), (k2, w2) = (_untwisted(c, c1.model, gens) for c in (c1, c2))
     if w1 != w2:
         return None
-    elems, inv = pgl2_index(c1.p)[0], inverse_table(c1.p)
-    cands = [k for k, g in enumerate(elems) if c1.ambient is Ambient.W_NP or g.det_class == 1]
-    for a, b in zip(k1, k2):
-        r, ri = right_table(elems[b]), right_table(elems[inv[a]])
-        cands = [k for k in cands if r[k] == inv[ri[inv[k]]]]
-    return (elems[cands[0]], 0) if cands else None
+    full = pgl2(c1.p)
+    cands = full.centralizer(k1, ys=k2, ks=None if c1.ambient is Ambient.W_NP else psl2(c1.p))
+    return (full.elements[cands[0]], 0) if cands else None
 
 
 class CentralizerVerdict(Enum):
@@ -187,10 +180,11 @@ def centralizer_verdict(m: FiniteGaloisModel) -> CentralizerVerdict:
     """Type of the centralizer of the image of rho inside PGL2(F_p): that of
     the images of the generators, which generate the image.  ValueError on a
     group without generators."""
-    cen = centralizer((m.rho[g] for g in m.group.generators()), m.p)
-    if cen.order == 1:
+    full = pgl2(m.p)
+    cen = full.centralizer(full.index[m.rho[g]] for g in m.group.generators())
+    if len(cen) == 1:
         return CentralizerVerdict.TRIVIAL
-    if all(g.det_class == 1 for g in cen.elements):
+    if all(full.elements[k].det_class == 1 for k in cen):
         return CentralizerVerdict.NONTRIVIAL_IN_PSL2
     return CentralizerVerdict.NONTRIVIAL_OUTSIDE_PSL2
 
@@ -274,7 +268,7 @@ def twist_plan(
             if qc.field in k_fields:
                 curves += [f"X({N},{p})_rho,k={qc.field}", f"X({N},{p})'_rho,k={qc.field}"]
     else:
-        elems = pgl2_index(p)[0]
+        elems = pgl2(p).elements
         char = {s: e * elems[k].det_class for s, k, e in zip(m.group.elements, m.rho_ix, m.eps)}
         for qc in m.characters.values():
             if qc.values == char and qc.field is not None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from modtwist.galmodel import FiniteGaloisModel
-from modtwist.projgroup import MatGroup, ProjMat, pgl2, spanning_tree
+from modtwist.projgroup import ProjMat, pgl2, spanning_tree
 from modtwist.twists import Cocycle, check_cocycle
 
 # the one Hypothesis profile, with no option to change it: every run draws
@@ -33,8 +33,8 @@ def tree_words():
 
 
 def _conjugacy_class(group, g) -> frozenset:
-    """The conjugacy class of g in a ``MatGroup``: h^-1 g h over every
-    element h."""
+    """The conjugacy class of g in a group of ``ProjMat``s, ``pgl2(p)``
+    say: h^-1 g h over every element h."""
     return frozenset(h.inverse() * g * h for h in group.elements)
 
 
@@ -45,13 +45,13 @@ def conjugacy_class():
     return _conjugacy_class
 
 
-def _closure(gens) -> MatGroup:
-    """The subgroup generated by ``gens``: the vertices of their spanning
-    tree under ``ProjMat`` products."""
+def _closure(gens) -> frozenset:
+    """The subgroup generated by ``gens``, as numbers in ``pgl2(p)``: the
+    vertices of their spanning tree under ``ProjMat`` products."""
     gens = tuple(gens)
     p = gens[0].p
-    return MatGroup(p, frozenset(spanning_tree(ProjMat.identity(p), dict(enumerate(gens)),
-                                               operator.mul)), gens)
+    tree = spanning_tree(ProjMat.identity(p), dict(enumerate(gens)), operator.mul)
+    return frozenset(map(pgl2(p).index.__getitem__, tree))
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ def _perturbations(c: Cocycle, s):
     """The cochains that differ from c only at s, where the matrix is
     multiplied by a non-identity class of PGL2."""
     g, w = c.values[s]
-    for mult in sorted(pgl2(c.p).elements):
+    for mult in pgl2(c.p).elements:
         if not mult.is_identity():
             values = {**c.values, s: (g * mult, w)}
             yield Cocycle(model=c.model, ambient=c.ambient, values=values)

@@ -1,6 +1,7 @@
 """Number-theoretic utilities: primes, multiplicative functions, quadratic
 residues and binary quadratic form class numbers."""
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -219,3 +220,28 @@ def test_class_number_includes_imprimitive_forms():
     assert class_number_primitive(-12) == 1
     # D = -36: primitive count excludes the boundary mirror of (2, 2, 5)
     assert class_number_primitive(-36) == 2
+
+
+OUT_OF_RANGE = [
+    *((f, (n,), f"{f.__name__}: need n > 0, got {n}")
+      for f in (divisors, prime_factors, euler_phi, psi_index, squarefree_part) for n in (0, -1, -12)),
+    *((kronecker, (3, n), f"kronecker: need n >= 1, got {n}") for n in (0, -1, -8)),
+    (least_nonsquare, (2,), "least_nonsquare: no non-square mod 2"),
+    (lift_sqrt_mod_p2, (2, 3), "lift_sqrt_mod_p2: 2 is not a square mod 3"),
+    (lift_sqrt_mod_p2, (3, 7), "lift_sqrt_mod_p2: 3 is not a square mod 7"),
+    *((class_number, (D,), f"need a negative discriminant, got {D}") for D in (0, 1, 4, 5, 8)),
+]
+
+
+@pytest.mark.parametrize("f, args, message", OUT_OF_RANGE,
+                         ids=[f"{f.__name__}{list(args)}" for f, args, _m in OUT_OF_RANGE])
+def test_out_of_range_arguments_raise_value_error(f, args, message):
+    # every refusal names the function and the argument it refuses
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        f(*args)
+    assert type(err.value) is ValueError
+
+
+def test_kronecker_mod_one_is_one():
+    # (a | 1) = 1 for every a, the empty product
+    assert [kronecker(a, 1) for a in range(-10, 11)] == [1] * 21

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from modtwist import cli, galmodel
-from modtwist.arith import InvariantError
+from modtwist.arith import InvariantError, kronecker
 from modtwist.cli import (
     EXIT_MODEL,
     EXIT_NEGATIVE,
@@ -22,6 +22,7 @@ from modtwist.cli import (
     build_parser,
     main,
 )
+from modtwist.projgroup import MAX_P
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "perfbench" / "data" / "goldens_cli.json"
@@ -131,6 +132,19 @@ def test_structure_non_cyclotomic(capsys):
     code, rep = run_json(capsys, ["structure", "2", "3"])
     assert code == EXIT_OK
     assert rep.outputs["structure"] == "FullPGL2"
+    assert rep.outputs["relations_verified"] is True
+    assert rep.outputs["single_conjugacy_class"] is True
+
+
+def test_structure_at_max_p(capsys):
+    # the largest p structure accepts, each figure by its formula: W(3, 31)
+    # is all of PGL2(F_31), of order p^3 - p, and its p(p - (-1|p))/2
+    # involutions outside PSL2 form one class
+    p = MAX_P
+    code, rep = run_json(capsys, ["structure", "3", str(p)])
+    assert code == EXIT_OK and p == 31 and kronecker(3, p) == -1
+    assert rep.outputs["order"] == rep.outputs["image_order"] == p ** 3 - p == 29760
+    assert rep.outputs["extending_involutions"] == p * (p - kronecker(-1, p)) // 2 == 496
     assert rep.outputs["relations_verified"] is True
     assert rep.outputs["single_conjugacy_class"] is True
 

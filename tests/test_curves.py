@@ -303,3 +303,11 @@ def test_curve_goldens_replay():
     assert all(class_number_primitive(int(D)) == h for D, h in gold["class_numbers"].items())
     assert sorted(map(list, lemma_pairs(71))) == gold["lemma_pairs_71"]
     assert [[lv.N, lv.p, g] for lv, g in low_genus_XNp(300, 13)] == gold["low_genus_300_13"]
+
+
+@pytest.mark.parametrize("f", [cusps_X0, cusps_oracle], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("N", [0, -1, -12])
+def test_cusp_counts_refuse_levels_below_one(f, N):
+    with pytest.raises(ValueError, match=f"^{f.__name__}: need N > 0, got {N}$") as err:
+        f(N)
+    assert type(err.value) is ValueError

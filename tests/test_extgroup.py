@@ -1,7 +1,7 @@
 """The extended automorphism groups W(N,p): integer generators, structure,
 defining relations and the involutions extending w_N."""
 import operator
-from types import SimpleNamespace
+import re
 
 import pytest
 
@@ -14,7 +14,7 @@ from modtwist.extgroup import (
     verify_relations,
     wgroup,
 )
-from modtwist.projgroup import ProjMat, centralizer, in_psl2, pgl2, psl2, spanning_tree
+from modtwist.projgroup import PGL2, ProjMat, in_psl2, pgl2, psl2, spanning_tree
 
 CYCLOTOMIC_LEVELS = [(4, 3), (7, 3), (4, 5), (6, 5), (9, 5), (2, 7), (4, 7)]
 NON_CYCLOTOMIC_LEVELS = [(2, 3), (5, 3), (8, 3), (2, 5), (3, 5), (3, 7), (5, 7)]
@@ -49,7 +49,7 @@ def test_cyclotomic_structure(N, p):
     z = rep.generators["Z_N"]
     assert z.det == N
     assert z.reduce(p).is_identity()
-    assert rep.image_group.elements == psl2(p).elements
+    assert rep.image_group == psl2(p)
 
 
 @pytest.mark.parametrize("N,p", NON_CYCLOTOMIC_LEVELS)
@@ -61,8 +61,8 @@ def test_non_cyclotomic_structure(N, p):
     v = rep.generators["V_N"]
     assert v.det == N
     assert "Z_N" not in rep.generators
-    assert rep.image_group.elements == pgl2(p).elements
-    assert centralizer(rep.image_group.elements, p).order == 1
+    assert rep.image_group == tuple(range(pgl2(p).order))
+    assert len(pgl2(p).centralizer(rep.image_group)) == 1
 
 
 @pytest.mark.parametrize("N,p", CYCLOTOMIC_LEVELS + NON_CYCLOTOMIC_LEVELS)
@@ -77,6 +77,30 @@ def test_generator_determinants(N, p):
 @pytest.mark.parametrize("N,p", NON_CYCLOTOMIC_LEVELS)
 def test_relations(N, p):
     assert verify_relations(Level(N, p))
+
+
+def test_relations_fail_for_u_n_without_n(monkeypatch):
+    # U_N = [[1, 0], [N, 1]], the generator without the factor n = N^-1 mod
+    # p, reduces to U only when N = 1 mod p, a square: at every
+    # non-cyclotomic level the relations must then fail
+    build = extgroup.build_generators
+    monkeypatch.setattr(extgroup, "build_generators",
+                        lambda level: {**build(level), "U_N": IntMat(1, 0, level.N, 1)})
+    levels = [Level(N, p) for p in (3, 5, 7, 11, 13) for N in range(2, 30) if kronecker(N, p) == -1]
+    assert len(levels) == 60
+    assert [level for level in levels if verify_relations(level)] == []
+
+
+@pytest.mark.parametrize("N,p", [(4, 3), (4, 5), (2, 7)])
+@pytest.mark.parametrize("check, message", [
+    (verify_relations, "verify_relations: relations involve V_N (non-cyclotomic only)"),
+    (involutions_extending_wN, "involutions_extending_wN: non-cyclotomic levels only"),
+])
+def test_cyclotomic_levels_are_refused(check, message, N, p):
+    # V_N exists at non-cyclotomic levels only
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        check(Level(N, p))
+    assert type(err.value) is ValueError
 
 
 @pytest.mark.parametrize("N,p", ALL_NON_CYCLOTOMIC_LEVELS)
@@ -119,9 +143,8 @@ def test_single_class_cross_check_raises_on_a_wrong_centralizer(monkeypatch):
     # a centralizer of twice its true order halves V's class by
     # orbit-stabilizer, which then no longer counts every involution
     # outside PSL2
-    true_centralizer = extgroup.centralizer
-    monkeypatch.setattr(extgroup, "centralizer",
-                        lambda s, p: SimpleNamespace(order=2 * true_centralizer(s, p).order))
+    true_centralizer = PGL2.centralizer
+    monkeypatch.setattr(PGL2, "centralizer", lambda self, xs: 2 * true_centralizer(self, xs))
     for N, p in [(2, 3), (3, 5), (28, 11)]:
         with pytest.raises(InvariantError, match="V_N's class by orbit-stabilizer is not every involution$"):
             involutions_extending_wN(Level(N, p))
@@ -166,7 +189,7 @@ def test_gnp_image_is_psl2(N, p, closure):
     # the mod-p image of G(N,p) = <T_N, U_N>
     gens = build_generators(Level(N, p))
     grp = closure((gens["T_N"].reduce(p), gens["U_N"].reduce(p)))
-    assert grp.elements == psl2(p).elements
+    assert grp == set(psl2(p))
 
 
 def test_structure_matches_square_class():
@@ -195,4 +218,5 @@ def test_wgroup_image_is_the_closure_of_the_reductions(closure):
     for N, p in ACCEPTANCE_9_LEVELS:
         rep = wgroup(Level(N, p))
         reductions = tuple(m.reduce(p) for m in rep.generators.values())
-        assert rep.image_group == closure(reductions), (N, p)
+        assert set(rep.image_group) == closure(reductions), (N, p)
+        assert list(rep.image_group) == sorted(rep.image_group), (N, p)

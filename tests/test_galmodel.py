@@ -21,7 +21,7 @@ import pytest
 from modtwist.arith import Level, kronecker
 from modtwist.galmodel import (
     MAX_GROUP_ORDER,
-    Z2_RIGHT,
+    SIGNS,
     Case,
     FiniteGaloisModel,
     FiniteGroup,
@@ -36,7 +36,7 @@ from modtwist.galmodel import (
     validate_model,
 )
 from modtwist import galmodel
-from modtwist.projgroup import ProjMat, centralizer, pgl2, pgl2_index, right_table, spanning_tree, t_matrix
+from modtwist.projgroup import ProjMat, pgl2, right_table, spanning_tree, t_matrix
 from modtwist.twists import model_corpus
 
 STORED_MODELS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "data").glob("models_p*.jsonl"))
@@ -181,7 +181,8 @@ def _assert_is_the_group(g, elements, product, inverse, gens):
     ``gens``."""
     n = len(elements)
     assert g.elements == tuple(elements) and g.index == {x: i for i, x in enumerate(elements)}
-    assert g.right == [[product(i, j) for i in range(n)] for j in range(n)]
+    assert g.columns == [[product(i, j) for i in range(n)] for j in range(n)]
+    assert [g.right(j) for j in range(n)] == g.columns
     assert g.inverse == [inverse(i) for i in range(n)]
     assert g.gens == gens
 
@@ -507,7 +508,7 @@ def test_model_is_read_only(variant):
     chars["j"] = chars.pop("k")
     assert dict(m.rho) == {x: one for x in g} and dict(m.chi) == {x: 1 for x in g}
     assert list(m.characters) == ["k"] and dict(m.characters["k"].values) == {x: 1 for x in g}
-    assert m.eps == eps == (1, 1) and m.rho_ix == rho_ix == (pgl2_index(3)[1][one],) * 2
+    assert m.eps == eps == (1, 1) and m.rho_ix == rho_ix == (pgl2(3).index[one],) * 2
     assert validate_model(m) == []
     # a variant is a new model, with its own derived data
     other = variant(m, chi={x: 2 for x in g})
@@ -518,7 +519,7 @@ def test_model_is_read_only(variant):
 @pytest.mark.parametrize("p", [3, 5])
 def test_eps_and_rho_ix_are_the_elementwise_values(p):
     # the Legendre symbol of chi and the sorted-PGL2 index of rho, element by element
-    index = pgl2_index(p)[1]
+    index = pgl2(p).index
     for m in model_corpus(p):
         assert m.eps == tuple(kronecker(m.chi[x], p) for x in m.group.elements)
         assert m.rho_ix == tuple(index[m.rho[x]] for x in m.group.elements)
@@ -593,7 +594,7 @@ def _reference_homs_to_pgl2(group, p):
     one, images = ProjMat.identity(p), {}
     for name in group.generator_names():
         n = _element_order(group, group.gens[name])
-        images[name] = [g for g in sorted(pgl2(p).elements) if g ** n == one]
+        images[name] = [g for g in pgl2(p).elements if g ** n == one]
     return _reference_homs(group, images, one)
 
 
@@ -662,7 +663,7 @@ def test_candidates_are_the_images_of_dividing_order(p, monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(galmodel, "_candidates", recorded)
-    elems, index = pgl2_index(p)
+    index = pgl2(p).index
     one = ProjMat.identity(p)
     for group in SEARCH_GROUPS + [C2_CUBED]:
         all_homs_to_pgl2(group, p)
@@ -670,9 +671,11 @@ def test_candidates_are_the_images_of_dividing_order(p, monkeypatch):
         seen.clear()
         assert gens == [group.gens[name] for name in group.generator_names()]
         assert len(pools) == len(gens)
+        # the search reads orders off the group's columns
+        assert group.orders == tuple(_element_order(group, x) for x in group.elements)
         for x, pool in zip(gens, pools):
             n = _element_order(group, x)
-            assert pool == [index[g] for g in sorted(pgl2(p).elements) if g ** n == one], (group.name, p, x)
+            assert pool == [index[g] for g in pgl2(p).elements if g ** n == one], (group.name, p, x)
 
 
 PRODUCT_SEARCH_CASES = [
@@ -704,7 +707,7 @@ def test_all_homs_to_pgl2_is_closed_under_conjugation_with_whole_orbit_counts(gr
     homs = [tuple(f.values()) for f in all_homs_to_pgl2(group, p)]
     found = set(homs)
     assert len(found) == len(homs)
-    conjugations = [(s.inverse(), s) for s in pgl2(p).generators]
+    conjugations = [(s.inverse(), s) for s in pgl2(p).gens.values()]
     orbits, seen = 0, set()
     for f in homs:
         if f in seen:
@@ -720,7 +723,8 @@ def test_all_homs_to_pgl2_is_closed_under_conjugation_with_whole_orbit_counts(gr
                     seen.add(k)
                     queue.append(k)
     gens = [list(group.tree).index(x) for x in group.gens.values()]
-    total = sum(Fraction(centralizer([f[i] for i in gens], p).order, pgl2(p).order) for f in homs)
+    full = pgl2(p)
+    total = sum(Fraction(len(full.centralizer(full.index[f[i]] for i in gens)), full.order) for f in homs)
     assert total == orbits
 
 
@@ -728,7 +732,7 @@ def test_s3_images_failing_the_braid_relation_give_no_homomorphism():
     # s -> involution, t -> order-3 element, but (st)^2 != 1
     g, p = symmetric_group(3), 5
     one = ProjMat.identity(p)
-    elems = sorted(pgl2(p).elements)
+    elems = pgl2(p).elements
     involutions = [a for a in elems if a != one and a * a == one]
     order3 = [b for b in elems if b != one and b ** 3 == one]
     bad = [(a, b) for a in involutions for b in order3 if (a * b) ** 2 != one]
@@ -750,7 +754,7 @@ def _homomorphic_along(group, name, p=5):
     one, t = ProjMat.identity(p), ProjMat(1, 1, 0, 1, p)
     gen = group.gens[name]
     n = _element_order(group, gen)
-    value = next(a for a in sorted(pgl2(p).elements) if a ** n == one and not a.is_identity())
+    value = next(a for a in pgl2(p).elements if a ** n == one and not a.is_identity())
     f = {}
     for x in group.elements:
         fx, y = (one if x == group.identity else t), x
@@ -789,7 +793,7 @@ def test_is_homomorphism_matches_reference_on_sign_maps(group):
     agree = Counter()
     for f in _sign_maps(group):
         want = _reference_is_homomorphism(group, f, operator.mul)
-        assert group.is_homomorphism([(1 - f[x]) // 2 for x in group.elements], Z2_RIGHT.__getitem__) == want
+        assert group.is_homomorphism([(1 - f[x]) // 2 for x in group.elements], SIGNS.right) == want
         agree[want] += 1
     assert agree[True] == len(all_quadratic_characters(group)) and agree[False] > 0
 
@@ -800,7 +804,7 @@ def test_is_homomorphism_matches_reference_on_corpus_rho_chi_and_corruptions(p):
     # against the all-pairs check on ProjMats and residues, for each model
     # and each single-entry corruption of it: is_homomorphism rejecting a
     # good factor would pass validate_model's pair scan unnoticed
-    elems, index = pgl2_index(p)
+    elems, index = pgl2(p).elements, pgl2(p).index
 
     def rho_table(k):
         return right_table(elems[k])
@@ -831,8 +835,8 @@ def test_is_homomorphism_rejects_a_group_without_generators():
     table = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
     g = FiniteGroup.from_table(["e", "a"], table, "e")
     with pytest.raises(ValueError, match="no generators"):
-        g.is_homomorphism([0, 1], Z2_RIGHT.__getitem__)
+        g.is_homomorphism([0, 1], SIGNS.right)
     t = trivial_group()
     t.set_generators({})
     with pytest.raises(ValueError, match="no generators"):
-        t.is_homomorphism([1], Z2_RIGHT.__getitem__)
+        t.is_homomorphism([1], SIGNS.right)

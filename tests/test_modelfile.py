@@ -255,7 +255,7 @@ def test_models_over_one_group_share_it(parsed_corpus):
     assert len(shared) == 4
     for grp in shared.values():
         fresh = FiniteGroup.from_permutations(grp.gens, name=grp.name)
-        assert grp.elements == fresh.elements and grp.right == fresh.right
+        assert grp.elements == fresh.elements and grp.columns == fresh.columns
         assert grp.inverse == fresh.inverse and grp.tree == fresh.tree and grp.gens == fresh.gens
 
 

@@ -17,12 +17,16 @@ from modtwist.projgroup import (
     ProjMat,
     in_psl2,
     pgl2,
-    pgl2_index,
     psl2,
     right_table,
     t_matrix,
     v_matrix,
 )
+
+
+def psl2_elements(p):
+    """The matrices of PSL2(F_p), in sorted order."""
+    return [pgl2(p).elements[k] for k in psl2(p)]
 
 
 def act_G(s, gamma):
@@ -58,7 +62,7 @@ def reference_verify_galois_conjugation(p):
     v = least_nonsquare(p)
     vv = v_matrix(p, v)
     states = sorted(pgl2(p).elements)
-    for gamma in psl2(p).elements:
+    for gamma in psl2_elements(p):
         gamma_sigma = vv.hat() * gamma * vv.hat()
         if not in_psl2(gamma_sigma):
             return False
@@ -77,9 +81,9 @@ def test_all_states_count():
     # onto PSL2 x {0, 1} as h * V^t, the twist bit t = (1 - det_class) // 2
     for p in (3, 5, 7):
         vv = v_matrix(p, least_nonsquare(p))
-        split = {h * vv if t else h: (h, t) for h in psl2(p).elements for t in (0, 1)}
+        split = {h * vv if t else h: (h, t) for h in psl2_elements(p) for t in (0, 1)}
         assert len(split) == 2 * psl2(p).order == pgl2(p).order
-        assert split.keys() == set(pgl2_index(p)[0])
+        assert split.keys() == set(pgl2(p).elements)
         assert all(t == (1 - g.det_class) // 2 for g, (_h, t) in split.items())
 
 
@@ -99,7 +103,7 @@ def test_act_G_requires_psl2():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_act_G_is_right_action(p):
     rng = random.Random(0)
-    els = sorted(psl2(p).elements)
+    els = psl2_elements(p)
     states = sorted(pgl2(p).elements)
     for _ in range(30):
         s = rng.choice(states)
@@ -119,7 +123,7 @@ def test_act_G_permutes_states(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_act_G_preserves_twist_bit(p):
     for s in sorted(pgl2(p).elements):
-        for g in sorted(psl2(p).elements):
+        for g in psl2_elements(p):
             assert act_G(s, g).det_class == s.det_class
 
 
@@ -177,14 +181,14 @@ def test_hat_table_walk_matches_right_table(p):
         seen.append(gamma)
         assert tuple(r) == right_table(gamma.hat())
         assert tuple(r_sigma) == right_table((hv * gamma * hv).hat())
-    assert sorted(seen) == sorted(psl2(p).elements)
+    assert sorted(seen) == psl2_elements(p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_indexed_actions_match_projmat_actions(p):
     # the w and Galois lookups of verify_w_rationality are the ProjMat
     # actions, at every N < 30 prime to p
-    elems, index = pgl2_index(p)
+    elems, index = pgl2(p).elements, pgl2(p).index
     for N in range(2, 30):
         if N % p == 0:
             continue

@@ -1,6 +1,7 @@
 """Projective matrix groups over F_p: canonical representatives, PGL2/PSL2
-enumeration, closures and centralizers."""
+enumeration, the numbered PGL2(F_p), closures, conjugation and centralizers."""
 import itertools
+import random
 import re
 
 import pytest
@@ -8,14 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from modtwist.arith import kronecker
 from modtwist.projgroup import (
-    MatGroup,
+    NumberedGroup,
     ProjMat,
-    centralizer,
     in_psl2,
-    inverse_table,
-    order_table,
     pgl2,
-    pgl2_index,
     psl2,
     right_table,
     t_matrix,
@@ -66,7 +63,7 @@ def _product_entries(g, h):
 def test_table_constructor_matches_reference(p):
     # every product, inverse and hat at p <= 7; every 7th element, paired
     # with elements[7i + 1], at p = 11, 13, 31
-    elems = pgl2_index(p)[0]
+    elems = pgl2(p).elements
     n = len(elems)
     if p <= 7:
         pairs, singles = itertools.product(elems, repeat=2), elems
@@ -109,8 +106,8 @@ def test_composite_moduli_construct_or_raise_value_error(n):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_inverse_table_is_inversion(p):
-    elems, index = pgl2_index(p)
-    inv = inverse_table(p)
+    elems, index = pgl2(p).elements, pgl2(p).index
+    inv = pgl2(p).inverse
     assert inv == tuple(index[g.inverse()] for g in elems)
     assert all((elems[k] * g).is_identity() for g, k in zip(elems, inv))
 
@@ -167,8 +164,8 @@ def test_group_orders(p):
     half = psl2(p)
     assert full.order == p * (p * p - 1)
     assert half.order == full.order // 2
-    assert half.elements <= full.elements
-    assert all(in_psl2(g) for g in half.elements)
+    assert list(half) == sorted(set(half)) and set(half) <= set(range(full.order))
+    assert all(in_psl2(full.elements[k]) for k in half)
     assert sum(1 for g in full.elements if in_psl2(g)) == half.order
 
 
@@ -180,15 +177,15 @@ def test_pgl2_matches_exhaustive_enumeration(p):
         for a, b, c, d in itertools.product(range(p), repeat=4)
         if (a * d - b * c) % p
     )
-    assert pgl2(p).elements == every
-    assert pgl2(p).generators == (t_matrix(p), u_matrix(p), v_matrix(p))
+    assert set(pgl2(p).elements) == every and len(pgl2(p).elements) == len(every)
+    assert tuple(pgl2(p).gens.values()) == (t_matrix(p), u_matrix(p), v_matrix(p))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_psl2_is_generated_by_t_and_u(p, closure):
     grp = closure([t_matrix(p), u_matrix(p)])
-    assert grp.order == psl2(p).order
-    assert grp.elements == psl2(p).elements
+    assert len(grp) == psl2(p).order
+    assert grp == set(psl2(p))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -196,7 +193,7 @@ def test_v_matrix_adds_nonsquare_det(p, closure):
     vv = v_matrix(p)
     assert vv.det_class == -1
     grp = closure([t_matrix(p), u_matrix(p), vv])
-    assert grp.elements == pgl2(p).elements
+    assert grp == set(range(pgl2(p).order))
 
 
 def test_v_matrix_shape():
@@ -207,14 +204,17 @@ def test_v_matrix_shape():
         v_matrix(5, 4)  # 4 is a square mod 5
 
 
-def test_matgroup_equality_and_repr_leave_out_the_parents():
-    g = pgl2(3)
-    same = MatGroup(3, g.elements, g.generators)
-    assert g.parents and same.parents is None
-    assert g == same and hash(g) == hash(same) and repr(g) == repr(same)
-    assert "parents" not in repr(g) and g != MatGroup(3, g.elements, g.generators[:2])
-    with pytest.raises(AttributeError, match="^cannot assign to field 'parents'$"):
-        g.parents = None
+def test_pgl2_numbers_the_vertices_of_its_tree():
+    # the elements are the tree's vertices in sorted order, numbered by
+    # position, and each tree edge y = x * gen names one of T, U and V;
+    # the group is built once per p
+    for p in (3, 5):
+        g = pgl2(p)
+        assert g.elements == tuple(sorted(g.tree)) and g.index == {x: i for i, x in enumerate(g.elements)}
+        assert g.gens == {"T": t_matrix(p), "U": u_matrix(p), "V": v_matrix(p)}
+        assert g.identity == ProjMat.identity(p) and g.tree[g.identity] is None
+        assert all(y == x * g.gens[name] for y, (x, name) in itertools.islice(g.tree.items(), 1, None))
+        assert pgl2(p) is g
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -235,13 +235,14 @@ def test_negative_powers():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_right_table_is_right_multiplication(p):
-    # entry i of right_table(g) indexes elements[i] * g, on all of PGL2
-    elems, index = pgl2_index(p)
-    assert list(elems) == sorted(pgl2(p).elements)
+    # entry i of right_table(g) indexes elements[i] * g, on all of PGL2;
+    # pgl2(p).right(j) is right_table's column of element j
+    elems, index = pgl2(p).elements, pgl2(p).index
     assert all(index[g] == i for i, g in enumerate(elems))
     # T, U and V from products, every other g composed along pgl2(p).tree
-    for g in elems:
+    for j, g in enumerate(elems):
         table = right_table(g)
+        assert pgl2(p).right(j) is table
         assert sorted(table) == list(range(len(elems)))
         assert all(elems[j] == x * g for x, j in zip(elems, table))
 
@@ -257,9 +258,10 @@ def test_right_tables_compose(p):
 def test_power_and_left_tables_are_inverse_order_and_left_product(p):
     # inverses and orders of every element; left multiplication by every g
     # at p <= 7, at p = 11 by T, U, V and every 10th element, read as
-    # L_g = inv R_(g^-1) inv, as centralizer and cohomologous read it
-    elems, index = pgl2_index(p)
-    inverse, orders = inverse_table(p), order_table(p)
+    # L_g = inv R_(g^-1) inv, as centralizer reads it, and conjugation by g
+    full = pgl2(p)
+    elems, index = full.elements, full.index
+    inverse, orders = full.inverse, full.orders
     assert inverse == tuple(index[g.inverse()] for g in elems)
     one = ProjMat.identity(p)
     assert orders == tuple(min(n for n in range(1, p + 2) if g ** n == one) for g in elems)
@@ -267,6 +269,8 @@ def test_power_and_left_tables_are_inverse_order_and_left_product(p):
     for g in gs:
         r = right_table(elems[inverse[index[g]]])
         assert [inverse[r[inverse[k]]] for k in range(len(elems))] == [index[g * x] for x in elems], g
+        assert full.conj(index[g]) == [index[g.inverse() * x * g] for x in elems], g
+        assert full.conj(index[g], [7, 0, 7]) == [index[g.inverse() * elems[k] * g] for k in (7, 0, 7)], g
 
 
 def _order_by_powers(g, p) -> int:
@@ -283,8 +287,8 @@ def test_order_table_closed_form_matches_powers(p):
     # the order read off u = tr^2/det is the order read off the powers, for
     # every element: the identity has order 1, and the p^2 - 1 non-scalar
     # classes with tr^2 = 4 det (the unipotent ones) have order p
-    elems, index = pgl2_index(p)
-    orders = order_table(p)
+    elems, index = pgl2(p).elements, pgl2(p).index
+    orders = pgl2(p).orders
     assert orders == tuple(_order_by_powers(g, p) for g in elems)
     assert orders[index[ProjMat.identity(p)]] == 1 and orders.count(1) == 1
     unipotent = [i for i, (a, b, c, d) in enumerate(g.rep for g in elems)
@@ -295,8 +299,9 @@ def test_order_table_closed_form_matches_powers(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_pgl2_center_is_trivial(p):
-    assert centralizer(pgl2(p).elements, p).order == 1
-    assert centralizer(psl2(p).elements, p).order == 1
+    full = pgl2(p)
+    assert full.centralizer(range(full.order)) == [full.index[full.identity]]
+    assert full.centralizer(psl2(p)) == [full.index[full.identity]]
 
 
 @settings(max_examples=60)
@@ -305,20 +310,21 @@ def test_centralizer_matches_full_scan(p, data):
     # the indices where right and left multiplication by each element agree
     # are the scan of all of PGL2 against every element
     s = data.draw(st.lists(random_projmats(p), min_size=1, max_size=3))
-    want = {g for g in pgl2(p).elements if all(g * x == x * g for x in s)}
-    assert centralizer(s, p).elements == want
+    full = pgl2(p)
+    want = [k for k, g in enumerate(full.elements) if all(g * x == x * g for x in s)]
+    assert full.centralizer(full.index[x] for x in s) == want
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_centralizer_properties(p):
     full = pgl2(p)
     # centralizer of the whole group is the center (trivial)
-    assert centralizer(full.elements, p).order == 1
+    assert len(full.centralizer(range(full.order))) == 1
     # centralizer of a single non-identity element is a proper subgroup
     g = t_matrix(p)
-    cen = centralizer([g], p)
-    assert 1 < cen.order < full.order
-    assert all(c * g == g * c for c in cen.elements)
+    cen = full.centralizer([full.index[g]])
+    assert 1 < len(cen) < full.order and full.order % len(cen) == 0
+    assert all(full.elements[k] * g == g * full.elements[k] for k in cen)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -338,8 +344,36 @@ def test_conjugacy_class_sizes(p, conjugacy_class):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_involutions_are_order_two(p):
+    # the elements of order 2 are, by Cayley-Hamilton (g^2 = tr(g) g - det(g)),
+    # the non-scalar classes of trace 0
     full = pgl2(p)
-    invs = full.involutions()
+    invs = [g for g, n in zip(full.elements, full.orders) if n == 2]
+    assert invs == [g for g in full.elements if (g.rep[0] + g.rep[3]) % p == 0]
     for g in invs:
         assert g ** 2 == ProjMat.identity(p)
     assert all(not g.is_identity() for g in invs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_orders_from_columns_match_the_closed_form(p):
+    # NumberedGroup.orders, the identity's cycle under each column, is what
+    # a FiniteGroup uses; on PGL2 it builds every column, and agrees with
+    # the u = tr^2/det closed form that PGL2 uses in its place
+    assert NumberedGroup.orders.func(pgl2(p)) == pgl2(p).orders
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_centralizer_with_partners_is_the_set_of_conjugators(p):
+    # with ys, the k with x k = k y for each pair, among ks when given, in
+    # increasing order: empty unless each y is conjugate to its x
+    full = pgl2(p)
+    elems = full.elements
+    rng = random.Random(p)
+    for _ in range(40):
+        xs = [rng.randrange(full.order) for _ in range(rng.randint(1, 2))]
+        h = rng.randrange(full.order)
+        ys = full.conj(h, xs) if rng.random() < 0.8 else [rng.randrange(full.order) for _ in xs]
+        ks = None if rng.random() < 0.5 else psl2(p)
+        want = [k for k in (range(full.order) if ks is None else ks)
+                if all(elems[x] * elems[k] == elems[k] * elems[y] for x, y in zip(xs, ys))]
+        assert full.centralizer(xs, ys=ys, ks=ks) == want

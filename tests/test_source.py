@@ -130,8 +130,8 @@ def test_no_code_kept_only_for_tests():
                 read |= reads
                 grew = True
     assert len(defs) >= 100
-    # the 49 fields of the twelve record classes and ProjMat's 4 slots
-    assert fields >= 53, fields
+    # the 45 fields of the eleven record classes and ProjMat's 4 slots
+    assert fields >= 49, fields
     unreached = [qual for i, (qual, name, _n, _o) in enumerate(defs)
                  if i not in reached and not _is_dunder(name)]
     assert not unreached, unreached
@@ -164,7 +164,7 @@ def test_every_cache_decorates_a_module_level_function():
         for node in ast.walk(tree):
             if is_cache(node):
                 (module_level if id(node) in allowed else elsewhere).append(f"{path.name}:{node.lineno}")
-    assert len(module_level) >= 13, module_level
+    assert len(module_level) >= 10, module_level
     assert not elsewhere, elsewhere
 
 

@@ -3,6 +3,7 @@ plans, with the whole-group checks kept as reference oracles: the pair
 check of the cocycle identity is the one reference for ``check_cocycle``,
 on the corpus and on perturbed cochains."""
 import itertools
+import re
 from functools import lru_cache
 
 import pytest
@@ -16,7 +17,7 @@ from modtwist.galmodel import (
     cyclic_group,
     validate_model,
 )
-from modtwist.projgroup import ProjMat, pgl2, pgl2_index, psl2, v_matrix
+from modtwist.projgroup import ProjMat, pgl2, v_matrix
 from modtwist.twists import (
     Ambient,
     CentralizerVerdict,
@@ -65,9 +66,11 @@ def reference_check_cocycle(c):
 def reference_cohomologous(c1, c2):
     """The first witness in sorted order checked on every group element."""
     grp = c1.model.group
-    pool = psl2(c1.p) if c1.ambient is Ambient.G_NP else pgl2(c1.p)
+    pool = pgl2(c1.p).elements
+    if c1.ambient is Ambient.G_NP:
+        pool = [g for g in pool if g.det_class == 1]
     hv = v_matrix(c1.p).hat()
-    for cand in sorted(pool.elements):
+    for cand in sorted(pool):
         ci = cand.inverse()
         ok = True
         for s in grp.elements:
@@ -92,7 +95,7 @@ def reference_centralizer_verdict(image: frozenset, p: int) -> CentralizerVerdic
     cen = frozenset(g for g in pgl2(p).elements if all(g * x == x * g for x in image))
     if len(cen) == 1:
         return CentralizerVerdict.TRIVIAL
-    if cen <= psl2(p).elements:
+    if all(g.det_class == 1 for g in cen):
         return CentralizerVerdict.NONTRIVIAL_IN_PSL2
     return CentralizerVerdict.NONTRIVIAL_OUTSIDE_PSL2
 
@@ -170,7 +173,7 @@ def test_rho_star_is_the_transpose_of_rho_at_the_inverse(p):
     # rho*(s) from the entries of rho(s^-1), and its primed variant as the
     # ProjMat product hat(V) rho*(s) hat(V), against the index walk, by
     # group number
-    elems = pgl2_index(p)[0]
+    elems = pgl2(p).elements
     for m in CORPORA[p]:
         for primed in (False, True):
             want = list(reference_rho_star(m, primed).values())
@@ -262,7 +265,7 @@ def test_rho_star_example():
     rho = {e: ProjMat.identity(3), s: t, grp.mul(s, s): t * t}
     mm = FiniteGaloisModel(group=grp, p=3, rho=rho, chi={x: 1 for x in grp.elements})
     star = rho_star(mm)
-    assert pgl2_index(3)[0][star[grp.index[s]]] == ProjMat(1, 0, -1, 1, 3)
+    assert pgl2(3).elements[star[grp.index[s]]] == ProjMat(1, 0, -1, 1, 3)
 
 
 def test_eta_is_cocycle():
@@ -328,6 +331,43 @@ def test_cohomologous_rejects_mismatched_ambient():
     m2 = next(m for m in CORPUS if not m.det_is_epsilon())
     with pytest.raises(ValueError):
         cohomologous(build_xi(m1), build_xi(m2))
+
+
+def _twist_refusals():
+    """(call, message) by id: a bad variant or chi_k for build_xi, and
+    cocycles over models on different groups for cohomologous."""
+    m = COMPATIBLE[0]
+    other = next(mm for mm in COMPATIBLE if mm.group is not m.group)
+    return {
+        "unknown_variant": (lambda: build_xi(m, "twisted"), "build_xi: unknown variant 'twisted'"),
+        "chi_k_zero": (lambda: build_xi(m, k_char={s: 0 for s in m.group.elements}),
+                       "build_xi: chi_k must be +-1 valued"),
+        "chi_k_two": (lambda: build_xi(m, k_char={s: 2 - (s == m.group.identity) for s in m.group.elements}),
+                      "build_xi: chi_k must be +-1 valued"),
+        "different_models": (lambda: cohomologous(build_xi(m), build_xi(other)),
+                             "cohomologous: cocycles live over different models"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_twist_refusals()))
+def test_twist_refusals_raise_value_error(case):
+    call, message = _twist_refusals()[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert type(err.value) is ValueError
+
+
+def test_cohomologous_is_none_on_unequal_w_bits():
+    # a nontrivial chi_k gives xi a w-bit of 1 at some generator, and no
+    # witness in PGL2 moves the formal central component
+    ms = [mm for mm in COMPATIBLE if any(mm.epsilon(s) == -1 for s in mm.group.elements)][:3]
+    assert len(ms) == 3
+    for m in ms:
+        chi_k = {s: m.epsilon(s) for s in m.group.elements}
+        plain, with_k = build_xi(m, "plain"), build_xi(m, "plain", chi_k)
+        assert cohomologous(plain, with_k) is None and cohomologous(with_k, plain) is None
+        assert reference_cohomologous(plain, with_k) is None
+        assert cohomologous(with_k, with_k) is not None
 
 
 def test_cohomologous_witness_property():
@@ -465,7 +505,7 @@ def test_twist_value_conjugation():
     )
     xi = build_xi(m, k_char={s: m.epsilon(s) for s in m.group.elements})
     hv = v_matrix(xi.p).hat()
-    elems, index = pgl2_index(xi.p)
+    elems, index = pgl2(xi.p).elements, pgl2(xi.p).index
     ks, ws = _untwisted(xi, m, range(m.group.order))
     assert list(xi.values) == list(m.group.elements)
     for s, (g, w) in xi.values.items():
