@@ -11,9 +11,9 @@ is the index-2 extension by the extra involution w:
 * N a non-square mod p: w carries V_N = [[0, -1], [N, 0]] and reduction mod p
   is a faithful isomorphism W(N,p) -> PGL2(F_p).  The involutions extending
   w_N are the conjugates of V_N by words in T_N and U_N: integer matrices
-  [[aN, b], [cN, -aN]] of determinant N, one spanning-tree walk of PSL2(F_p)
-  constructing a model for every one of them, so they form a single
-  conjugacy class; orbit-stabilizer cross-checks its size apart from the walk.
+  [[aN, b], [cN, -aN]] of determinant N, one walk of V_N's conjugation orbit
+  giving each its model, so they form a single conjugacy class;
+  orbit-stabilizer cross-checks its size apart from the walk.
 """
 from __future__ import annotations
 
@@ -143,53 +143,41 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
 
     V_N normalizes Gamma_0(N) (Atkin-Lehner, Math. Ann. 185, 1970), so every
     such conjugate has trace 0, determinant N and the shape
-    [[aN, b], [cN, -aN]].  V's class in PGL2(F_p) is its PSL2-conjugation
-    orbit, since V centralizes itself, so one walk of the spanning tree of
-    PSL2 = <T, U> reaches every involution outside PSL2 that is conjugate to
-    V.  PSL2 is normal, so V's class lies among those involutions; the
-    walk's invariant puts all of them in it, so ``single_conjugacy_class``
-    is always True.  Orbit-stabilizer cross-checks the class apart from the
-    walk: |PGL2(F_p)| / |C(V)|, C from ``NumberedGroup.centralizer``, must
-    count them all.  The walk steps by the right tables of T_N, U_N and their
-    inverses and carries each vertex's conjugate h^-1 V h as a number, moved
-    by the step's ``NumberedGroup.conj`` permutation; the first vertex to
-    reach an involution multiplies out its word gamma for that model.
+    [[aN, b], [cN, -aN]].  V's class in PGL2(F_p) is its orbit under
+    conjugation by PSL2 = <T, U>, since V centralizes itself, and lies among
+    the involutions outside PSL2, which is normal.  One orbit walk (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005) finds it: the
+    ``spanning_tree`` from V's number under the ``NumberedGroup.conj``
+    permutations of T_N, U_N and their inverses, each vertex a new involution
+    whose word gamma is its parent's times the edge's step.  Orbit-stabilizer,
+    |PGL2(F_p)| / |C(V)| with C from ``NumberedGroup.centralizer``, counts
+    every involution outside PSL2 in V's class, and the walk gives each a
+    model, so ``single_conjugacy_class`` is always True.
     """
     if level.cyclotomic:
         raise ValueError("involutions_extending_wN: non-cyclotomic levels only")
     N, p = level.N, level.p
     gens, full = build_generators(level), pgl2(p)
-    steps, rights, conjs = {}, {}, {}
+    steps, conjs = {}, {}
     for name in ("T_N", "U_N"):
         steps.update({name: gens[name], name + "^-1": gens[name].adj()})
-        s = full.index[gens[name].reduce(p)]
-        for perms, perm in ((rights, full.right(s)), (conjs, full.conj(s))):
-            # for s^-1 the permutation inverted, as a mapping, so that no table of s^-1 is cached
-            perms.update({name: perm, name + "^-1": dict(zip(perm, range(len(perm))))})
-    one = full.index[full.identity]
-    tree = spanning_tree(one, rights, lambda k, r: r[k])
+        perm = full.conj(full.index[gens[name].reduce(p)])
+        # for s^-1 the permutation inverted, as a mapping, so that no table of s^-1 is cached
+        conjs.update({name: perm, name + "^-1": dict(zip(perm, range(len(perm))))})
     invs = frozenset(g for g, n in zip(full.elements, full.orders) if n == 2 and not in_psl2(g))
     v = full.index[gens["V_N"].reduce(p)]
     invariant(full.order // len(full.centralizer([v])) == len(invs),
               "involutions_extending_wN: V_N's class by orbit-stabilizer is not every involution")
-    conj = {one: v}
-    models = {}
-
-    def word(h):  # gamma, the product of the steps along the tree path to h
-        edge = tree[h]
-        return IntMat(1, 0, 0, 1) if edge is None else word(edge[0]) * steps[edge[1]]
-
-    for h, edge in tree.items():
-        if edge is not None:
-            conj[h] = conjs[edge[1]][conj[edge[0]]]  # s^-1 c s
-        g = full.elements[conj[h]]
-        if g not in models:
-            gamma = word(h)
-            m = gamma.adj() * gens["V_N"] * gamma
-            if not (m.det == N and g in invs and m.reduce(p) == g):  # the reprs only on failure
-                raise InvariantError(
-                    f"involutions_extending_wN: {m} is no determinant-N model of {g} outside PSL2")
-            models[g] = m
+    tree = spanning_tree(v, conjs, lambda x, c: c[x])  # x -> s^-1 x s
+    words, models = {}, {}
+    for x, edge in tree.items():
+        gamma = IntMat(1, 0, 0, 1) if edge is None else words[edge[0]] * steps[edge[1]]
+        words[x] = gamma
+        g, m = full.elements[x], gamma.adj() * gens["V_N"] * gamma
+        if not (m.det == N and g in invs and m.reduce(p) == g):  # the reprs only on failure
+            raise InvariantError(
+                f"involutions_extending_wN: {m} is no determinant-N model of {g} outside PSL2")
+        models[g] = m
     missing = invs - models.keys()
     invariant(not missing, f"involutions_extending_wN: no integer model for {sorted(missing)}")
     return InvolutionReport(involutions=invs, single_conjugacy_class=True, integer_models=models)

@@ -20,8 +20,9 @@ element labels with table[a][b] = a*b:
      "table": {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}},
      "generators": {"a": "a"}}
 
-rho, chi and each character are given on the generators and extended
-multiplicatively; the extensions are re-validated on the whole group.
+rho, chi and each character are given on the generators, agreeing where two
+name one element or one names the identity, and extended multiplicatively;
+the extensions are re-validated on the whole group.
 
 Either group may carry an optional string "name" (default "G").  Models
 whose permutation generators (in JSON order) and name are equal share one
@@ -155,11 +156,19 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
         if type(val) is not int or val % p == 0:
             raise ModelParseError(f"chi[{name!r}] must be an integer unit mod {p}")
         chi_gens[name] = val % p
+
+    def extend(what, values, op, one):  # a generator repeating an element must agree with it
+        out = grp.extend_generator_map(values, op, one)
+        for gen, x in grp.gens.items():
+            if out[x] != op(one, values[gen]):
+                raise ModelParseError(f"{what} at generator {gen!r} conflicts with its element's value")
+        return out
+
     full = pgl2(p)  # rho on numbers: a right-table lookup per tree edge
-    rho_ks = grp.extend_generator_map({name: right_table(g) for name, g in rho_gens.items()},
-                                      lambda k, r: r[k], full.index[full.identity])
+    rho_ks = extend("rho", {name: right_table(g) for name, g in rho_gens.items()},
+                    lambda k, r: r[k], full.index[full.identity])
     rho = {s: full.elements[k] for s, k in rho_ks.items()}
-    chi = grp.extend_generator_map(chi_gens, lambda a, b: a * b % p, 1)
+    chi = extend("chi", chi_gens, lambda a, b: a * b % p, 1)
     conj = None
     if "conj" in doc and doc["conj"] is not None:
         conj = _resolve_element(grp, doc["conj"])
@@ -181,7 +190,7 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
             raise ModelParseError(
                 f"character {name!r}: field must be null or a squarefree integer other than 0, 1"
             )
-        full = grp.extend_generator_map(dict(vals), lambda a, b: a * b, 1)
+        full = extend(f"character {name!r}", dict(vals), lambda a, b: a * b, 1)
         characters[name] = QuadraticCharacter(values=full, field=d)
     model = FiniteGaloisModel(
         group=grp, p=p, rho=rho, chi=chi, conj=conj, characters=characters

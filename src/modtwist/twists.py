@@ -230,9 +230,11 @@ def _finiteness_verdict(level: Level) -> str:
     if (N, p) == (2, 3):
         return "possibly infinite (excluded case N=2, p=3: rational curve)"
     g = genus_XNp(level)
-    if g > 1:
-        return f"finite (X({N},{p}) has genus {g} > 1)"
-    return f"possibly infinite (X({N},{p}) has genus {g})"
+    # g > 1: 24(g - 1) = (p^2 - 1)(p psi(N) - 6s), s the cusp count of X_0(N), and s/psi is
+    # multiplicative, <= 2q^floor(k/2) / (q^(k-1)(q + 1)) <= 2/(q + 1) on q^k || N.  For N > 1 that is
+    # <= 2/3 < p/6 at p >= 5; at p = 3 an N = 2 mod 3 other than 2 has q >= 5 or 8 | N: <= 1/3 < 1/2.
+    invariant(g > 1, f"_finiteness_verdict: X({N},{p}) has genus {g} <= 1")
+    return f"finite (X({N},{p}) has genus {g} > 1)"
 
 
 def twist_plan(

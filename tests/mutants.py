@@ -146,8 +146,12 @@ CATALOGUE = (
     Mutant("u_n_without_n", "extgroup.py",
            '"U_N": IntMat(1, 0, ninv * N, 1),', '"U_N": IntMat(1, 0, N, 1),',
            (ACCEPTANCE + "08_defining_relations",)),
-    Mutant("involution_models_from_the_last_hit", "extgroup.py",
-           "if g not in models:", "if True:",
+    Mutant("involution_word_multiplied_on_the_left", "extgroup.py",
+           "words[edge[0]] * steps[edge[1]]", "steps[edge[1]] * words[edge[0]]",
+           (EXTGROUP + "test_integer_models_match_the_word_carrying_walk",)),
+    Mutant("involution_walk_without_the_inverse_steps", "extgroup.py",
+           'conjs.update({name: perm, name + "^-1": dict(zip(perm, range(len(perm))))})',
+           "conjs.update({name: perm})",
            (EXTGROUP + "test_integer_models_match_the_word_carrying_walk",)),
     # Atkin-Lehner fixed points, elliptic points and X+(4,5)
     Mutant("al_q2_pair_dropped", "curves.py",

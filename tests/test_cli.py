@@ -221,6 +221,18 @@ def test_group_above_max_order_is_usage_error(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and f"order above {galmodel.MAX_GROUP_ORDER}" in err
 
 
+def test_generator_repeating_an_element_with_another_rho_is_usage_error(capsys, tmp_path):
+    # s and t are both the swap, but t's rho is [[1,1],[0,1]]: the value the
+    # spanning tree would drop is refused, not ignored
+    doc = {"p": 3, "group": {"type": "permutation", "generators": {"s": [1, 0], "t": [1, 0]}},
+           "rho": {"s": [[0, 1], [1, 0]], "t": [[1, 1], [0, 1]]}, "chi": {"s": 2, "t": 1}}
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    for command in ("cocycle-check", "centralizer"):
+        assert main([command, str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: rho at generator 't' conflicts with its element's value\n"
+
+
 def test_classify(capsys):
     code, rep = run_json(capsys, ["classify", "4", "3"])
     assert code == EXIT_OK and rep.outputs["case"] == "cyclotomic"

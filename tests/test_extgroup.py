@@ -178,7 +178,7 @@ def reference_involutions_extending_wN(level):
 
 @pytest.mark.parametrize("N,p", ALL_NON_CYCLOTOMIC_LEVELS)
 def test_integer_models_match_the_word_carrying_walk(N, p):
-    # the index walk multiplies out a word only at each first hit: the same
+    # the orbit walk multiplies a word out once per involution: the same
     # models, found in the same order
     got = involutions_extending_wN(Level(N, p)).integer_models
     assert list(got.items()) == list(reference_involutions_extending_wN(Level(N, p)).items())

@@ -840,3 +840,60 @@ def test_is_homomorphism_rejects_a_group_without_generators():
     t.set_generators({})
     with pytest.raises(ValueError, match="no generators"):
         t.is_homomorphism([1], SIGNS.right)
+
+
+def test_set_generators_refuses_generators_that_do_not_generate():
+    g = klein_four()
+    with pytest.raises(ValueError, match="^generators do not generate the group$"):
+        g.set_generators({"a": (1, 0, 3, 2)})
+    assert set(g.gens) == {"a", "b"}  # unchanged
+
+
+def test_from_permutations_needs_a_generator():
+    with pytest.raises(ValueError, match="^from_permutations: need at least one generator$"):
+        FiniteGroup.from_permutations({})
+
+
+def test_maps_on_generators_need_generators_and_their_values():
+    table = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
+    bare = FiniteGroup.from_table(["e", "a"], table, "e", name="C2")
+    for call in (bare.generator_names, lambda: bare.extend_generator_map({}, operator.mul, 1)):
+        with pytest.raises(ValueError, match="^C2: group has no generators$"):
+            call()
+    with pytest.raises(ValueError, match=r"^extend_generator_map: no value for generator\(s\) \['b'\]$"):
+        klein_four().extend_generator_map({"a": -1}, operator.mul, 1)
+
+
+def test_from_table_refuses_a_table_without_its_identity():
+    # closed, with an inverse in every column, but e * e = a
+    table = {"e": {"e": "a", "a": "e"}, "a": {"e": "e", "a": "a"}}
+    with pytest.raises(ValueError, match="^FiniteGroup: identity axiom fails$"):
+        FiniteGroup.from_table(["e", "a"], table, "e")
+
+
+def test_symmetric_group_of_one_point_is_trivial():
+    g = symmetric_group(1)
+    assert (g.order, g.name, g.elements) == (1, "1", ((0,),))
+
+
+def test_trivial_group_has_only_the_trivial_homomorphisms():
+    # its one generator is the identity, on no tree edge
+    g = trivial_group()
+    assert g.generator_names() == []
+    assert all_homs_to_pgl2(g, 5) == [{(0,): ProjMat.identity(5)}]
+    assert all_quadratic_characters(g) == [{(0,): 1}]
+
+
+def test_validate_model_names_each_broken_axiom(variant):
+    m = _c2_model()
+    e, s = m.group.identity, m.group.gens["g"]
+    cases = [
+        ({"rho": {e: ProjMat.identity(3)}}, "rho is not defined on exactly the group elements"),
+        ({"chi": {s: 2}}, "chi is not defined on exactly the group elements"),
+        ({"rho": {e: ProjMat.identity(3), s: ProjMat(0, 1, 1, 0, 5)}}, f"rho({s}) is not a ProjMat mod 3"),
+        ({"conj": (2, 0, 1)}, "conj is not a group element"),
+        ({"characters": {"k": QuadraticCharacter({e: 1})}}, "character 'k' not defined on the whole group"),
+        ({"characters": {"k": QuadraticCharacter({e: -1, s: -1})}}, "character 'k' is not a homomorphism"),
+    ]
+    for changes, error in cases:
+        assert validate_model(variant(m, **changes)) == [error], changes

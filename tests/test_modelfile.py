@@ -225,6 +225,42 @@ def test_parse_rejects_non_string_group_name():
                 parse_model(json.dumps(doc))
 
 
+# s and t name one element, the swap; in TABLE_MODEL's group y names the
+# identity.  Each map's value there is the one the spanning tree extends: s's
+# on the swap and 1 on the identity, so a generator giving another is refused
+SWAP_TWICE_MODEL = {"p": 3, "group": {"type": "permutation", "generators": {"s": [1, 0], "t": [1, 0]}},
+                    "rho": {"s": [[0, 1], [1, 0]], "t": [[0, 1], [1, 0]]},
+                    "chi": {"s": 2, "t": 2}, "characters": {"k": {"values": {"s": -1, "t": -1}}}}
+IDENTITY_NAMED_MODEL = {"p": 3, "group": dict(TABLE_GROUP, generators={"x": "a", "y": "e"}),
+                        "rho": {"x": [[0, 1], [1, 0]], "y": [[2, 0], [0, 2]]},
+                        "chi": {"x": 2, "y": 1}, "characters": {"k": {"values": {"x": -1, "y": 1}}}}
+
+
+@pytest.mark.parametrize("base, gen", [(SWAP_TWICE_MODEL, "t"), (IDENTITY_NAMED_MODEL, "y")])
+@pytest.mark.parametrize("what", ["rho", "chi", "character 'k'"])
+def test_parse_rejects_a_generator_conflicting_with_its_elements_value(base, gen, what):
+    doc = json.loads(json.dumps(base))
+    if what == "rho":
+        doc["rho"][gen] = [[1, 1], [0, 1]]
+    elif what == "chi":
+        doc["chi"][gen] = 3 - doc["chi"][gen]  # the other unit mod 3
+    else:
+        values = doc["characters"]["k"]["values"]
+        values[gen] = -values[gen]
+    with pytest.raises(ModelParseError, match=f"^{re.escape(what)} at generator '{gen}' conflicts with its element's value$"):
+        parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc", [SWAP_TWICE_MODEL, IDENTITY_NAMED_MODEL])
+def test_parse_accepts_generators_agreeing_on_a_repeated_element(doc):
+    m = parse_and_validate(json.dumps(doc))
+    assert m.group.order == 2
+    for gen, x in m.group.gens.items():
+        assert m.rho[x] == ProjMat(*sum(doc["rho"][gen], []), 3)
+        assert m.chi[x] == doc["chi"][gen]
+        assert m.characters["k"].values[x] == doc["characters"]["k"]["values"][gen]
+
+
 def _model_document(m) -> str:
     """A model of ``model_corpus`` as model-file text: rho and chi on the
     generators, in the group's generator order."""
@@ -308,3 +344,24 @@ def test_documented_models_validate_and_the_readme_library_lines_hold():
     assert "twist_plan(Level(4, 3), model, k_fields=(-1,))" in library
     plan = twist_plan(Level(4, 3), readme_model, k_fields=(-1,))
     assert plan.curves == ["X(4,3)_rho", "X(4,3)'_rho", "X(4,3)_rho,k=-1", "X(4,3)'_rho,k=-1"]
+
+
+@pytest.mark.parametrize("doc, error", [
+    (dict(GOOD_MODEL, group={"type": "permutation", "generators": {}}),
+     "group.generators must be a non-empty object"),
+    (dict(TABLE_MODEL, group={k: v for k, v in TABLE_GROUP.items() if k != "table"}),
+     "group.table is required for table groups"),
+    ([GOOD_MODEL], "model file must be a JSON object"),
+    ({k: v for k, v in GOOD_MODEL.items() if k != "chi"}, "missing required key 'chi'"),
+    (dict(GOOD_MODEL, rho={"s": [[1, 1], [1, 1]]}), "rho['s']: ProjMat: singular matrix (1, 1, 1, 1) mod 3"),
+    (dict(GOOD_MODEL, characters={"k": {"field": -1}}), "character 'k' needs a 'values' object"),
+])
+def test_parse_names_each_malformed_part(doc, error):
+    with pytest.raises(ModelParseError, match=f"^{re.escape(error)}$"):
+        parse_model(json.dumps(doc))
+
+
+def test_conj_may_be_a_table_label_that_names_no_generator():
+    doc = dict(TABLE_MODEL, group=dict(TABLE_GROUP, generators={"g": "a"}),
+               rho={"g": [[0, 1], [1, 0]]}, chi={"g": 2}, conj="a")
+    assert parse_and_validate(json.dumps(doc)).conj == "a"

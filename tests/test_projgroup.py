@@ -377,3 +377,14 @@ def test_centralizer_with_partners_is_the_set_of_conjugators(p):
         want = [k for k in (range(full.order) if ks is None else ks)
                 if all(elems[x] * elems[k] == elems[k] * elems[y] for x, y in zip(xs, ys))]
         assert full.centralizer(xs, ys=ys, ks=ks) == want
+
+
+def test_projmat_product_refuses_two_characteristics():
+    with pytest.raises(ValueError, match="^ProjMat: mixed characteristics$"):
+        t_matrix(3) * t_matrix(5)
+
+
+def test_projmat_repr_shows_the_normal_form():
+    # the class of 2I mod 5 is written as the identity's
+    assert repr(ProjMat(2, 0, 0, 2, 5)) == "ProjMat([[1,0],[0,1]] mod 5)"
+    assert repr(ProjMat(0, 2, 2, 0, 7)) == "ProjMat([[0,1],[1,0]] mod 7)"

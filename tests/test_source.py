@@ -1,8 +1,12 @@
 """Checks on the package source itself."""
 import ast
+import functools
+import importlib
 from pathlib import Path
 
 from mutants import CATALOGUE
+
+from modtwist import galmodel
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "modtwist"
@@ -166,6 +170,22 @@ def test_every_cache_decorates_a_module_level_function():
                 (module_level if id(node) in allowed else elsewhere).append(f"{path.name}:{node.lineno}")
     assert len(module_level) >= 10, module_level
     assert not elsewhere, elsewhere
+
+
+def test_no_cached_property_on_a_module_level_instance():
+    # a functools.cached_property keeps its value on the instance, which perfbench's
+    # clear_caches does not reach: on an object a module holds, it would let
+    # every pass after the first start warm.  galmodel.SIGNS, the group
+    # {1, -1}, is the one allowed: its cached orders are 2 entries, the same
+    # on every pass
+    found = {}  # id -> (object, the names it is held by)
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("modtwist" if path.stem == "__init__" else f"modtwist.{path.stem}")
+        for name, obj in vars(module).items():
+            if not isinstance(obj, type) and any(isinstance(attr, functools.cached_property)
+                                                 for cls in type(obj).__mro__ for attr in vars(cls).values()):
+                found.setdefault(id(obj), (obj, []))[1].append(f"{module.__name__}.{name}")
+    assert [obj for obj, _ in found.values()] == [galmodel.SIGNS], [names for _, names in found.values()]
 
 
 def test_mutant_catalogue_is_current():

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 
 from modtwist import twists
-from modtwist.arith import Level, least_nonsquare
+from modtwist.arith import InvariantError, Level, least_nonsquare
 from modtwist.galmodel import (
     FiniteGaloisModel,
     FiniteGroup,
@@ -547,3 +547,12 @@ def test_twist_plan_finiteness_is_the_uncached_verdict():
     assert _finiteness_verdict.cache_info().hits == info.hits + len(levels)
     _finiteness_verdict.cache_clear()
     assert verdicts() == expected
+
+
+def test_finiteness_verdict_raises_on_a_genus_at_most_one(monkeypatch):
+    # g > 1 at every non-cyclotomic level but (2, 3), proved where the
+    # verdict is read; a genus of 1 there is a broken oracle, not a verdict
+    monkeypatch.setattr(twists, "genus_XNp", lambda level: 1)
+    _finiteness_verdict.cache_clear()
+    with pytest.raises(InvariantError, match=r"^_finiteness_verdict: X\(2,5\) has genus 1 <= 1$"):
+        _finiteness_verdict(Level(2, 5))
