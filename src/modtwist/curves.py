@@ -201,17 +201,15 @@ def _order_od_cyclic_orders(Q: int) -> list[tuple[int, int]]:
     out = []
     for f in divisors(cond):
         # O_f = Z + f O_K with Z-basis (1, f w0); express theta = m sqrt(-d)
-        # and theta * f w0 in that basis and take the Smith form.
+        # and theta * f w0 in that basis and take the Smith form.  f divides
+        # cond, which is 2m when dk = 1 mod 4 and m else, so m // f and
+        # 2 * m // f are exact.
         if dk % 4 == 1:  # w0 = (1 + sqrt(-d)) / 2, so sqrt(-d) = 2 w0 - 1
             # theta = -m + 2m w0 = (-m, 2m/f)
-            if (2 * m) % f != 0:
-                continue
             t10, t11 = -m, 2 * m // f
             # theta * f w0 = f m (sqrt(-d) - d) / 2 = (-f m (d + 1) / 2, m)
             t20, t21 = -(f * m * (d + 1)) // 2, m
         else:  # w0 = sqrt(-d)
-            if m % f != 0:
-                continue
             t10, t11 = 0, m // f
             t20, t21 = -f * m * d, 0
         # Smith form of [[t10, t11], [t20, t21]]

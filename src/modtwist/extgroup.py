@@ -125,10 +125,12 @@ def verify_relations(level: Level) -> bool:
     N, p = level.N, level.p
     ninv = pow(N, -1, p)
     gens = build_generators(level)
-    t = gens["T_N"].reduce(p)
-    u = gens["U_N"].reduce(p)
-    v = gens["V_N"].reduce(p)
-    return v * t == (u ** (-N)) * v and v * u == (t ** (-ninv)) * v
+    t, u, v = gens["T_N"], gens["U_N"], gens["V_N"]
+    invariant((t.a, t.c, t.d, u.a, u.b, u.d) == (1, 0, 1, 1, 0, 1),
+              "verify_relations: T_N and U_N must be unitriangular")
+    # [[1, b], [0, 1]]^k = [[1, kb], [0, 1]] and [[1, 0], [c, 1]]^k = [[1, 0], [kc, 1]]
+    u_pow, t_pow = IntMat(1, 0, -N * u.c, 1), IntMat(1, -ninv * t.b, 0, 1)  # U_N^-N, T_N^-n
+    return (v * t).reduce(p) == (u_pow * v).reduce(p) and (v * u).reduce(p) == (t_pow * v).reduce(p)
 
 
 class InvolutionReport(NamedTuple):

@@ -190,8 +190,8 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
             raise ModelParseError(
                 f"character {name!r}: field must be null or a squarefree integer other than 0, 1"
             )
-        full = extend(f"character {name!r}", dict(vals), lambda a, b: a * b, 1)
-        characters[name] = QuadraticCharacter(values=full, field=d)
+        extended = extend(f"character {name!r}", dict(vals), lambda a, b: a * b, 1)
+        characters[name] = QuadraticCharacter(values=extended, field=d)
     model = FiniteGaloisModel(
         group=grp, p=p, rho=rho, chi=chi, conj=conj, characters=characters
     )

@@ -95,18 +95,6 @@ class ProjMat:
         a, b, c, d = self.rep
         return self._derived(d, -b, -c, a, self.det_class)
 
-    def __pow__(self, n: int) -> "ProjMat":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ProjMat.identity(self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def hat(self) -> "ProjMat":
         """The involution (a, b, c, d) -> (d, c, b, a), conjugation by
         [[0, 1], [1, 0]]; it is multiplicative."""

@@ -3,13 +3,15 @@ and JSON report round-trips."""
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from modtwist import cli, galmodel
+from modtwist import cli, galmodel, selftest
 from modtwist.arith import InvariantError, kronecker
 from modtwist.cli import (
     EXIT_MODEL,
@@ -22,7 +24,8 @@ from modtwist.cli import (
     build_parser,
     main,
 )
-from modtwist.projgroup import MAX_P
+from modtwist.projgroup import MAX_P, ProjMat, Subgroup, t_matrix
+from modtwist.twists import model_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ROOT / "perfbench" / "data" / "goldens_cli.json"
@@ -329,6 +332,60 @@ def test_selftest_report_is_the_same_under_python_O():
     assert reports[0] == reports[1]
 
 
+def _conjugate_by_t(g):
+    """Conjugation by T: multiplicative, but not an involution."""
+    t = t_matrix(g.p)
+    return t.inverse() * g * t
+
+
+def _eps_models(eps):
+    return lambda p: [m for m in model_corpus(p) if m.det_is_epsilon() == eps]
+
+
+# each failure return of a selftest suite, with the stand-ins (for the names
+# the suite reads, or ProjMat.hat) that break the one check it reports
+SELFTEST_FAILURES = [
+    ("arith", {"euler_phi": lambda n: 0}, "euler_phi(1)"),
+    ("arith", {"psi_index": lambda n: 0}, "psi_index(1)"),
+    ("arith", {"class_number": lambda d: 0}, "class_number anchors"),
+    ("projgroup", {"psl2": lambda p: Subgroup(())}, "group orders mod 3"),
+    ("projgroup", {"hat": ProjMat.inverse}, "hat automorphism mod 3"),
+    ("projgroup", {"hat": _conjugate_by_t}, "hat involution mod 3"),
+    ("projgroup", {"hat": lambda g: g._derived(*g.rep, -g.det_class)}, "hat det class mod 3"),
+    ("curves", {"cusps_oracle": lambda n: 0}, "cusp count at N=1"),
+    ("curves", {"genus_XNp_hurwitz": lambda level: -1}, "genus mismatch at (2,3)"),
+    ("curves", {"lemma_pairs": lambda bound: set()}, "lemma pair scan"),
+    ("curves", {"genus_AL_quotient": lambda M, Q: 1}, "AL quotient anchors"),
+    ("extgroup", {"wgroup": lambda level: SimpleNamespace(order=0)}, "W order at (2,3)"),
+    ("extgroup", {"verify_relations": lambda level: False}, "relations at (2,3)"),
+    ("moduli", {"verify_galois_conjugation": lambda p: False}, "galois conjugation rule mod 3"),
+    ("moduli", {"verify_w_rationality": lambda level: False}, "w rationality at (2, 3)"),
+    ("twists", {"model_corpus": _eps_models(True), "check_cocycle": lambda xi: False}, "plain cocycle fails"),
+    ("twists", {"model_corpus": _eps_models(True), "build_xi": lambda m, variant: variant,
+                "check_cocycle": lambda variant: variant == "plain"}, "primed cocycle fails"),
+    ("twists", {"model_corpus": _eps_models(False), "check_cocycle": lambda xi: False},
+     "W-ambient cocycle fails"),
+]
+
+
+@pytest.mark.parametrize("suite, broken, detail", SELFTEST_FAILURES, ids=[d for _, _, d in SELFTEST_FAILURES])
+def test_selftest_suite_names_the_check_that_fails(monkeypatch, suite, broken, detail):
+    for name, stand_in in broken.items():
+        monkeypatch.setattr(ProjMat if name == "hat" else selftest, name, stand_in)
+    assert dict(selftest.SUITES)[suite](True, random.Random(0)) == (False, detail)
+
+
+def test_selftest_reports_a_crashing_suite_and_exits_3(capsys, monkeypatch):
+    # a crash is a failure of its suite, not a stop
+    def crash(quick, rng):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(selftest, "SUITES", [("crash", crash), selftest.SUITES[0]])
+    assert main(["selftest", "--quick"]) == EXIT_ORACLE
+    assert capsys.readouterr().out == (
+        "[FAIL] crash: exception: ZeroDivisionError('boom')\n[ok] arith\nselftest: FAILURES detected\n")
+
+
 @pytest.mark.parametrize("argv", [["genus", "4", "3"], ["--json", "cusps", "20"]])
 def test_closed_stdout_exits_quietly_with_the_command_code(argv):
     # stdout is a pipe whose read end is closed before the report is written
@@ -478,6 +535,9 @@ TWO_ERROR_MODEL = {
                      id="invalid_model"),
         pytest.param(["cocycle-check", "{dir}/good.json", "--k", "zzz"], EXIT_MODEL,
                      "error: model has no character named 'zzz'\n", id="unknown_k"),
+        pytest.param(["twist-plan", "4", "3", "{dir}/good_p5.json"], EXIT_MODEL,
+                     "error: twist_plan: model characteristic 5 != level p 3\n",
+                     id="twist_plan_model_of_another_p"),
         pytest.param(["twist-plan", "2", "3", "{dir}/good.json"], EXIT_PARITY,
                      "error: non-cyclotomic level (2, 3) requires det rho != eps as characters\n",
                      id="twist_plan_parity"),
@@ -497,6 +557,7 @@ TWO_ERROR_MODEL = {
 def test_error_path_exit_code_and_stderr(capsys, tmp_path, argv, code, err):
     models = {
         "good": GOOD_MODEL,
+        "good_p5": dict(GOOD_MODEL, p=5, chi={"s": 4}),
         "incompatible_k": dict(INCOMPATIBLE_MODEL, characters=GOOD_MODEL["characters"]),
         "two_errors": TWO_ERROR_MODEL,
         "list_name": dict(GOOD_MODEL, group=dict(GOOD_MODEL["group"], name=["S3"])),
@@ -504,6 +565,18 @@ def test_error_path_exit_code_and_stderr(capsys, tmp_path, argv, code, err):
     for name, doc in models.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     assert main([arg.format(dir=tmp_path) for arg in argv]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv, name, value, err", [
+    (["genus", "4", "3", "--oracle"], "genus_XNp_hurwitz", 2,
+     "error: oracle mismatch: closed form 1, Riemann-Hurwitz 2\n"),
+    (["cusps", "20", "--oracle"], "cusps_oracle", 7, "error: oracle mismatch: formula 6, orbit count 7\n"),
+])
+def test_oracle_mismatch_is_exit_3(capsys, monkeypatch, argv, name, value, err):
+    # an oracle that disagrees with the closed form stops the command with no report
+    monkeypatch.setattr(cli, name, lambda arg: value)
+    assert main(argv) == EXIT_ORACLE
     assert capsys.readouterr() == ("", err)
 
 

@@ -47,6 +47,7 @@ def test_group_constructors():
     assert cyclic_group(5).order == 5
     assert klein_four().order == 4
     assert symmetric_group(3).order == 6
+    assert repr(symmetric_group(3)) == "FiniteGroup(S3, order 6)"
     assert symmetric_group(4).order == 24
 
 
@@ -594,8 +595,13 @@ def _reference_homs_to_pgl2(group, p):
     one, images = ProjMat.identity(p), {}
     for name in group.generator_names():
         n = _element_order(group, group.gens[name])
-        images[name] = [g for g in pgl2(p).elements if g ** n == one]
+        images[name] = [g for g in pgl2(p).elements if _power(g, n) == one]
     return _reference_homs(group, images, one)
+
+
+def _power(g, n):
+    """g^n for n >= 1, by n - 1 products."""
+    return functools.reduce(operator.mul, [g] * n)
 
 
 def _element_order(group, x):
@@ -653,7 +659,7 @@ def test_all_quadratic_characters_matches_brute_force(group):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_candidates_are_the_images_of_dividing_order(p, monkeypatch):
     # the candidates the search draws from, one list per generator in
-    # generator_names() order, are the indices of the g with g ** n == 1, n
+    # generator_names() order, are the indices of the g with g^n = 1, n
     # the generator's order, in sorted order; one candidate list per search
     seen = []
     candidates = galmodel._candidates
@@ -675,7 +681,7 @@ def test_candidates_are_the_images_of_dividing_order(p, monkeypatch):
         assert group.orders == tuple(_element_order(group, x) for x in group.elements)
         for x, pool in zip(gens, pools):
             n = _element_order(group, x)
-            assert pool == [index[g] for g in pgl2(p).elements if g ** n == one], (group.name, p, x)
+            assert pool == [index[g] for g in pgl2(p).elements if _power(g, n) == one], (group.name, p, x)
 
 
 PRODUCT_SEARCH_CASES = [
@@ -734,8 +740,8 @@ def test_s3_images_failing_the_braid_relation_give_no_homomorphism():
     one = ProjMat.identity(p)
     elems = pgl2(p).elements
     involutions = [a for a in elems if a != one and a * a == one]
-    order3 = [b for b in elems if b != one and b ** 3 == one]
-    bad = [(a, b) for a in involutions for b in order3 if (a * b) ** 2 != one]
+    order3 = [b for b in elems if b != one and b * b * b == one]
+    bad = [(a, b) for a in involutions for b in order3 if a * b * a * b != one]
     assert bad
     for a, b in bad[:20]:
         f = g.extend_generator_map({"s": a, "t": b}, lambda x, y: x * y, one)
@@ -754,7 +760,7 @@ def _homomorphic_along(group, name, p=5):
     one, t = ProjMat.identity(p), ProjMat(1, 1, 0, 1, p)
     gen = group.gens[name]
     n = _element_order(group, gen)
-    value = next(a for a in pgl2(p).elements if a ** n == one and not a.is_identity())
+    value = next(a for a in pgl2(p).elements if _power(a, n) == one and not a.is_identity())
     f = {}
     for x in group.elements:
         fx, y = (one if x == group.identity else t), x

@@ -57,6 +57,12 @@ def test_parse_table_group():
     m = parse_model(json.dumps(TABLE_MODEL))
     assert m.group.order == 2
     assert m.rho["a"] == ProjMat(0, 1, 1, 0, 3)
+    # without generators, every element is its own generator
+    doc = dict(TABLE_MODEL, group={k: v for k, v in TABLE_GROUP.items() if k != "generators"},
+               rho={"e": [[1, 0], [0, 1]], "a": [[0, 1], [1, 0]]}, chi={"e": 1, "a": 2})
+    m = parse_model(json.dumps(doc))
+    assert m.group.gens == {"e": "e", "a": "a"}
+    assert m.rho["a"] == ProjMat(0, 1, 1, 0, 3) and m.chi["a"] == 2
 
 
 def test_parse_rejects_permutations_of_different_degrees():

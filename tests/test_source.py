@@ -2,9 +2,11 @@
 import ast
 import functools
 import importlib
+import json
 from pathlib import Path
 
 from mutants import CATALOGUE
+from reach import KINDS, MAP, executable_lines, key
 
 from modtwist import galmodel
 
@@ -188,6 +190,14 @@ def test_no_cached_property_on_a_module_level_instance():
     assert [obj for obj, _ in found.values()] == [galmodel.SIGNS], [names for _, names in found.values()]
 
 
+def _test_exists(test_id):
+    """Whether a pytest id names a module-level def test_... that exists."""
+    path, _, name = test_id.partition("::")
+    tree = ast.parse((ROOT / path).read_text())
+    defs = {node.name for node in tree.body if isinstance(node, FUNCTIONS)}
+    return name.startswith("test_") and name.split("[")[0] in defs
+
+
 def test_mutant_catalogue_is_current():
     # each mutant's text occurs exactly once in its file and the mutated file
     # compiles; each test it names is a module-level def test_... that
@@ -199,7 +209,26 @@ def test_mutant_catalogue_is_current():
         compile(text.replace(m.old, m.new), m.path, "exec")
         assert m.tests and (m.survives == "" or len(m.survives) > 40), m.name
         for test_id in m.tests:
-            path, _, name = test_id.partition("::")
-            tree = ast.parse((ROOT / path).read_text())
-            defs = {node.name for node in tree.body if isinstance(node, FUNCTIONS)}
-            assert name.startswith("test_") and name.split("[")[0] in defs, (m.name, test_id)
+            assert _test_exists(test_id), (m.name, test_id)
+
+
+def test_reach_map_is_current():
+    # each entry of tests/data/unreached.json names one executable line of
+    # src/modtwist, by function, text and occurrence, and gives its kind's
+    # proof: a mutant of the catalogue that changes the entry's file, a test
+    # that exists, or for the __main__ guard a module-level line
+    lines = {key(line) for path in SRC.glob("*.py") for line in executable_lines(path)}
+    mutants = {m.name: m for m in CATALOGUE}
+    entries = json.loads(MAP.read_text())
+    assert len({key(e) for e in entries}) == len(entries)
+    for e in entries:
+        assert key(e) in lines, e
+        assert e["kind"] in KINDS and len(e["reason"]) > 20, e
+        proof = KINDS[e["kind"]]
+        assert set(e) - {"occurrence"} == {"file", "function", "text", "kind", "reason"} | {proof} - {None}, e
+        if proof == "mutant":
+            assert e["mutant"] in mutants and mutants[e["mutant"]].path == e["file"], e
+        elif proof == "test":
+            assert _test_exists(e["test"]), e
+        else:
+            assert e["function"] == "<module>", e
