@@ -6,7 +6,6 @@ curves."""
 from .arith import (
     InvariantError,
     Level,
-    class_number,
     class_number_primitive,
     divisors,
     euler_phi,
@@ -39,18 +38,15 @@ from .extgroup import (
     wgroup,
 )
 from .galmodel import (
-    Case,
     FiniteGaloisModel,
     FiniteGroup,
     QuadraticCharacter,
-    classify,
     validate_model,
 )
 from .modelfile import ModelParseError, parse_and_validate, parse_model
 from .moduli import verify_galois_conjugation, verify_w_rationality
 from .projgroup import (
     ProjMat,
-    in_psl2,
     pgl2,
     psl2,
 )

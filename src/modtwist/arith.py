@@ -215,7 +215,8 @@ class ReadOnly:
 class Level(ReadOnly):
     """A level (N, p): N > 1 prime to the odd prime p.
 
-    ``cyclotomic``, derived from N and p, records whether N is a square mod p.
+    ``cyclotomic``, derived from N and p, records whether N is a square mod p;
+    ``case`` names that split as the reports print it.
     """
 
     __slots__ = _compared = ("N", "p", "cyclotomic")
@@ -238,12 +239,16 @@ class Level(ReadOnly):
         N^-1 mod p (itself a non-square) otherwise."""
         return least_nonsquare(self.p) if self.cyclotomic else pow(self.N, -1, self.p)
 
+    @property
+    def case(self) -> str:
+        return "cyclotomic" if self.cyclotomic else "non-cyclotomic"
+
     def __str__(self) -> str:
         return f"({self.N}, {self.p})"
 
 
-def _reduced_forms(D: int, primitive_only: bool) -> list[tuple[int, int, int]]:
-    """All reduced positive binary quadratic forms of discriminant D < 0.
+def _reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """All reduced primitive positive binary quadratic forms of discriminant D < 0.
 
     Reduced: |b| <= a <= c, and b >= 0 when |b| = a or a = c.
     """
@@ -261,7 +266,7 @@ def _reduced_forms(D: int, primitive_only: bool) -> list[tuple[int, int, int]]:
                     break
                 if b > a:
                     continue
-                if primitive_only and math.gcd(math.gcd(a, b), c) != 1:
+                if math.gcd(a, b, c) != 1:
                     continue
                 forms.append((a, b, c))
                 # the mirror (a, -b, c) is reduced unless it hits a boundary
@@ -271,16 +276,10 @@ def _reduced_forms(D: int, primitive_only: bool) -> list[tuple[int, int, int]]:
     return sorted(forms)
 
 
-def class_number(D: int) -> int:
-    """Number of reduced binary quadratic forms of discriminant D < 0
-    (imprimitive forms included, so e.g. class_number(-12) counts (2,2,2))."""
-    return len(_reduced_forms(D, primitive_only=False))
-
-
 def class_number_primitive(D: int) -> int:
     """Number of classes of primitive forms of discriminant D < 0 (the form
     class number of the quadratic order of discriminant D)."""
-    return len(_reduced_forms(D, primitive_only=True))
+    return len(_reduced_forms(D))
 
 
 @lru_cache(maxsize=None)

@@ -37,7 +37,7 @@ from .curves import (
     xplus_verdict,
 )
 from .extgroup import involutions_extending_wN, verify_relations, wgroup
-from .galmodel import classify, validate_model
+from .galmodel import validate_model
 from .modelfile import ModelParseError, parse_model
 from .projgroup import MAX_P
 from .twists import (
@@ -177,7 +177,7 @@ def cmd_structure(args):
     rep = wgroup(level)
     outputs = {
         "level": {"N": level.N, "p": level.p},
-        "case": classify(level).value,
+        "case": level.case,
         "order": rep.order,
         "structure": rep.structure,
         "v": rep.v,
@@ -246,9 +246,8 @@ def cmd_al_fixed(args):
 
 def cmd_classify(args):
     level = _level("classify", args.N, args.p)
-    case = classify(level)
-    outputs = {"level": {"N": level.N, "p": level.p}, "case": case.value}
-    return outputs, [f"level ({level.N}, {level.p}): {case.value}"], EXIT_OK
+    outputs = {"level": {"N": level.N, "p": level.p}, "case": level.case}
+    return outputs, [f"level ({level.N}, {level.p}): {level.case}"], EXIT_OK
 
 
 def cmd_twist_plan(args):
@@ -336,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     level_args.add_argument("p", type=int)
 
     g = sub.add_parser("genus", parents=[level_args], help="genus of X(N,p) or X+(N,p)")
-    g.add_argument("--plus", action="store_true", help="the quotient X+(N,p)")
-    g.add_argument("--oracle", action="store_true", help="cross-check with Riemann-Hurwitz")
+    curve = g.add_mutually_exclusive_group()  # X+ has no oracle yet
+    curve.add_argument("--plus", action="store_true", help="the quotient X+(N,p)")
+    curve.add_argument("--oracle", action="store_true", help="cross-check with Riemann-Hurwitz")
     g.set_defaults(func=cmd_genus)
 
     c = sub.add_parser("cusps", help="cusps of X_0(N)")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import InvariantError, Level, ReadOnly, invariant, lift_sqrt_mod_p2
-from .projgroup import ProjMat, Subgroup, in_psl2, pgl2, spanning_tree
+from .projgroup import ProjMat, Subgroup, pgl2, spanning_tree
 
 
 class IntMat(ReadOnly):
@@ -166,7 +166,7 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
         perm = full.conj(full.index[gens[name].reduce(p)])
         # for s^-1 the permutation inverted, as a mapping, so that no table of s^-1 is cached
         conjs.update({name: perm, name + "^-1": dict(zip(perm, range(len(perm))))})
-    invs = frozenset(g for g, n in zip(full.elements, full.orders) if n == 2 and not in_psl2(g))
+    invs = frozenset(g for g, n in zip(full.elements, full.orders) if n == 2 and g.det_class != 1)
     v = full.index[gens["V_N"].reduce(p)]
     invariant(full.order // len(full.centralizer([v])) == len(invs),
               "involutions_extending_wN: V_N's class by orbit-stabilizer is not every involution")

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .arith import Level, ReadOnly, is_prime, residue_tables
+from .arith import ReadOnly, is_prime, residue_tables
 from .projgroup import NumberedGroup, ProjMat, pgl2, spanning_tree
 
 MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
@@ -69,9 +68,6 @@ class FiniteGroup(NumberedGroup):
 
     def mul(self, a, b):
         return self.elements[self.columns[self.index[b]][self.index[a]]]
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {self.order})"
@@ -246,6 +242,7 @@ class FiniteGaloisModel(ReadOnly):
     # __dict__ holds the cached eps and rho_ix
     __slots__ = ("group", "p", "rho", "chi", "conj", "characters", "__dict__")
     _compared = __slots__[:-1]
+    __hash__ = None  # compared by its mappings, which do not hash
 
     def __init__(self, group: FiniteGroup, p: int, rho: Mapping, chi: Mapping,
                  conj: object | None = None, characters: Mapping | None = None) -> None:
@@ -333,15 +330,6 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
         if not g.is_homomorphism([(1 - char.values[x]) // 2 for x in g.elements], SIGNS.right):
             errs.append(f"character {name!r} is not a homomorphism")
     return errs
-
-
-class Case(Enum):
-    CYCLOTOMIC = "cyclotomic"
-    NON_CYCLOTOMIC = "non-cyclotomic"
-
-
-def classify(level: Level) -> Case:
-    return Case.CYCLOTOMIC if level.cyclotomic else Case.NON_CYCLOTOMIC
 
 
 def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 
 from .arith import Level, invariant, kronecker
-from .projgroup import (ProjMat, in_psl2, pgl2, right_table, spanning_tree,
+from .projgroup import (ProjMat, pgl2, right_table, spanning_tree,
                         t_matrix, u_matrix, v_matrix)
 
 
@@ -66,7 +66,7 @@ def verify_galois_conjugation(p: int) -> bool:
     reached = 0
     for gamma, r, r_sigma in hat_table_walk(p):
         gamma_sigma = hv * gamma * hv
-        if not in_psl2(gamma_sigma):
+        if gamma_sigma.det_class != 1:
             return False
         if gamma_sigma.hat() != vv * gamma.hat() * vv:
             return False

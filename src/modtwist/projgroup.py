@@ -105,10 +105,6 @@ class ProjMat:
         return self.rep == (1, 0, 0, 1)
 
 
-def in_psl2(g: ProjMat) -> bool:
-    return g.det_class == 1
-
-
 def spanning_tree(identity, gens: dict, mul, max_order: int | None = None) -> dict:
     """Breadth-first spanning tree of the Cayley graph of ``gens`` (name ->
     element), edges x -> mul(x, g) in generator order, from the identity:

@@ -38,7 +38,6 @@ from .galmodel import (
     FiniteGaloisModel,
     all_homs_to_pgl2,
     all_quadratic_characters,
-    classify,
     cyclic_group,
     klein_four,
     symmetric_group,
@@ -258,10 +257,9 @@ def twist_plan(
     if m.p != level.p:
         raise ValueError(f"twist_plan: model characteristic {m.p} != level p {level.p}")
     N, p = level.N, level.p
-    case = classify(level).value
     if m.det_is_epsilon() != level.cyclotomic:
         need = "=" if level.cyclotomic else "!="
-        raise ParityError(f"{case} level {level} requires det rho {need} eps as characters")
+        raise ParityError(f"{level.case} level {level} requires det rho {need} eps as characters")
     curves = [f"X({N},{p})_rho"]
     field_k = char = None
     if level.cyclotomic:
@@ -278,7 +276,7 @@ def twist_plan(
                 break
     return TwistPlan(
         level=level,
-        case=case,
+        case=level.case,
         curves=curves,
         field_k=field_k,
         field_k_character=char,

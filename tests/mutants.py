@@ -156,6 +156,12 @@ CATALOGUE = (
            'conjs.update({name: perm, name + "^-1": dict(zip(perm, range(len(perm))))})',
            "conjs.update({name: perm})",
            (EXTGROUP + "test_integer_models_match_the_word_carrying_walk",)),
+    # the class numbers that the Atkin-Lehner fixed points read
+    Mutant("class_number_counts_imprimitive_forms", "arith.py",
+           "                if math.gcd(a, b, c) != 1:\n                    continue\n",
+           "",
+           ("tests/test_arith.py::test_class_number_matches_reduction_oracle",
+            "tests/test_arith.py::test_class_number_primitive_known_values")),
     # Atkin-Lehner fixed points, elliptic points and X+(4,5)
     Mutant("al_q2_pair_dropped", "curves.py",
            "([(-4, 1)] if Q == 2 else [])", "([] if Q == 2 else [])",

@@ -6,7 +6,6 @@ import time
 
 from modtwist.arith import (
     Level,
-    class_number,
     class_number_primitive,
     kronecker,
     least_nonsquare,
@@ -58,7 +57,7 @@ def test_acceptance_01_basic_invariants():
         psi_index(20) == 36
         and kronecker(2, 3) == -1
         and least_nonsquare(7) == 3
-        and class_number(-20) == 2
+        and class_number_primitive(-20) == 2
         and class_number_primitive(-163) == 1
         and Level(4, 3).cyclotomic
         and not Level(2, 3).cyclotomic

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from modtwist.arith import (
     Level,
-    class_number,
     class_number_primitive,
     divisors,
     euler_phi,
@@ -187,9 +186,9 @@ def test_class_number_primitive_known_values():
         assert class_number_primitive(d) == h, d
 
 
-def _brute_force_all_forms(D):
-    """Count reduced forms (a, b, c) with b^2 - 4ac = D, |b| <= a <= c and
-    b >= 0 whenever |b| = a or a = c."""
+def _brute_force_primitive_forms(D):
+    """Count reduced primitive forms (a, b, c) with b^2 - 4ac = D,
+    |b| <= a <= c and b >= 0 whenever |b| = a or a = c."""
     count = 0
     a = 1
     while 4 * a * a <= -D + a * a:  # a <= sqrt(-D/3) is implied; use safe bound
@@ -202,6 +201,8 @@ def _brute_force_all_forms(D):
                 continue
             if b < 0 and (a == -b or a == c):
                 continue
+            if math.gcd(a, b, c) != 1:
+                continue
             count += 1
         a += 1
     return count
@@ -211,15 +212,7 @@ def _brute_force_all_forms(D):
 def test_class_number_matches_reduction_oracle(D):
     if D % 4 not in (0, 1):
         return
-    assert class_number(D) == _brute_force_all_forms(D)
-
-
-def test_class_number_includes_imprimitive_forms():
-    # D = -12 has the primitive (1, 0, 3) and the imprimitive (2, 2, 2)
-    assert class_number(-12) == 2
-    assert class_number_primitive(-12) == 1
-    # D = -36: primitive count excludes the boundary mirror of (2, 2, 5)
-    assert class_number_primitive(-36) == 2
+    assert class_number_primitive(D) == _brute_force_primitive_forms(D)
 
 
 OUT_OF_RANGE = [
@@ -229,7 +222,8 @@ OUT_OF_RANGE = [
     (least_nonsquare, (2,), "least_nonsquare: no non-square mod 2"),
     (lift_sqrt_mod_p2, (2, 3), "lift_sqrt_mod_p2: 2 is not a square mod 3"),
     (lift_sqrt_mod_p2, (3, 7), "lift_sqrt_mod_p2: 3 is not a square mod 7"),
-    *((class_number, (D,), f"need a negative discriminant, got {D}") for D in (0, 1, 4, 5, 8)),
+    *((class_number_primitive, (D,), f"need a negative discriminant, got {D}")
+      for D in (0, 1, 4, 5, 8)),
 ]
 
 

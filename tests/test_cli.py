@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +23,7 @@ from modtwist.cli import (
     build_parser,
     main,
 )
-from modtwist.projgroup import MAX_P, ProjMat, Subgroup, t_matrix
+from modtwist.projgroup import MAX_P, ProjMat, t_matrix
 from modtwist.twists import model_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -347,8 +346,7 @@ def _eps_models(eps):
 SELFTEST_FAILURES = [
     ("arith", {"euler_phi": lambda n: 0}, "euler_phi(1)"),
     ("arith", {"psi_index": lambda n: 0}, "psi_index(1)"),
-    ("arith", {"class_number": lambda d: 0}, "class_number anchors"),
-    ("projgroup", {"psl2": lambda p: Subgroup(())}, "group orders mod 3"),
+    ("arith", {"class_number_primitive": lambda d: 0}, "class_number anchors"),
     ("projgroup", {"hat": ProjMat.inverse}, "hat automorphism mod 3"),
     ("projgroup", {"hat": _conjugate_by_t}, "hat involution mod 3"),
     ("projgroup", {"hat": lambda g: g._derived(*g.rep, -g.det_class)}, "hat det class mod 3"),
@@ -356,7 +354,6 @@ SELFTEST_FAILURES = [
     ("curves", {"genus_XNp_hurwitz": lambda level: -1}, "genus mismatch at (2,3)"),
     ("curves", {"lemma_pairs": lambda bound: set()}, "lemma pair scan"),
     ("curves", {"genus_AL_quotient": lambda M, Q: 1}, "AL quotient anchors"),
-    ("extgroup", {"wgroup": lambda level: SimpleNamespace(order=0)}, "W order at (2,3)"),
     ("extgroup", {"verify_relations": lambda level: False}, "relations at (2,3)"),
     ("moduli", {"verify_galois_conjugation": lambda p: False}, "galois conjugation rule mod 3"),
     ("moduli", {"verify_w_rationality": lambda level: False}, "w rationality at (2, 3)"),
@@ -483,6 +480,10 @@ TWO_ERROR_MODEL = {
                      "error: Level: need gcd(N, p) = 1, got (3, 3)\n", id="invalid_level"),
         pytest.param(["genus", "2", "3", "--plus"], EXIT_USAGE,
                      "error: X+(2,3) requires a cyclotomic level\n", id="plus_non_cyclotomic"),
+        pytest.param(["genus", "4", "5", "--plus", "--oracle"], EXIT_USAGE,
+                     "usage: modtwist genus [-h] [--plus | --oracle] N p\n"
+                     "modtwist genus: error: argument --oracle: not allowed with argument --plus\n",
+                     id="plus_with_oracle"),
         pytest.param(["cusps", "0"], EXIT_USAGE, "error: N must be positive\n", id="cusps_0"),
         pytest.param(["cusps", "1000001", "--oracle"], EXIT_USAGE,
                      "error: cusps needs N at most 1000000, got 1000001\n",
@@ -564,7 +565,11 @@ def test_error_path_exit_code_and_stderr(capsys, tmp_path, argv, code, err):
     }
     for name, doc in models.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    assert main([arg.format(dir=tmp_path) for arg in argv]) == code
+    try:
+        got = main([arg.format(dir=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse's own usage errors
+        got = exc.code
+    assert got == code
     assert capsys.readouterr() == ("", err)
 
 

@@ -14,7 +14,7 @@ from modtwist.extgroup import (
     verify_relations,
     wgroup,
 )
-from modtwist.projgroup import PGL2, ProjMat, in_psl2, pgl2, psl2, spanning_tree
+from modtwist.projgroup import PGL2, ProjMat, pgl2, psl2, spanning_tree
 
 CYCLOTOMIC_LEVELS = [(4, 3), (7, 3), (4, 5), (6, 5), (9, 5), (2, 7), (4, 7)]
 NON_CYCLOTOMIC_LEVELS = [(2, 3), (5, 3), (8, 3), (2, 5), (3, 5), (3, 7), (5, 7)]
@@ -171,7 +171,7 @@ def reference_involutions_extending_wN(level):
         m = gamma.adj() * gens["V_N"] * gamma
         g = m.reduce(p)
         if g not in models:
-            assert m.det == N and not in_psl2(g) and (g * g).is_identity()
+            assert m.det == N and g.det_class != 1 and (g * g).is_identity()
             models[g] = m
     return models
 

@@ -22,13 +22,11 @@ from modtwist.arith import Level, kronecker
 from modtwist.galmodel import (
     MAX_GROUP_ORDER,
     SIGNS,
-    Case,
     FiniteGaloisModel,
     FiniteGroup,
     QuadraticCharacter,
     all_homs_to_pgl2,
     all_quadratic_characters,
-    classify,
     cyclic_group,
     klein_four,
     symmetric_group,
@@ -54,9 +52,10 @@ def test_group_constructors():
 def test_permutation_table_is_composition():
     # a * b = (i -> a[b[i]]) on every pair, stored as the group's own tuple
     for g in (cyclic_group(5), klein_four(), symmetric_group(3), symmetric_group(4)):
-        own = {id(x) for x in g}
-        assert all(g.mul(a, b) == tuple(a[i] for i in b) for a in g for b in g)
-        assert all(id(g.mul(a, b)) in own for a in g for b in g)
+        xs = g.elements
+        own = {id(x) for x in xs}
+        assert all(g.mul(a, b) == tuple(a[i] for i in b) for a in xs for b in xs)
+        assert all(id(g.mul(a, b)) in own for a in xs for b in xs)
 
 
 def test_from_permutations_stops_above_max_order():
@@ -90,7 +89,7 @@ def test_from_permutations_composes_only_along_the_tree(monkeypatch):
 
 def test_group_inverses_and_identity():
     g = symmetric_group(3)
-    for x in g:
+    for x in g.elements:
         assert g.mul(x, g.elements[g.inverse[g.index[x]]]) == g.identity
         assert g.mul(g.identity, x) == x
 
@@ -432,8 +431,8 @@ def test_validate_model_scans_all_pairs_without_generators(corrupted_corpus3, va
 def test_validate_model_reports_a_p_that_is_not_an_odd_prime(p):
     # rho over F_3, as no ProjMat has another modulus: p is checked first
     g = cyclic_group(2)
-    rho = {x: ProjMat.identity(3) for x in g}
-    assert validate_model(FiniteGaloisModel(group=g, p=p, rho=rho, chi={x: 1 for x in g})) == [
+    rho = {x: ProjMat.identity(3) for x in g.elements}
+    assert validate_model(FiniteGaloisModel(group=g, p=p, rho=rho, chi={x: 1 for x in g.elements})) == [
         f"p = {p} is not an odd prime"
     ]
 
@@ -481,9 +480,9 @@ def test_epsilon_and_det_class():
 
 def test_model_is_read_only(variant):
     g = cyclic_group(2)
-    s, one = g.gens["g"], ProjMat.identity(3)
-    rho, chi = {x: one for x in g}, {x: 1 for x in g}
-    k = {x: 1 for x in g}
+    s, one, xs = g.gens["g"], ProjMat.identity(3), g.elements
+    rho, chi = {x: one for x in xs}, {x: 1 for x in xs}
+    k = {x: 1 for x in xs}
     chars = {"k": QuadraticCharacter(values=k, field=-1)}
     m = FiniteGaloisModel(group=g, p=3, rho=rho, chi=chi, characters=chars)
     with pytest.raises(AttributeError, match="^cannot assign to field 'p'$"):
@@ -507,14 +506,20 @@ def test_model_is_read_only(variant):
     rho[s], chi[s], k[s] = ProjMat(0, 1, 1, 0, 3), 2, -1
     del rho[g.identity]
     chars["j"] = chars.pop("k")
-    assert dict(m.rho) == {x: one for x in g} and dict(m.chi) == {x: 1 for x in g}
-    assert list(m.characters) == ["k"] and dict(m.characters["k"].values) == {x: 1 for x in g}
+    assert dict(m.rho) == {x: one for x in xs} and dict(m.chi) == {x: 1 for x in xs}
+    assert list(m.characters) == ["k"] and dict(m.characters["k"].values) == {x: 1 for x in xs}
     assert m.eps == eps == (1, 1) and m.rho_ix == rho_ix == (pgl2(3).index[one],) * 2
     assert validate_model(m) == []
     # a variant is a new model, with its own derived data
-    other = variant(m, chi={x: 2 for x in g})
+    other = variant(m, chi={x: 2 for x in xs})
     assert other.eps == (-1, -1) and m.eps == (1, 1) and m.chi[s] == 1
     assert other != m and variant(m) == m
+
+
+def test_model_hash_names_the_model():
+    # a model compares by its mappings, which do not hash
+    with pytest.raises(TypeError, match="^unhashable type: 'FiniteGaloisModel'$"):
+        hash(_c2_model())
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -524,7 +529,7 @@ def test_eps_and_rho_ix_are_the_elementwise_values(p):
     for m in model_corpus(p):
         assert m.eps == tuple(kronecker(m.chi[x], p) for x in m.group.elements)
         assert m.rho_ix == tuple(index[m.rho[x]] for x in m.group.elements)
-        assert [m.epsilon(x) for x in m.group] == list(m.eps)
+        assert [m.epsilon(x) for x in m.group.elements] == list(m.eps)
 
 
 def test_det_is_epsilon():
@@ -536,8 +541,8 @@ def test_det_is_epsilon():
 
 
 def test_classify():
-    assert classify(Level(4, 3)) is Case.CYCLOTOMIC
-    assert classify(Level(2, 3)) is Case.NON_CYCLOTOMIC
+    assert Level(4, 3).case == "cyclotomic"
+    assert Level(2, 3).case == "non-cyclotomic"
 
 
 def test_all_homs_to_pgl2_counts():
@@ -615,7 +620,7 @@ def _element_order(group, x):
 def _s3_table_group():
     s3 = symmetric_group(3)
     label = {x: "".join(map(str, x)) for x in s3.elements}
-    table = {label[x]: {label[y]: label[s3.mul(x, y)] for y in s3} for x in s3}
+    table = {label[x]: {label[y]: label[s3.mul(x, y)] for y in s3.elements} for x in s3.elements}
     g = FiniteGroup.from_table(list(table), table, label[s3.identity], name="S3table")
     g.set_generators({"t": "120", "s": "102"})
     return g
@@ -774,7 +779,7 @@ def test_is_homomorphism_walks_every_generator(group):
     # a map that respects one generator's edges need not be a homomorphism
     for name in group.gens:
         f = _homomorphic_along(group, name)
-        assert all(f[group.mul(x, group.gens[name])] == f[x] * f[group.gens[name]] for x in group)
+        assert all(f[group.mul(x, group.gens[name])] == f[x] * f[group.gens[name]] for x in group.elements)
         want = _reference_is_homomorphism(group, f, operator.mul)
         assert group.is_homomorphism(*_as_numbers(group, f)) == want
         assert want == (len(group.gens) == 1)

@@ -15,7 +15,6 @@ from modtwist.arith import InvariantError, Level, kronecker, least_nonsquare
 from modtwist.moduli import hat_table_walk, verify_galois_conjugation, verify_w_rationality
 from modtwist.projgroup import (
     ProjMat,
-    in_psl2,
     pgl2,
     psl2,
     right_table,
@@ -32,7 +31,7 @@ def psl2_elements(p):
 def act_G(s, gamma):
     """Action of gamma in G(N,p) ~ PSL2 on a state: right multiplication by
     hat(gamma), a right action since hat is multiplicative."""
-    if not in_psl2(gamma):
+    if gamma.det_class != 1:
         raise ValueError("act_G: gamma must lie in PSL2")
     return s * gamma.hat()
 
@@ -64,7 +63,7 @@ def reference_verify_galois_conjugation(p):
     states = sorted(pgl2(p).elements)
     for gamma in psl2_elements(p):
         gamma_sigma = vv.hat() * gamma * vv.hat()
-        if not in_psl2(gamma_sigma):
+        if gamma_sigma.det_class != 1:
             return False
         if gamma_sigma.hat() != vv * gamma.hat() * vv:
             return False

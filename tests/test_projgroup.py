@@ -11,7 +11,6 @@ from modtwist.arith import kronecker
 from modtwist.projgroup import (
     NumberedGroup,
     ProjMat,
-    in_psl2,
     pgl2,
     psl2,
     right_table,
@@ -165,8 +164,8 @@ def test_group_orders(p):
     assert full.order == p * (p * p - 1)
     assert half.order == full.order // 2
     assert list(half) == sorted(set(half)) and set(half) <= set(range(full.order))
-    assert all(in_psl2(full.elements[k]) for k in half)
-    assert sum(1 for g in full.elements if in_psl2(g)) == half.order
+    assert all(full.elements[k].det_class == 1 for k in half)
+    assert sum(1 for g in full.elements if g.det_class == 1) == half.order
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
