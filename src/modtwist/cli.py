@@ -8,8 +8,9 @@ argument parsing: model loading, the computation and its cross-checks.
 
 Exit codes: 0 success; 1 verified-negative result (e.g. a perfect check that
 legitimately reports False); 2 usage or parse errors, including a malformed
-``twist-plan --k``; 3 internal oracle mismatches and failed invariants; 4
-model validation failures; 5 parity mismatches between a model and a level.
+``twist-plan --k`` or a ``scan`` flag of the other mode; 3 internal oracle
+mismatches and failed invariants; 4 model validation failures; 5 parity
+mismatches between a model and a level.
 A closed stdout does not change the exit code.
 """
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .curves import (
 from .extgroup import involutions_extending_wN, verify_relations, wgroup
 from .galmodel import validate_model
 from .modelfile import ModelParseError, parse_model
-from .projgroup import MAX_P
+from .projgroup import MAX_P, pgl2
 from .twists import (
     ParityError,
     build_xi,
@@ -208,6 +209,10 @@ def cmd_structure(args):
 
 
 def cmd_scan(args):
+    mode = "scan --lemma" if args.lemma else "the low-genus scan"
+    for flag in getattr(args, "given", ()):  # --max bounds the lemma scan, --max-n and --max-p the other
+        if (flag == "--max") != args.lemma:
+            raise _Exit(EXIT_USAGE, f"error: {flag} does not apply to {mode}")
     if args.lemma:
         pairs = sorted(lemma_pairs(args.max))
         outputs = {"bound": args.max, "pairs": [list(x) for x in pairs]}
@@ -289,13 +294,14 @@ def cmd_cocycle_check(args):
     except ValueError as exc:
         raise _Exit(EXIT_PARITY, f"error: {exc}") from exc
     valid = check_cocycle(xi)
+    elems = pgl2(model.p).elements
     outputs = {
         "variant": args.variant,
         "ambient": xi.ambient.value,
         "valid": valid,
         "values": {
-            str(s): {"matrix": [list(g.rep[:2]), list(g.rep[2:])], "w": w}
-            for s, (g, w) in xi.values.items()
+            str(s): {"matrix": [list(elems[k].rep[:2]), list(elems[k].rep[2:])], "w": w}
+            for s, (k, w) in xi.values.items()
         },
     }
     lines = [f"ambient {xi.ambient.value}: cocycle valid: {valid}"]
@@ -320,6 +326,12 @@ def cmd_selftest(args):
         "ok": ok,
     }
     return outputs, lines, EXIT_OK if ok else EXIT_ORACLE
+
+
+class _Given(argparse.Action):  # records the flag in args.given, even at its default; inputs leave it out
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (option_string,)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("scan", help="scan levels")
     sc.add_argument("--lemma", action="store_true", help="genus-0 AL quotients X_0(pN)/w_N")
-    sc.add_argument("--max", type=int, default=71, help="bound on pN for --lemma")
-    sc.add_argument("--max-n", type=int, default=20, help="bound on N for the low-genus scan")
-    sc.add_argument("--max-p", type=int, default=13, help="bound on p for the low-genus scan")
+    sc.add_argument("--max", type=int, default=71, action=_Given, help="bound on pN for --lemma")
+    sc.add_argument("--max-n", type=int, default=20, action=_Given, help="bound on N for the low-genus scan")
+    sc.add_argument("--max-p", type=int, default=13, action=_Given, help="bound on p for the low-genus scan")
     sc.set_defaults(func=cmd_scan)
 
     al = sub.add_parser("al-fixed", help="Atkin-Lehner fixed points on X_0(M)")
@@ -399,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    inputs = {k: v for k, v in vars(args).items() if k not in ("json", "command", "func")}
+    inputs = {k: v for k, v in vars(args).items() if k not in ("json", "command", "func", "given")}
     report = Report(args.command, inputs, outputs, time.perf_counter() - t0)
     try:
         print(report.to_json() if args.json else "\n".join(lines), flush=True)

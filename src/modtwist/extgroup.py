@@ -164,8 +164,9 @@ def involutions_extending_wN(level: Level) -> InvolutionReport:
     for name in ("T_N", "U_N"):
         steps.update({name: gens[name], name + "^-1": gens[name].adj()})
         perm = full.conj(full.index[gens[name].reduce(p)])
-        # for s^-1 the permutation inverted, as a mapping, so that no table of s^-1 is cached
-        conjs.update({name: perm, name + "^-1": dict(zip(perm, range(len(perm))))})
+        # for s^-1 the inverse permutation, so that no table of s^-1 is cached, over sorted(perm),
+        # the numbers 0..n-1 as perm holds them, so that it makes no new int objects
+        conjs.update({name: perm, name + "^-1": sorted(sorted(perm), key=perm.__getitem__)})
     invs = frozenset(g for g, n in zip(full.elements, full.orders) if n == 2 and g.det_class != 1)
     v = full.index[gens["V_N"].reduce(p)]
     invariant(full.order // len(full.centralizer([v])) == len(invs),

@@ -41,7 +41,7 @@ from .galmodel import (
     QuadraticCharacter,
     validate_model,
 )
-from .projgroup import MAX_P, ProjMat, pgl2, right_table
+from .projgroup import MAX_P, ProjMat, pgl2
 
 
 class ModelParseError(ValueError):
@@ -164,8 +164,8 @@ def parse_model(source: str | Path) -> FiniteGaloisModel:
                 raise ModelParseError(f"{what} at generator {gen!r} conflicts with its element's value")
         return out
 
-    full = pgl2(p)  # rho on numbers: a right-table lookup per tree edge
-    rho_ks = extend("rho", {name: right_table(g) for name, g in rho_gens.items()},
+    full = pgl2(p)  # rho on numbers: a column lookup per tree edge
+    rho_ks = extend("rho", {name: full.right(full.index[g]) for name, g in rho_gens.items()},
                     lambda k, r: r[k], full.index[full.identity])
     rho = {s: full.elements[k] for s, k in rho_ks.items()}
     chi = extend("chi", chi_gens, lambda a, b: a * b % p, 1)

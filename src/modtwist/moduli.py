@@ -13,17 +13,16 @@ non-cyclotomic levels; a Galois element sigma with non-square cyclotomic
 character value acts by V as well.
 
 The exhaustive checks take a state as its number in ``pgl2(p)`` and an action
-as a lookup in a ``projgroup.right_table``.  R_hat(gamma) is carried
-depth-first along the spanning tree of PSL2 = <T, U>, one composition per
-tree edge, since hat is multiplicative and swaps T and U.
+as a lookup in the column ``pgl2(p).right(k)``, k the class's number.
+R_hat(gamma) is carried depth-first along the spanning tree of PSL2 = <T, U>,
+one composition per tree edge, since hat is multiplicative and swaps T and U.
 """
 from __future__ import annotations
 
 import operator
 
 from .arith import Level, invariant, kronecker
-from .projgroup import (ProjMat, pgl2, right_table, spanning_tree,
-                        t_matrix, u_matrix, v_matrix)
+from .projgroup import ProjMat, pgl2, spanning_tree, t_matrix, u_matrix, v_matrix
 
 
 def hat_table_walk(p: int):
@@ -32,15 +31,15 @@ def hat_table_walk(p: int):
     spanning tree of <T, U>, keeping only the current path's tables.  The
     child gamma * g has hat(gamma) hat(g) and conjugate gamma_sigma g_sigma,
     as hat(V) is an involution: one composition with a step table each."""
-    hv = v_matrix(p).hat()
+    full, hv = pgl2(p), v_matrix(p).hat()
     gens = {"T": t_matrix(p), "U": u_matrix(p)}
-    steps = {name: (right_table(g.hat()), right_table((hv * g * hv).hat()))
+    steps = {name: (full.right(full.index[g.hat()]), full.right(full.index[(hv * g * hv).hat()]))
              for name, g in gens.items()}
     children = {}
     for y, edge in spanning_tree(ProjMat.identity(p), gens, operator.mul).items():
         if edge is not None:
             children.setdefault(edge[0], []).append((y, edge[1]))
-    identity = tuple(range(pgl2(p).order))
+    identity = tuple(range(full.order))
     stack = [(ProjMat.identity(p), None, identity, identity)]
     while stack:
         gamma, name, r, r_sigma = stack.pop()
@@ -62,7 +61,8 @@ def verify_galois_conjugation(p: int) -> bool:
     """
     vv = v_matrix(p)
     hv = vv.hat()
-    r_v = right_table(vv)
+    full = pgl2(p)
+    r_v = full.right(full.index[vv])
     reached = 0
     for gamma, r, r_sigma in hat_table_walk(p):
         gamma_sigma = hv * gamma * hv
@@ -84,8 +84,8 @@ def verify_w_rationality(level: Level) -> bool:
     is the identity on every state.  Each action is the identity or R_V, v
     being ``Level.v``: N^-1 mod p at non-cyclotomic levels and the least
     non-square else."""
-    p = level.p
-    r_v = right_table(v_matrix(p, level.v))
+    p, full = level.p, pgl2(level.p)
+    r_v = full.right(full.index[v_matrix(p, level.v)])
     states = tuple(range(len(r_v)))
     w = states if level.cyclotomic else r_v  # an involution, so also w^-1
     for chi in range(1, p):

@@ -12,15 +12,15 @@ entries; sweeps in between move numbers.
 
 A ``NumberedGroup`` (``galmodel.FiniteGroup``, or ``pgl2(p)``, the sorted
 classes) is read through its right regular representation, with conjugation
-and centralizers written once over it.  PGL2's column for g is
-``right_table(g)``, cached: |G| products for 1, T, U and V, else one step
-R_(x * gen)[s] = R_gen[R_x[s]] along the spanning tree.  Its subgroups,
-``psl2(p)``, centralizers and ``extgroup.wgroup``'s image, are sets of those
-numbers.  ``spanning_tree`` is the one breadth-first search of a Cayley graph.
+and centralizers written once over it.  PGL2's column j, ``right(j)``, is a
+range for the identity, the numbering walk's own products for T, U and V,
+else one step R_(x * gen)[s] = R_gen[R_x[s]] along its tree, cached on the
+group.  Its subgroups, ``psl2(p)``, centralizers and ``extgroup.wgroup``'s
+image, are sets of those numbers.  ``spanning_tree`` is the one breadth-first
+search of a Cayley graph.
 """
 from __future__ import annotations
 
-import operator
 from functools import cached_property, lru_cache
 
 from .arith import invariant, kronecker, least_nonsquare, residue_tables
@@ -132,10 +132,10 @@ class NumberedGroup:
     the column of right multiplication by element j, entry i the number of
     elements[i] * elements[j]; ``inverse[j]`` is the number of
     elements[j]^-1, ``orders[j]`` its order, ``identity`` an element and
-    ``tree`` the ``spanning_tree`` of the generators ``gens``.  Left
-    multiplication L_x = inv R_(x^-1) inv, conjugation and centralizers are
-    read off the columns here, for ``galmodel.FiniteGroup``, which stores
-    them all, and for ``PGL2``, which composes and caches them on demand.
+    ``gens`` the generators.  Left multiplication L_x = inv R_(x^-1) inv,
+    conjugation and centralizers are read off the columns here, for
+    ``galmodel.FiniteGroup``, which stores them all, and for ``PGL2``, which
+    composes and caches them on demand.
     """
 
     @property
@@ -176,25 +176,51 @@ class NumberedGroup:
 
 class PGL2(NumberedGroup):
     """PGL2(F_p), its ``ProjMat``s numbered in sorted order: the vertices of
-    the spanning tree of T, U and V (v the least non-square mod p).  A column
-    is ``right_table``'s, composed along the tree and cached, as the full
-    table would hold (p^3 - p)^2 entries, 886 million at p = 31; ``inverse``
-    (the classes of the adjugates) and ``orders`` are read on first use."""
+    the spanning tree of T, U and V (v the least non-square mod p), walked
+    once, one object per class.  The walk's products give ``columns[name]``
+    and the tree by number, elements[j] = elements[parent[j]] * gens[step[j]]
+    (None at the identity); other columns are composed on demand and cached,
+    as the full table would hold (p^3 - p)^2 entries, 886 million at p = 31."""
 
     def __init__(self, p: int) -> None:
         self.p = p
         self.identity = ProjMat.identity(p)
         self.gens = {"T": t_matrix(p), "U": u_matrix(p), "V": v_matrix(p)}
-        self.tree = spanning_tree(self.identity, self.gens, operator.mul)
-        self.elements = tuple(sorted(self.tree, key=operator.attrgetter("rep")))  # as ProjMat.__lt__
-        self.index = {g: i for i, g in enumerate(self.elements)}
+        found, number, targets = [self.identity], {self.identity.rep: 0}, []
 
-    def right(self, j: int) -> tuple[int, ...]:
-        return right_table(self.elements[j])
+        def product(k: int, g: ProjMat) -> int:  # found[k] * g by discovery number, recorded
+            y = found[k] * g
+            n = number.setdefault(y.rep, len(found))
+            if n == len(found):
+                found.append(y)
+            targets.append(n)
+            return n
+
+        tree = spanning_tree(0, self.gens, product)
+        ids = list(range(len(found)))  # one int object per number, for index, columns and tree
+        order = sorted(ids, key=list(number).__getitem__)  # by rep, as ProjMat.__lt__
+        rank = sorted(ids, key=order.__getitem__)  # rank[k] numbers found[k]
+        self.elements = tuple(map(found.__getitem__, order))
+        self.index = dict(zip(self.elements, ids))
+        self.columns = {name: tuple(map(rank.__getitem__, map(targets[i::3].__getitem__, order)))
+                        for i, name in enumerate(self.gens)}  # targets[3k + i] numbers found[k] * gen i
+        edges = list(map(tree.__getitem__, order))
+        self.parent = tuple(None if e is None else rank[e[0]] for e in edges)
+        self.step = tuple(None if e is None else e[1] for e in edges)
+        self._right = {self.index[g]: self.columns[name] for name, g in self.gens.items()}
+        self._right[self.index[self.identity]] = range(len(order))
+
+    def right(self, j: int) -> tuple[int, ...] | range:
+        """Column j, cached: R_step[R_parent], one step along the tree."""
+        col = self._right.get(j)
+        if col is None:
+            step = self.columns[self.step[j]]
+            col = self._right[j] = tuple(map(step.__getitem__, self.right(self.parent[j])))
+        return col
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
-        return tuple(map(self.index.__getitem__, [g.inverse() for g in self.elements]))
+        return tuple(map(self.index.__getitem__, map(ProjMat.inverse, self.elements)))
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -257,15 +283,3 @@ def v_matrix(p: int, v: int | None = None) -> ProjMat:
     if kronecker(v, p) != -1:
         raise ValueError(f"v_matrix: v = {v} is a square mod {p}")
     return ProjMat(0, -v, 1, 0, p)
-
-
-@lru_cache(maxsize=None)
-def right_table(g: ProjMat) -> tuple[int, ...]:
-    """Right multiplication by g on the numbered PGL2(F_p): entry i is the
-    number of elements[i] * g, from products for 1, T, U and V, else R_gen
-    after R_x for the tree edge g = x * gen."""
-    full = pgl2(g.p)
-    edge = full.tree[g]
-    if edge is None or edge[0].is_identity():
-        return tuple(map(full.index.__getitem__, [y * g for y in full.elements]))
-    return tuple(map(right_table(full.gens[edge[1]]).__getitem__, right_table(edge[0])))

@@ -10,12 +10,12 @@ The primed variant conjugates rho* by hat(V) first; at cyclotomic levels an
 extra quadratic character chi_k may multiply in a formal central
 w-component.
 
-Cocycle values are pairs (ProjMat, w_bit): the w_bit is the formal central
-component (always 0 outside the cyclotomic chi_k construction).  Inside,
-rho*, eta, xi and the untwisted values are numbers in ``pgl2(p)`` (h * g is
+Cocycle values are pairs (number k in ``pgl2(p)``, w_bit): the w_bit is the
+formal central component (always 0 outside the cyclotomic chi_k
+construction).  rho*, eta, xi and the untwisted values are numbers (h * g is
 R_g[number(h)]), by group number, conjugated and cut down to centralizers by
-its ``conj`` and ``centralizer``: each step reads the model's ``eps`` and
-``rho_ix``, derived once per model, and only these pairs read off ProjMats.
+``pgl2(p)``'s ``conj`` and ``centralizer``: each step reads the model's
+``eps`` and ``rho_ix``, derived once per model; a report prints ``elements[k]``.
 
 Every check here runs on the generators of the model group.  The twist by s
 is conjugation by eta(s), eta a homomorphism, so xi is a cocycle exactly when
@@ -42,7 +42,7 @@ from .galmodel import (
     klein_four,
     symmetric_group,
 )
-from .projgroup import ProjMat, pgl2, psl2, right_table, v_matrix
+from .projgroup import ProjMat, pgl2, psl2, v_matrix
 
 
 class Ambient(Enum):
@@ -51,11 +51,11 @@ class Ambient(Enum):
 
 
 class Cocycle(NamedTuple):
-    """A 1-cochain on the model group valued in (ProjMat, w_bit) pairs."""
+    """A 1-cochain on the model group valued in (number, w_bit) pairs."""
 
     model: FiniteGaloisModel
     ambient: Ambient
-    values: dict  # element -> (ProjMat, int)
+    values: dict  # element -> (int, int)
 
     @property
     def p(self) -> int:
@@ -71,13 +71,13 @@ def _untwisted(c: Cocycle, m: FiniteGaloisModel, numbers) -> tuple[list, list]:
     """The index of c(s) * eta(s), and w(s), for the elements s numbered
     ``numbers``, as two lists; eta read from m's eps: R_hat(V) moves c's
     value where eps(s) = -1."""
-    index = pgl2(c.p).index
-    rh = right_table(_hat_v(c.p))
+    full = pgl2(c.p)
+    rh = full.right(full.index[_hat_v(c.p)])
     elements, eps = m.group.elements, m.eps
     ks, ws = [], []
     for i in numbers:
-        g, w = c.values[elements[i]]
-        ks.append(rh[index[g]] if eps[i] == -1 else index[g])
+        k, w = c.values[elements[i]]
+        ks.append(rh[k] if eps[i] == -1 else k)
         ws.append(w)
     return ks, ws
 
@@ -130,13 +130,13 @@ def build_xi(
         raise ValueError("build_xi: chi_k components require det rho = eps (cyclotomic)")
     if k_char is not None and any(k_char[s] not in (1, -1) for s in elements):
         raise ValueError("build_xi: chi_k must be +-1 valued")
-    elems = pgl2(m.p).elements
-    rh = right_table(_hat_v(m.p))  # eta(s) = hat(V) where eps(s) = -1, else 1
+    full = pgl2(m.p)
+    rh = full.right(full.index[_hat_v(m.p)])  # eta(s) = hat(V) where eps(s) = -1, else 1
     star = rho_star(m, primed=(variant == "primed"))
     ws = itertools.repeat(0) if k_char is None else [int(k_char[s] == -1) for s in elements]
-    values = {s: (elems[rh[k] if e == -1 else k], w) for s, k, e, w in zip(elements, star, m.eps, ws)}
+    values = {s: (rh[k] if e == -1 else k, w) for s, k, e, w in zip(elements, star, m.eps, ws)}
     ambient = Ambient.G_NP if cyclotomic_compatible else Ambient.W_NP
-    invariant(ambient is Ambient.W_NP or all(g.det_class == 1 for g, _ in values.values()),
+    invariant(ambient is Ambient.W_NP or all(full.elements[k].det_class == 1 for k, _ in values.values()),
               "build_xi: a G(N,p) cocycle must take values in PSL2")
     return Cocycle(model=m, ambient=ambient, values=values)
 

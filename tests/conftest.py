@@ -76,11 +76,12 @@ def variant():
 
 def _perturbations(c: Cocycle, s):
     """The cochains that differ from c only at s, where the matrix is
-    multiplied by a non-identity class of PGL2."""
-    g, w = c.values[s]
-    for mult in pgl2(c.p).elements:
+    multiplied by a non-identity class of PGL2, as ``ProjMat`` products."""
+    full = pgl2(c.p)
+    k, w = c.values[s]
+    for mult in full.elements:
         if not mult.is_identity():
-            values = {**c.values, s: (g * mult, w)}
+            values = {**c.values, s: (full.index[full.elements[k] * mult], w)}
             yield Cocycle(model=c.model, ambient=c.ambient, values=values)
 
 

@@ -51,16 +51,20 @@ CATALOGUE = (
     Mutant("residue_tables_accepts_any_modulus", "arith.py",
            '    if p == 2 or not is_prime(p):\n        raise ValueError(f"need an odd prime modulus, got {p}")\n',
            "",
-           ("tests/test_projgroup.py::test_composite_moduli_construct_or_raise_value_error",)),
+           ("tests/test_projgroup.py::test_non_odd_prime_moduli_raise_value_error",)),
     Mutant("projmat_accepts_singular_matrices", "projgroup.py",
            '        if det == 0:\n            raise ValueError(f"ProjMat: singular matrix '
            '{(a % p, b % p, c % p, d % p)} mod {p}")\n',
            "",
            ("tests/test_projgroup.py::test_table_constructor_matches_reference",)),
     Mutant("right_table_composed_in_the_wrong_order", "projgroup.py",
-           "tuple(map(right_table(full.gens[edge[1]]).__getitem__, right_table(edge[0])))",
-           "tuple(map(right_table(edge[0]).__getitem__, right_table(full.gens[edge[1]])))",
+           "tuple(map(step.__getitem__, self.right(self.parent[j])))",
+           "tuple(map(self.right(self.parent[j]).__getitem__, step))",
            ("tests/test_projgroup.py::test_right_table_is_right_multiplication",)),
+    Mutant("walk_column_under_the_wrong_generator", "projgroup.py",
+           "for i, name in enumerate(self.gens)}", "for i, name in zip((0, 1, 1), self.gens)}",
+           ("tests/test_projgroup.py::test_walk_columns_are_the_generator_products",
+            "tests/test_projgroup.py::test_right_table_is_right_multiplication")),
     # conjugation and centralizers, written once for every numbered group
     Mutant("conj_is_right_multiplication", "projgroup.py",
            "return [r[inv[r[inv[x]]]] for x in", "return [r[x] for x in",
@@ -126,7 +130,7 @@ CATALOGUE = (
            "and grp.is_homomorphism(ws, SIGNS.right))", "and True)",
            (TWISTS + "test_check_cocycle_matches_pair_reference_on_perturbations",)),
     Mutant("untwisting_ignores_eps", "twists.py",
-           "ks.append(rh[index[g]] if eps[i] == -1 else index[g])", "ks.append(index[g])",
+           "ks.append(rh[k] if eps[i] == -1 else k)", "ks.append(k)",
            (TWISTS + "test_check_cocycle_matches_pair_reference",)),
     Mutant("validate_model_without_the_chi_part", "galmodel.py",
            "and g.is_homomorphism(chi, lambda c: [x * c % m.p for x in range(m.p)])):", "):",
@@ -153,7 +157,7 @@ CATALOGUE = (
            'gamma.adj() * gens["V_N"] * gamma', 'gamma * gens["V_N"] * gamma.adj()',
            (EXTGROUP + "test_integer_models_match_the_word_carrying_walk",)),
     Mutant("involution_walk_without_the_inverse_steps", "extgroup.py",
-           'conjs.update({name: perm, name + "^-1": dict(zip(perm, range(len(perm))))})',
+           'conjs.update({name: perm, name + "^-1": sorted(sorted(perm), key=perm.__getitem__)})',
            "conjs.update({name: perm})",
            (EXTGROUP + "test_integer_models_match_the_word_carrying_walk",)),
     # the class numbers that the Atkin-Lehner fixed points read
@@ -184,7 +188,7 @@ CATALOGUE = (
            ("tests/test_curves.py::test_xplus_verdict_generic_case",)),
     # the moduli checks
     Mutant("hat_walk_without_the_swap", "moduli.py",
-           "steps = {name: (right_table(g.hat()),", "steps = {name: (right_table(g),",
+           "steps = {name: (full.right(full.index[g.hat()]),", "steps = {name: (full.right(full.index[g]),",
            (MODULI + "test_hat_table_walk_matches_right_table",)),
     Mutant("galois_conjugation_returns_true", "moduli.py",
            "    vv = v_matrix(p)\n", "    return True\n",
@@ -196,18 +200,19 @@ CATALOGUE = (
            "    hv = vv.hat()\n", "    hv = vv\n",
            (MODULI + "test_verify_galois_conjugation",)),
     Mutant("galois_states_moved_by_hat_v", "moduli.py",
-           "r_v = right_table(vv)", "r_v = right_table(hv)",
+           "r_v = full.right(full.index[vv])", "r_v = full.right(full.index[hv])",
            (MODULI + "test_verify_galois_conjugation",)),
     Mutant("w_rationality_by_t_not_v", "moduli.py",
-           "r_v = right_table(v_matrix(p, level.v))", "r_v = right_table(t_matrix(p))",
+           "r_v = full.right(full.index[v_matrix(p, level.v)])", "r_v = full.right(full.index[t_matrix(p)])",
            (MODULI + "test_verify_w_rationality",)),
     Mutant("w_rationality_returns_true", "moduli.py",
-           "    p = level.p\n    r_v", "    return True\n    p = level.p\n    r_v",
+           "    p, full = level.p, pgl2(level.p)\n", "    return True\n",
            (MODULI + "test_verify_w_rationality", ACCEPTANCE + "09_moduli_actions"),
            "w composes only the identity and R_V, and V^2 is a scalar for every v, so the check "
            "reduces to R_V o R_V = id and holds at every level"),
     Mutant("w_rationality_v_a_square", "moduli.py",
-           "r_v = right_table(v_matrix(p, level.v))", "r_v = right_table(ProjMat(0, -1, 1, 0, p))",
+           "r_v = full.right(full.index[v_matrix(p, level.v)])",
+           "r_v = full.right(full.index[ProjMat(0, -1, 1, 0, p)])",
            (MODULI + "test_verify_w_rationality", ACCEPTANCE + "09_moduli_actions"),
            "V^2 = -v I is a scalar for a square v too, so the check holds whatever v is"),
     Mutant("hat_is_the_identity", "projgroup.py",

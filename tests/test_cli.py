@@ -553,6 +553,15 @@ TWO_ERROR_MODEL = {
                      "error: --max-n must be at most 1000, got 1001\n", id="scan_max_n"),
         pytest.param(["scan", "--max-n", "1", "--max-p", "1000000000000"], EXIT_USAGE,
                      "error: --max-p must be at most 1000, got 1000000000000\n", id="scan_max_p"),
+        # a flag of the scan mode that does not run, even at its default, would be dropped
+        pytest.param(["scan", "--max", "5"], EXIT_USAGE,
+                     "error: --max does not apply to the low-genus scan\n", id="scan_max_without_lemma"),
+        pytest.param(["scan", "--max-n", "20", "--max", "71"], EXIT_USAGE,
+                     "error: --max does not apply to the low-genus scan\n", id="scan_default_max_without_lemma"),
+        pytest.param(["--json", "scan", "--lemma", "--max-n", "2"], EXIT_USAGE,
+                     "error: --max-n does not apply to scan --lemma\n", id="scan_lemma_max_n"),
+        pytest.param(["scan", "--lemma", "--max", "40", "--max-p", "13"], EXIT_USAGE,
+                     "error: --max-p does not apply to scan --lemma\n", id="scan_lemma_max_p"),
     ],
 )
 def test_error_path_exit_code_and_stderr(capsys, tmp_path, argv, code, err):

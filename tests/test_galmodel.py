@@ -34,7 +34,7 @@ from modtwist.galmodel import (
     validate_model,
 )
 from modtwist import galmodel
-from modtwist.projgroup import ProjMat, pgl2, right_table, spanning_tree, t_matrix
+from modtwist.projgroup import ProjMat, pgl2, spanning_tree, t_matrix
 from modtwist.twists import model_corpus
 
 STORED_MODELS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "data").glob("models_p*.jsonl"))
@@ -818,7 +818,7 @@ def test_is_homomorphism_matches_reference_on_corpus_rho_chi_and_corruptions(p):
     elems, index = pgl2(p).elements, pgl2(p).index
 
     def rho_table(k):
-        return right_table(elems[k])
+        return pgl2(p).right(k)
 
     def chi_table(c):
         return [x * c % p for x in range(p)]

@@ -17,7 +17,6 @@ from modtwist.projgroup import (
     ProjMat,
     pgl2,
     psl2,
-    right_table,
     t_matrix,
     v_matrix,
 )
@@ -173,13 +172,14 @@ def test_verify_w_rationality(N, p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_hat_table_walk_matches_right_table(p):
     # every gamma of PSL2 once, each carrying R_hat(gamma) and
-    # R_hat(gamma_sigma) as right_table would build them from ProjMat products
+    # R_hat(gamma_sigma) as ProjMat products would give them
     hv = v_matrix(p, least_nonsquare(p)).hat()
+    elems, index = pgl2(p).elements, pgl2(p).index
     seen = []
     for gamma, r, r_sigma in hat_table_walk(p):
         seen.append(gamma)
-        assert tuple(r) == right_table(gamma.hat())
-        assert tuple(r_sigma) == right_table((hv * gamma * hv).hat())
+        assert list(r) == [index[x * gamma.hat()] for x in elems]
+        assert list(r_sigma) == [index[x * (hv * gamma * hv).hat()] for x in elems]
     assert sorted(seen) == psl2_elements(p)
 
 
@@ -193,7 +193,7 @@ def test_indexed_actions_match_projmat_actions(p):
             continue
         level = Level(N, p)
         v = least_nonsquare(p) if level.cyclotomic else pow(N, -1, p)
-        r_v = right_table(v_matrix(p, v))
+        r_v = [index[x * v_matrix(p, v)] for x in elems]
         for i, s in enumerate(elems):
             assert index[act_w(s, level)] == (i if level.cyclotomic else r_v[i])
             for chi in range(1, p):

@@ -1,6 +1,7 @@
 """Projective matrix groups over F_p: canonical representatives, PGL2/PSL2
 enumeration, the numbered PGL2(F_p), closures, conjugation and centralizers."""
 import itertools
+import operator
 import random
 import re
 
@@ -13,7 +14,7 @@ from modtwist.projgroup import (
     ProjMat,
     pgl2,
     psl2,
-    right_table,
+    spanning_tree,
     t_matrix,
     u_matrix,
     v_matrix,
@@ -90,7 +91,7 @@ def test_table_constructor_matches_reference(p):
 
 
 @pytest.mark.parametrize("n", [2, 4, 9, 15, 0, 1, -3])
-def test_composite_moduli_construct_or_raise_value_error(n):
+def test_non_odd_prime_moduli_raise_value_error(n):
     # PGL2(F_p) is for odd primes p only: any other modulus is refused by
     # every matrix, singular ones included, with the one ValueError that
     # names it, raised before an entry is reduced (mod 0 that would divide
@@ -204,16 +205,70 @@ def test_v_matrix_shape():
 
 
 def test_pgl2_numbers_the_vertices_of_its_tree():
-    # the elements are the tree's vertices in sorted order, numbered by
-    # position, and each tree edge y = x * gen names one of T, U and V;
-    # the group is built once per p
+    # the elements are the vertices of the spanning tree of T, U and V in
+    # sorted order, numbered by position, and the tree is kept by number:
+    # the ProjMat tree's edge y = x * gen is parent[number(y)] = number(x),
+    # step[number(y)] = gen, both None at the identity only; the group is
+    # built once per p
     for p in (3, 5):
         g = pgl2(p)
-        assert g.elements == tuple(sorted(g.tree)) and g.index == {x: i for i, x in enumerate(g.elements)}
         assert g.gens == {"T": t_matrix(p), "U": u_matrix(p), "V": v_matrix(p)}
-        assert g.identity == ProjMat.identity(p) and g.tree[g.identity] is None
-        assert all(y == x * g.gens[name] for y, (x, name) in itertools.islice(g.tree.items(), 1, None))
+        tree = spanning_tree(ProjMat.identity(p), g.gens, operator.mul)
+        assert g.elements == tuple(sorted(tree)) and g.index == {x: i for i, x in enumerate(g.elements)}
+        assert g.identity == ProjMat.identity(p)
+        for y, edge in tree.items():
+            j = g.index[y]
+            want = (None, None) if edge is None else (g.index[edge[0]], edge[1])
+            assert (g.parent[j], g.step[j]) == want, y
+        assert len(g.parent) == len(g.step) == g.order
         assert pgl2(p) is g
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_walk_columns_are_the_generator_products(p):
+    # the columns the walk records: entry i of columns[name] numbers
+    # elements[i] * gens[name], and right() reads them as the generators'
+    full = pgl2(p)
+    assert list(full.columns) == ["T", "U", "V"]
+    for name, g in full.gens.items():
+        assert full.columns[name] == tuple(full.index[x * g] for x in full.elements), name
+        assert full.right(full.index[g]) is full.columns[name]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cold_pgl2_builds_each_walk_product_once_and_no_column_product(p, monkeypatch):
+    # cold pgl2(p) builds at most 3|G| + 4 ProjMats: the identity, T, U, V
+    # and one product x * g per walk edge; the columns of the identity, T, U
+    # and V are then read off the walk with none
+    built = []
+    set_class = ProjMat._set
+
+    def counted(self, *args):
+        built.append(args)
+        set_class(self, *args)
+
+    monkeypatch.setattr(ProjMat, "_set", counted)
+    pgl2.cache_clear()
+    full = pgl2(p)
+    assert len(built) <= 3 * full.order + 4
+    cold = len(built)
+    for g in (full.identity, *full.gens.values()):
+        assert sorted(full.right(full.index[g])) == list(range(full.order))
+    assert len(built) == cold
+
+
+def test_columns_are_cleared_with_pgl2():
+    # the columns are cached on the group, so pgl2.cache_clear() drops them:
+    # afterwards every column, composed or read off the walk, is the new
+    # group's, equal to one cached before the clear and never the same object
+    old = pgl2(5)
+    js = [old.index[old.identity], *map(old.index.__getitem__, old.gens.values()), 7, old.order - 1]
+    cached = [old.right(j) for j in js]
+    pgl2.cache_clear()
+    new = pgl2(5)
+    assert new is not old
+    for j, col in zip(js, cached):
+        assert new.right(j) == col and new.right(j) is not col, j
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -225,23 +280,26 @@ def test_element_orders_divide_group_order(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_right_table_is_right_multiplication(p):
-    # entry i of right_table(g) indexes elements[i] * g, on all of PGL2;
-    # pgl2(p).right(j) is right_table's column of element j
-    elems, index = pgl2(p).elements, pgl2(p).index
+    # entry i of pgl2(p).right(j) indexes elements[i] * elements[j], on all
+    # of PGL2: the identity's column a range, T's, U's and V's read off the
+    # walk, every other composed along the tree and cached
+    full = pgl2(p)
+    elems, index = full.elements, full.index
     assert all(index[g] == i for i, g in enumerate(elems))
-    # T, U and V from products, every other g composed along pgl2(p).tree
+    assert full.right(index[full.identity]) == range(len(elems))
     for j, g in enumerate(elems):
-        table = right_table(g)
-        assert pgl2(p).right(j) is table
+        table = full.right(j)
+        assert full.right(j) is table
         assert sorted(table) == list(range(len(elems)))
-        assert all(elems[j] == x * g for x, j in zip(elems, table))
+        assert all(elems[k] == x * g for x, k in zip(elems, table))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_right_tables_compose(p):
     # R_(gh) is R_g followed by R_h
-    t, u = right_table(t_matrix(p)), right_table(u_matrix(p))
-    assert right_table(t_matrix(p) * u_matrix(p)) == tuple(u[i] for i in t)
+    full = pgl2(p)
+    t, u = full.right(full.index[t_matrix(p)]), full.right(full.index[u_matrix(p)])
+    assert full.right(full.index[t_matrix(p) * u_matrix(p)]) == tuple(u[i] for i in t)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -256,7 +314,7 @@ def test_power_and_left_tables_are_inverse_order_and_left_product(p):
     assert orders == tuple(_order_by_powers(g, p) for g in elems)
     gs = elems if p <= 7 else (t_matrix(p), u_matrix(p), v_matrix(p)) + elems[::10]
     for g in gs:
-        r = right_table(elems[inverse[index[g]]])
+        r = full.right(inverse[index[g]])
         assert [inverse[r[inverse[k]]] for k in range(len(elems))] == [index[g * x] for x in elems], g
         assert full.conj(index[g]) == [index[g.inverse() * x * g] for x in elems], g
         assert full.conj(index[g], [7, 0, 7]) == [index[g.inverse() * elems[k] * g] for k in (7, 0, 7)], g

@@ -45,19 +45,25 @@ def _sampled_corpus(p):
     return CORPORA[p] if p in CORPORA else model_corpus(p)[::7]
 
 
+def matrices(c):
+    """c's values with each number read as its ``ProjMat``, by group element."""
+    elems = pgl2(c.p).elements
+    return {s: (elems[k], w) for s, (k, w) in c.values.items()}
+
+
 def reference_check_cocycle(c):
     """Exhaustive check of xi(st) = xi(s) * twist_s(xi(t)) on all |G|^2
     pairs, the twist by s being conjugation by hat(V) where eps(s) = -1."""
-    grp = c.model.group
+    grp, values = c.model.group, matrices(c)
     hv = v_matrix(c.p).hat()
     for s in grp.elements:
-        gs, ws = c.values[s]
+        gs, ws = values[s]
         twisted = c.model.epsilon(s) == -1
         for t in grp.elements:
-            gt, wt = c.values[t]
+            gt, wt = values[t]
             if twisted:
                 gt = hv * gt * hv
-            gst, wst = c.values[grp.mul(s, t)]
+            gst, wst = values[grp.mul(s, t)]
             if gst != gs * gt or wst != (ws + wt) % 2:
                 return False
     return True
@@ -65,7 +71,7 @@ def reference_check_cocycle(c):
 
 def reference_cohomologous(c1, c2):
     """The first witness in sorted order checked on every group element."""
-    grp = c1.model.group
+    grp, values1, values2 = c1.model.group, matrices(c1), matrices(c2)
     pool = pgl2(c1.p).elements
     if c1.ambient is Ambient.G_NP:
         pool = [g for g in pool if g.det_class == 1]
@@ -74,8 +80,8 @@ def reference_cohomologous(c1, c2):
         ci = cand.inverse()
         ok = True
         for s in grp.elements:
-            g1, w1 = c1.values[s]
-            g2, w2 = c2.values[s]
+            g1, w1 = values1[s]
+            g2, w2 = values2[s]
             if w1 != w2:
                 ok = False
                 break
@@ -121,10 +127,11 @@ def reference_build_xi_values(m, variant, k_char=None):
 
 
 def eta(m):
-    """The basic quadratic cocycle, by ProjMats: the identity where eps = +1,
-    hat(V) where eps = -1, a homomorphism onto a group of order at most 2."""
+    """The basic quadratic cocycle: the identity where eps = +1, hat(V)
+    where eps = -1, a homomorphism onto a group of order at most 2."""
+    index = pgl2(m.p).index
     hv = v_matrix(m.p).hat()
-    values = {s: (ProjMat.identity(m.p) if m.epsilon(s) == 1 else hv, 0) for s in m.group.elements}
+    values = {s: (index[ProjMat.identity(m.p) if m.epsilon(s) == 1 else hv], 0) for s in m.group.elements}
     return Cocycle(model=m, ambient=Ambient.W_NP, values=values)
 
 
@@ -153,7 +160,7 @@ def test_build_xi_matches_projmat_reference(p):
             kinds.append(("plain", {s: m.epsilon(s) for s in m.group.elements}))
         for variant, k_char in kinds:
             want = reference_build_xi_values(m, variant, k_char)
-            assert build_xi(m, variant, k_char).values == want, (m.group.name, p, variant)
+            assert matrices(build_xi(m, variant, k_char)) == want, (m.group.name, p, variant)
             checked += 1
     assert checked > 2 * len(_sampled_corpus(p))
 
@@ -286,7 +293,7 @@ def test_ambient_matches_compatibility():
         xi = build_xi(m)
         if m.det_is_epsilon():
             assert xi.ambient is Ambient.G_NP
-            assert all(g.det_class == 1 for g, _ in xi.values.values())
+            assert all(g.det_class == 1 for g, _ in matrices(xi).values())
         else:
             assert xi.ambient is Ambient.W_NP
 
@@ -313,7 +320,7 @@ def test_k_char_sets_w_bits():
 def test_cocycle_identity_value_trivial():
     for m in CORPUS[:40]:
         xi = build_xi(m)
-        g, w = xi.values[m.group.identity]
+        g, w = matrices(xi)[m.group.identity]
         assert g.is_identity() and w == 0
 
 
@@ -383,7 +390,7 @@ def test_cohomologous_witness_property():
         hv = v_matrix(xi.p).hat()
         for s in m.group.elements:
             tc = hv * cand * hv if m.epsilon(s) == -1 else cand
-            assert xi_p.values[s][0] == cand.inverse() * xi.values[s][0] * tc
+            assert matrices(xi_p)[s][0] == cand.inverse() * matrices(xi)[s][0] * tc
         checked += 1
     assert checked > 0
 
@@ -508,7 +515,7 @@ def test_twist_value_conjugation():
     elems, index = pgl2(xi.p).elements, pgl2(xi.p).index
     ks, ws = _untwisted(xi, m, range(m.group.order))
     assert list(xi.values) == list(m.group.elements)
-    for s, (g, w) in xi.values.items():
+    for s, (g, w) in matrices(xi).items():
         i = m.group.index[s]
         assert (ks[i], ws[i]) == (index[g * hv if m.epsilon(s) == -1 else g], w), s
     assert elems[ks[m.group.index[m.group.identity]]].is_identity()
