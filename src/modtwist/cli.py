@@ -9,7 +9,8 @@ argument parsing: model loading, the computation and its cross-checks.
 Exit codes: 0 success; 1 verified-negative result (e.g. a perfect check that
 legitimately reports False); 2 usage or parse errors, including a malformed
 ``twist-plan --k`` or a ``scan`` flag of the other mode; 3 internal oracle
-mismatches and failed invariants; 4 model validation failures; 5 parity
+mismatches and failed invariants; 4 model validation failures, including a
+``twist-plan --k`` field that no character of the model has; 5 parity
 mismatches between a model and a level.
 A closed stdout does not change the exit code.
 """

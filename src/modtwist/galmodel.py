@@ -7,12 +7,12 @@ character as +-1) and ``rho_ix`` (rho as numbers in ``projgroup.pgl2(p)``)
 are derived once, by group number; a variant is a new model, built from the
 old one's attributes.
 
-A model's group is a ``FiniteGroup``, the ``projgroup.NumberedGroup`` that
-stores right multiplication by every element as a column of numbers, read
-off a table or composed along a spanning tree; labels appear only at the
-boundary.  By the Cayley-graph criterion (proof in ``FiniteGroup``)
-homomorphisms are checked on the generators' columns, as lookups on
-numbers: ``is_homomorphism``, for characters (as bits of Z/2),
+A model's group is a ``FiniteGroup``: the ``projgroup.NumberedGroup`` walk
+of its generators, permutations or a table's labels, with every column of
+numbers composed along it; labels appear only at the boundary, and a group
+never changes once built.  By the Cayley-graph criterion (proof in
+``FiniteGroup``) homomorphisms are checked on the generators' columns, as
+lookups on numbers: ``is_homomorphism``, for characters (as bits of Z/2),
 ``twists.check_cocycle`` and rho and chi in ``validate_model`` (which scans
 all pairs only for a message), a map into a product one factor at a time.
 The homomorphism searches take their target as one numbered group,
@@ -23,6 +23,7 @@ its class.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
@@ -35,54 +36,42 @@ MAX_GROUP_ORDER = 720  # |S6|: a table of |G|^2 entries; S7 would ask for 25M
 
 
 class FiniteGroup(NumberedGroup):
-    """A finite group, its elements numbered 0..n-1 by ``index`` in
-    ``elements`` order (sorted permutations, or a table's order), with every
-    column stored: right(j) = columns[j], whose entry i is the number of
-    elements[i] * elements[j]; inverse[j] is that of elements[j]^-1.
-
-    With generators (``set_generators``), ``tree`` is the breadth-first
-    spanning tree of the Cayley graph with edges x -> x*g, g a generator
-    (``projgroup.spanning_tree``): it maps each element y to (x, name) with
-    y = x * gens[name], the identity to None, in discovery order.
+    """A finite group on the ``NumberedGroup`` walk of its generators, its
+    elements numbered in sorted order (permutations) or in a table's order,
+    with every column composed along the walk as it is built and kept as a
+    list: right(j), whose entry i is the number of elements[i] * elements[j].
 
     Cayley-graph criterion: f into a group is a homomorphism exactly when
     f(x*g) = f(x)*f(g) for every element x and generator g.  Proof of
-    sufficiency: the edge x = 1 gives f(1) = 1.  Each y is a word
-    g_1...g_k (its tree path), and by induction on k,
-    f(x*g_1...g_k) = f(x*g_1...g_(k-1)) * f(g_k)
+    sufficiency: the edge x = 1 of a generator, of which a group has at
+    least one, gives f(1) = 1.  Each y is a word g_1...g_k (its walk path),
+    and by induction on k, f(x*g_1...g_k) = f(x*g_1...g_(k-1)) * f(g_k)
     = f(x) * f(g_1...g_(k-1)) * f(g_k) = f(x) * f(y), the last step being
     the case x = 1 of the same induction.
     """
 
-    def __init__(self, index: dict, columns: list, identity, name="G"):
-        self.elements = tuple(index)
-        self.index = index
-        self.columns = columns
-        self.right = columns.__getitem__
-        self.identity = identity
+    def __init__(self, identity, gens: dict, mul, key=None, max_order=None, name="G"):
+        super().__init__(identity, gens, mul, key, max_order)
         self.name = name
-        self.gens = {}  # generator name -> element
-        self.tree = None
-        e = index[identity]
-        self.inverse = [col.index(e) for col in columns]  # the i with x_i * x_j = 1
+        for j in self.walk:  # every column, each one step from its parent's
+            self.right(j)
+        columns = [list(self._right.pop(j)) for j in range(self.order)]  # lists: map() reads them fastest
+        self.right = columns.__getitem__
+        e = self.index[identity]
+        self.inverse = tuple(col.index(e) for col in columns)  # the i with x_i * x_j = 1
 
     def mul(self, a, b):
-        return self.elements[self.columns[self.index[b]][self.index[a]]]
+        return self.elements[self.right(self.index[b])[self.index[a]]]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {self.order})"
 
-    def set_generators(self, gens: dict) -> None:
-        """Record generators (name -> element) with their spanning tree;
-        ValueError unless they generate."""
-        tree = spanning_tree(self.identity, gens, self.mul)
-        if len(tree) != self.order:
-            raise ValueError("generators do not generate the group")
-        self.gens, self.tree = dict(gens), tree
-
     @classmethod
-    def from_table(cls, elements, table, identity, name="G"):
-        """``table``: dict of dicts, table[a][b] = a*b; ValueError unless a group's."""
+    def from_table(cls, elements, table, identity, gens=None, name="G"):
+        """``table``: dict of dicts, table[a][b] = a*b, numbered in
+        ``elements`` order; ValueError unless a group's.  ``gens`` (name ->
+        element) defaults to every element, named by its str; LookupError
+        unless they are elements (KeyError) that generate."""
         index = {x: i for i, x in enumerate(elements)}
         if len(index) != len(elements):
             raise ValueError("FiniteGroup: the element labels are not distinct")
@@ -95,67 +84,45 @@ class FiniteGroup(NumberedGroup):
         except KeyError:
             raise ValueError("FiniteGroup: the table is not closed") from None
         _check_group_axioms(columns, index[identity])
-        return cls(index, columns, identity, name=name)
+        grp = cls(identity, gens or {str(x): x for x in elements}, lambda a, b: table[a][b],
+                  key=index.__getitem__, name=name)
+        if grp.order != len(index):
+            raise LookupError("generators do not generate the group")
+        return grp
 
     @classmethod
     def from_permutations(cls, gen_perms: dict, name="G"):
         """Group generated by permutations (tuples mapping i -> perm[i]);
         associative by construction.  ValueError for a group of order above
-        MAX_GROUP_ORDER, raised while it is enumerated, before the table.
-        Only the spanning-tree walk composes; it gives the generators'
-        columns, and R_(x*g) is R_g composed after R_x along the tree."""
+        MAX_GROUP_ORDER, raised while it is walked, before any column is
+        composed."""
         if not gen_perms:
             raise ValueError("from_permutations: need at least one generator")
         n = len(next(iter(gen_perms.values())))
         for p in gen_perms.values():
             if sorted(p) != list(range(n)):
                 raise ValueError(f"from_permutations: invalid permutation {p}")
-        gens = {gname: tuple(p) for gname, p in gen_perms.items()}
-        ident = tuple(range(n))
-        targets = []  # x * g for x in discovery order, g in generator order
-
-        def compose(x, g):
-            targets.append(_compose(x, g))
-            return targets[-1]
-
-        tree = spanning_tree(ident, gens, compose, max_order=MAX_GROUP_ORDER)
-        index = {x: i for i, x in enumerate(sorted(tree))}
-        step = {gname: [0] * len(index) for gname in gens}
-        for (x, gname), y in zip(itertools.product(tree, gens), targets):
-            step[gname][index[x]] = index[y]
-        columns = [None] * len(index)
-        columns[index[ident]] = list(range(len(index)))
-        for y, (x, gname) in itertools.islice(tree.items(), 1, None):
-            columns[index[y]] = list(map(step[gname].__getitem__, columns[index[x]]))
-        g = cls(index, columns, ident, name=name)
-        g.gens, g.tree = gens, tree  # the walk is the generators' spanning tree
-        return g
-
-    def generators(self) -> tuple:
-        """The generator elements; ValueError for a group without any, on
-        which a check over generators would pass vacuously."""
-        if not self.gens:
-            raise ValueError(f"{self.name}: group has no generators")
-        return tuple(self.gens.values())
+        return cls(tuple(range(n)), {gname: tuple(p) for gname, p in gen_perms.items()}, _compose,
+                   max_order=MAX_GROUP_ORDER, name=name)
 
     def generator_names(self) -> list:
-        """The sorted names of the generators on the tree's edges."""
-        if self.tree is None:
-            raise ValueError(f"{self.name}: group has no generators")
-        return sorted({edge[1] for edge in self.tree.values() if edge is not None})
+        """The sorted names of the generators on the walk's edges."""
+        return sorted(set(self.step) - {None})
 
     def extend_generator_map(self, gen_values: dict, op, one):
-        """Extend a map defined on generator names along the spanning tree:
-        value(1) = one, value(x*g) = op(value(x), gen_values[g]) on each tree
-        edge, that is the product along the word.  The result is NOT always a
-        homomorphism: by the Cayley-graph criterion it is one exactly when
-        this holds on every edge, which ``is_homomorphism`` tests."""
+        """Extend a map defined on generator names along the walk: value(1) =
+        one, value(x*g) = op(value(x), gen_values[g]) on each tree edge, that
+        is the product along the word, keyed in walk order.  The result is
+        NOT always a homomorphism: by the Cayley-graph criterion it is one
+        exactly when this holds on every edge, which ``is_homomorphism``
+        tests."""
         missing = set(self.generator_names()) - set(gen_values)
         if missing:
             raise ValueError(f"extend_generator_map: no value for generator(s) {sorted(missing)}")
-        out = {}
-        for y, edge in self.tree.items():
-            out[y] = one if edge is None else op(out[edge[0]], gen_values[edge[1]])
+        elements, parent, step = self.elements, self.parent, self.step
+        out = {elements[self.walk[0]]: one}
+        for j in self.walk[1:]:
+            out[elements[j]] = op(out[elements[parent[j]]], gen_values[step[j]])
         return out
 
     def is_homomorphism(self, f, table) -> bool:
@@ -165,10 +132,9 @@ class FiniteGroup(NumberedGroup):
         f[R_g[x]] = table(f[g])[f[x]] along each generator column R_g, two
         C-level maps of the column compared per generator.
         A map into a product is a homomorphism exactly when each factor is
-        one, so product targets are checked a factor at a time.  ValueError
-        without generators."""
-        return all(list(map(f.__getitem__, self.columns[j])) == list(map(table(f[j]).__getitem__, f))
-                   for j in map(self.index.__getitem__, self.generators()))
+        one, so product targets are checked a factor at a time."""
+        return all(list(map(f.__getitem__, self.right(j))) == list(map(table(f[j]).__getitem__, f))
+                   for j in map(self.index.__getitem__, self.gens.values()))
 
 
 def _compose(a, b):
@@ -195,8 +161,8 @@ def _check_group_axioms(right: list, e: int) -> None:
                 raise ValueError("FiniteGroup: associativity fails")
 
 
-# {1, -1} under multiplication, numbered 1 -> 0, -1 -> 1: the w bits are its numbers
-SIGNS = FiniteGroup({1: 0, -1: 1}, [[0, 1], [1, 0]], 1, name="+-1")
+# {1, -1} under multiplication, numbered 1 -> 0, -1 -> 1 (by -x): the w bits are its numbers
+SIGNS = FiniteGroup(1, {"-1": -1}, operator.mul, key=operator.neg, name="+-1")
 
 
 def trivial_group() -> FiniteGroup:
@@ -286,7 +252,7 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
     (on PGL2 indices) and chi (on residues) are checked apart, a map into a
     product being a homomorphism when each factor is; all pairs are scanned
     for the first failing one only where ``is_homomorphism`` rejects one of
-    them, or the group has no generators."""
+    them."""
     if not (m.p > 2 and is_prime(m.p)):
         return [f"p = {m.p} is not an odd prime"]
     g = m.group
@@ -302,11 +268,11 @@ def validate_model(m: FiniteGaloisModel) -> list[str]:
             errs.append(f"chi({x}) = {m.chi[x]} is not a unit mod {m.p}")
     target = pgl2(m.p)  # number(rho(a) rho(b)) = R_rho(b)[number(rho(a))]
     rho, chi = m.rho_ix, [m.chi[x] % m.p for x in g.elements]
-    if not (g.gens and g.is_homomorphism(rho, target.right)
+    if not (g.is_homomorphism(rho, target.right)
             and g.is_homomorphism(chi, lambda c: [x * c % m.p for x in range(m.p)])):
         tables = [target.right(k) for k in rho]
         for a, (rho_a, chi_a) in enumerate(zip(rho, chi)):
-            for b, col in enumerate(g.columns):
+            for b, col in enumerate(map(g.right, range(g.order))):
                 ab = col[a]
                 if rho[ab] != tables[b][rho_a]:
                     return errs + [f"rho is not a homomorphism at ({g.elements[a]}, {g.elements[b]})"]
@@ -341,7 +307,7 @@ def all_homs_to_pgl2(group: FiniteGroup, p: int) -> list[dict]:
 
 def all_quadratic_characters(group: FiniteGroup) -> list[dict]:
     """All homomorphisms group -> {1, -1}, searched by ``_homs`` in ``SIGNS``,
-    which has no generators to conjugate by."""
+    whose one generator, -1, is central: each orbit is one character."""
     return _homs(group, SIGNS)
 
 
@@ -353,23 +319,23 @@ def _candidates(group: FiniteGroup, gens: list, orders) -> list[list[int]]:
 
 def _homs(group: FiniteGroup, target: NumberedGroup) -> list[dict]:
     """The homomorphisms into ``target``, in ``itertools.product`` order over
-    the generators' ``_candidates``, keys in ``tree`` order.
+    the generators' ``_candidates``, keys in ``walk`` order.
 
     The first generator's candidates fall into orbits under conjugation by
     the target's generators, permutations that are automorphisms, along
     ``spanning_tree``; only each orbit's first member a is walked.  The second
     generator's b is walked only if the order of b*a = R_a[b], conjugate to
     a*b, divides that of g1*g2, as a homomorphism needs; later generators
-    take every candidate.  Each walk visits the numbers in tree order, sets
-    f[R_g[i]] = R_(f(g))[f[i]] on tree edges, R_g a generator's column of
+    take every candidate.  Each walk visits the numbers in the group's walk
+    order, sets f[R_g[i]] = R_(f(g))[f[i]] on tree edges, R_g a generator's column of
     ``group``, and compares it on all others, failing at the first mismatch:
     exact by the Cayley-graph criterion.  An automorphism c maps the
     homomorphisms with f(g1) = x one to one onto those with f(g1) = c[x], so
     composing along each orbit's tree finds every homomorphism exactly once."""
-    order = [group.index[x] for x in group.tree]
+    order = group.walk
     gens, one = [group.gens[name] for name in group.generator_names()], target.index[target.identity]
     if not gens:
-        return [{x: target.identity for x in group.tree}]
+        return [{group.elements[i]: target.identity for i in order}]
     keys = [group.index[x] for x in gens]
     cols = [group.right(j) for j in keys]
     orders = target.orders
@@ -395,7 +361,7 @@ def _homs(group: FiniteGroup, target: NumberedGroup) -> list[dict]:
 
 
 def _walk(order: list, steps: list, one: int) -> list | None:
-    """f over the numbers, or None; ``order`` puts a tree parent first."""
+    """f over the numbers, or None; ``order`` puts a walk parent first."""
     f = [None] * len(order)
     f[order[0]] = one
     for i in order:

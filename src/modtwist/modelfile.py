@@ -26,7 +26,7 @@ the extensions are re-validated on the whole group.
 
 Either group may carry an optional string "name" (default "G").  Models
 whose permutation generators (in JSON order) and name are equal share one
-``FiniteGroup``, built once per process, so a parsed group is read-only.
+``FiniteGroup``, built once per process: a group does not change once built.
 """
 from __future__ import annotations
 
@@ -100,26 +100,22 @@ def _build_group(spec: dict) -> FiniteGroup:
             isinstance(gen_map, dict) and all(isinstance(v, str) for v in gen_map.values())
         ):
             raise ModelParseError("group.generators must be an object of element labels")
-        try:
-            grp = FiniteGroup.from_table(elements, table, identity, name=name)
-        except (KeyError, ValueError) as exc:
-            raise ModelParseError(f"bad multiplication table: {exc}") from exc
-        try:
-            # without generators every element is its own generator
-            grp.set_generators(dict(gen_map) if gen_map else {str(x): x for x in elements})
-        except (KeyError, ValueError) as exc:
+        try:  # without generators every element is its own generator
+            return FiniteGroup.from_table(elements, table, identity, gen_map, name=name)
+        except LookupError as exc:
             raise ModelParseError(f"bad generators: {exc}") from exc
-        return grp
+        except ValueError as exc:
+            raise ModelParseError(f"bad multiplication table: {exc}") from exc
     raise ModelParseError(f"unknown group type {kind!r}")
 
 
 def parse_model(source: str | Path) -> FiniteGaloisModel:
-    """Parse a model: a ``Path`` is read as a file, a ``str`` is the JSON
-    text itself."""
-    text = source.read_text() if isinstance(source, Path) else source
+    """Parse a model: a ``Path`` is read as a UTF-8 file, a ``str`` is the
+    JSON text itself.  Bytes that are not UTF-8, nesting past the recursion
+    limit and an integer past ``int``'s digit limit are not valid JSON."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(source.read_text(encoding="utf-8") if isinstance(source, Path) else source)
+    except (ValueError, RecursionError) as exc:
         raise ModelParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelParseError("model file must be a JSON object")

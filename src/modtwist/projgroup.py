@@ -11,16 +11,18 @@ prime is a ValueError.  Matrices enter as integers and leave as printed
 entries; sweeps in between move numbers.
 
 A ``NumberedGroup`` (``galmodel.FiniteGroup``, or ``pgl2(p)``, the sorted
-classes) is read through its right regular representation, with conjugation
-and centralizers written once over it.  PGL2's column j, ``right(j)``, is a
-range for the identity, the numbering walk's own products for T, U and V,
-else one step R_(x * gen)[s] = R_gen[R_x[s]] along its tree, cached on the
-group.  Its subgroups, ``psl2(p)``, centralizers and ``extgroup.wgroup``'s
+classes) is built by one walk of its generators, which numbers it, and read
+through its right regular representation, with conjugation and centralizers
+written once over it.  Column j, ``right(j)``, is a range for the identity,
+the walk's own products for a generator, else one step
+R_(x * gen)[s] = R_gen[R_x[s]] along its tree, cached on the group.  The
+subgroups of ``pgl2(p)``, ``psl2(p)``, centralizers and ``extgroup.wgroup``'s
 image, are sets of those numbers.  ``spanning_tree`` is the one breadth-first
 search of a Cayley graph.
 """
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
 
 from .arith import invariant, kronecker, least_nonsquare, residue_tables
@@ -130,17 +132,62 @@ class NumberedGroup:
     back), held as its right regular representation (Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005): ``right(j)`` is
     the column of right multiplication by element j, entry i the number of
-    elements[i] * elements[j]; ``inverse[j]`` is the number of
-    elements[j]^-1, ``orders[j]`` its order, ``identity`` an element and
-    ``gens`` the generators.  Left multiplication L_x = inv R_(x^-1) inv,
-    conjugation and centralizers are read off the columns here, for
-    ``galmodel.FiniteGroup``, which stores them all, and for ``PGL2``, which
-    composes and caches them on demand.
+    elements[i] * elements[j]; ``inverse[j]`` numbers elements[j]^-1 and
+    ``orders[j]`` is its order.  Left multiplication L_x = inv R_(x^-1) inv,
+    conjugation and centralizers are read off the columns.
+
+    Every group is one breadth-first walk (``spanning_tree``'s) from
+    ``identity`` under ``gens`` (name -> element, at least one),
+    x -> mul(x, g), one object per ``key`` (default the element), numbered
+    in ``key`` order; ValueError past ``max_order`` elements.  The walk's
+    products are ``columns[name]``; ``walk`` is its discovery order by
+    number, and elements[j] = elements[parent[j]] * gens[step[j]] (None at
+    the identity).  Other columns are composed along the tree and cached.
     """
+
+    def __init__(self, identity, gens: dict, mul, key=None, max_order: int | None = None) -> None:
+        if not gens:
+            raise ValueError("a group needs at least one generator")
+        key = key or (lambda x: x)
+        self.identity, self.gens = identity, dict(gens)
+        found, number, targets = [identity], {key(identity): 0}, []
+
+        def product(k: int, g) -> int:  # found[k] * g by discovery number, recorded
+            y = mul(found[k], g)
+            n = number.setdefault(key(y), len(found))
+            if n == len(found):
+                found.append(y)
+            targets.append(n)
+            return n
+
+        tree = spanning_tree(0, self.gens, product, max_order)
+        ids = list(range(len(found)))  # one int object per number, for index, columns and tree
+        order = sorted(ids, key=list(number).__getitem__)
+        rank = sorted(ids, key=order.__getitem__)  # rank[k] numbers found[k]
+        self.elements = tuple(map(found.__getitem__, order))
+        self.index = dict(zip(self.elements, ids))
+        width = len(self.gens)  # targets[width * k + i] numbers found[k] * gen i
+        self.columns = {name: tuple(map(rank.__getitem__, map(targets[i::width].__getitem__, order)))
+                        for i, name in enumerate(self.gens)}
+        edges = list(map(tree.__getitem__, order))
+        self.walk = tuple(rank)
+        self.parent = tuple(None if e is None else rank[e[0]] for e in edges)
+        self.step = tuple(None if e is None else e[1] for e in edges)
+        self._right = {self.index[g]: self.columns[name] for name, g in self.gens.items()}
+        self._right[self.index[identity]] = range(len(order))
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def right(self, j: int) -> tuple[int, ...] | range:
+        """Column j, cached: R_step[R_parent], one step along the tree; a
+        range for the identity, the walk's own products for a generator."""
+        col = self._right.get(j)
+        if col is None:
+            step = self.columns[self.step[j]]
+            col = self._right[j] = tuple(map(step.__getitem__, self.right(self.parent[j])))
+        return col
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -175,48 +222,14 @@ class NumberedGroup:
 
 
 class PGL2(NumberedGroup):
-    """PGL2(F_p), its ``ProjMat``s numbered in sorted order: the vertices of
-    the spanning tree of T, U and V (v the least non-square mod p), walked
-    once, one object per class.  The walk's products give ``columns[name]``
-    and the tree by number, elements[j] = elements[parent[j]] * gens[step[j]]
-    (None at the identity); other columns are composed on demand and cached,
-    as the full table would hold (p^3 - p)^2 entries, 886 million at p = 31."""
+    """PGL2(F_p): the walk of T, U and V (v the least non-square mod p), its
+    ``ProjMat``s numbered by ``rep``, as ``ProjMat.__lt__`` sorts them.  The
+    full table would hold (p^3 - p)^2 entries, 886 million at p = 31."""
 
     def __init__(self, p: int) -> None:
         self.p = p
-        self.identity = ProjMat.identity(p)
-        self.gens = {"T": t_matrix(p), "U": u_matrix(p), "V": v_matrix(p)}
-        found, number, targets = [self.identity], {self.identity.rep: 0}, []
-
-        def product(k: int, g: ProjMat) -> int:  # found[k] * g by discovery number, recorded
-            y = found[k] * g
-            n = number.setdefault(y.rep, len(found))
-            if n == len(found):
-                found.append(y)
-            targets.append(n)
-            return n
-
-        tree = spanning_tree(0, self.gens, product)
-        ids = list(range(len(found)))  # one int object per number, for index, columns and tree
-        order = sorted(ids, key=list(number).__getitem__)  # by rep, as ProjMat.__lt__
-        rank = sorted(ids, key=order.__getitem__)  # rank[k] numbers found[k]
-        self.elements = tuple(map(found.__getitem__, order))
-        self.index = dict(zip(self.elements, ids))
-        self.columns = {name: tuple(map(rank.__getitem__, map(targets[i::3].__getitem__, order)))
-                        for i, name in enumerate(self.gens)}  # targets[3k + i] numbers found[k] * gen i
-        edges = list(map(tree.__getitem__, order))
-        self.parent = tuple(None if e is None else rank[e[0]] for e in edges)
-        self.step = tuple(None if e is None else e[1] for e in edges)
-        self._right = {self.index[g]: self.columns[name] for name, g in self.gens.items()}
-        self._right[self.index[self.identity]] = range(len(order))
-
-    def right(self, j: int) -> tuple[int, ...] | range:
-        """Column j, cached: R_step[R_parent], one step along the tree."""
-        col = self._right.get(j)
-        if col is None:
-            step = self.columns[self.step[j]]
-            col = self._right[j] = tuple(map(step.__getitem__, self.right(self.parent[j])))
-        return col
+        super().__init__(ProjMat.identity(p), {"T": t_matrix(p), "U": u_matrix(p), "V": v_matrix(p)},
+                         ProjMat.__mul__, key=operator.attrgetter("rep"))
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:

@@ -91,7 +91,7 @@ def check_cocycle(c: Cocycle) -> bool:
     homomorphism into PGL2 x Z/2 (Serre, Galois Cohomology, I.5.3), that is
     when both factors are, which ``FiniteGroup.is_homomorphism`` decides on
     the |G|*|gens| Cayley-graph edges: the PGL2 part on indices, the w part
-    on bits.  ValueError on a group without generators.
+    on bits.
     """
     grp = c.model.group
     ks, ws = _untwisted(c, c.model, range(len(grp.elements)))
@@ -153,14 +153,13 @@ def cohomologous(c1: Cocycle, c2: Cocycle):
     order: PSL2 for G(N,p), PGL2 for W(N,p).  For c1, c2 cocycles under
     that twist and eps a homomorphism, the s where this holds form a
     subgroup, so the candidates are cut down on each generator in turn.
-    ValueError without generators.
     """
     if c1.model is not c2.model and c1.model.group is not c2.model.group:
         raise ValueError("cohomologous: cocycles live over different models")
     if c1.ambient != c2.ambient or c1.p != c2.p:
         raise ValueError("cohomologous: mismatched ambients")
     grp = c1.model.group
-    gens = [grp.index[s] for s in grp.generators()]
+    gens = [grp.index[s] for s in grp.gens.values()]
     (k1, w1), (k2, w2) = (_untwisted(c, c1.model, gens) for c in (c1, c2))
     if w1 != w2:
         return None
@@ -177,10 +176,9 @@ class CentralizerVerdict(Enum):
 
 def centralizer_verdict(m: FiniteGaloisModel) -> CentralizerVerdict:
     """Type of the centralizer of the image of rho inside PGL2(F_p): that of
-    the images of the generators, which generate the image.  ValueError on a
-    group without generators."""
+    the images of the generators, which generate the image."""
     full = pgl2(m.p)
-    cen = full.centralizer(full.index[m.rho[g]] for g in m.group.generators())
+    cen = full.centralizer(full.index[m.rho[g]] for g in m.group.gens.values())
     if len(cen) == 1:
         return CentralizerVerdict.TRIVIAL
     if all(full.elements[k].det_class == 1 for k in cen):
@@ -252,10 +250,15 @@ def twist_plan(
     rho is; so is its primed conjugate, and a chi_k part is a validated
     character (Serre, Galois Cohomology, I.5.3).
     Raises ParityError when det rho does not match the case of the level
-    (cyclotomic needs det rho = eps; non-cyclotomic needs det rho != eps).
+    (cyclotomic needs det rho = eps; non-cyclotomic needs det rho != eps),
+    and ValueError first for a field of ``k_fields`` that no character of m
+    has, at every level.
     """
     if m.p != level.p:
         raise ValueError(f"twist_plan: model characteristic {m.p} != level p {level.p}")
+    for k in k_fields:
+        if k not in {qc.field for qc in m.characters.values()}:
+            raise ValueError(f"model has no character with field {k}")
     N, p = level.N, level.p
     if m.det_is_epsilon() != level.cyclotomic:
         need = "=" if level.cyclotomic else "!="

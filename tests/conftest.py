@@ -1,7 +1,8 @@
 """Shared test helpers: generator words, conjugacy classes, subgroup
 closures, model variants, the cocycle perturbations and their check, the
-order-18 table groups, malformed table-group model files and model files
-with booleans for integers; and the fixed Hypothesis profile."""
+order-18 table groups, malformed table-group model files, model files
+with booleans for integers and model file bytes that are no JSON text;
+and the fixed Hypothesis profile."""
 import operator
 
 import pytest
@@ -18,12 +19,12 @@ settings.load_profile("modtwist")
 
 
 def _tree_words(group) -> dict:
-    """Each element, in the spanning tree's discovery order, spelled as the
-    generator names along its tree path."""
+    """Each element, in the walk's discovery order, spelled as the generator
+    names along its tree path (``parent`` and ``step``, by number)."""
     words = {}
-    for y, edge in group.tree.items():
-        words[y] = () if edge is None else words[edge[0]] + (edge[1],)
-    return words
+    for j in group.walk:
+        words[j] = () if group.parent[j] is None else words[group.parent[j]] + (group.step[j],)
+    return {group.elements[j]: word for j, word in words.items()}
 
 
 @pytest.fixture
@@ -200,3 +201,13 @@ def boolean_models():
         "boolean_chi": {**doc, "chi": {"s": True}},
         "boolean_character": {**doc, "characters": {"k": {"values": {"s": True}}}},
     }
+
+
+# model file bytes, by name, that are no JSON text a parser can return: not
+# UTF-8, nested past the recursion limit, and an integer past int's
+# 4,300-digit string limit; imported by the parser and CLI tests
+UNREADABLE_MODEL_BYTES = {
+    "not_utf8": b'{"p": 3, "group": "\xff"}',
+    "nested": b"[" * 200_000 + b"]" * 200_000,
+    "long_integer": b'{"p": ' + b"7" * 5000 + b"}",
+}

@@ -61,6 +61,10 @@ CATALOGUE = (
            "tuple(map(step.__getitem__, self.right(self.parent[j])))",
            "tuple(map(self.right(self.parent[j]).__getitem__, step))",
            ("tests/test_projgroup.py::test_right_table_is_right_multiplication",)),
+    Mutant("walk_numbers_in_discovery_order", "projgroup.py",
+           "order = sorted(ids, key=list(number).__getitem__)", "order = ids",
+           ("tests/test_projgroup.py::test_pgl2_numbers_the_vertices_of_its_tree",
+            GALMODEL + "test_table_group_keeps_the_table_numbering")),
     Mutant("walk_column_under_the_wrong_generator", "projgroup.py",
            "for i, name in enumerate(self.gens)}", "for i, name in zip((0, 1, 1), self.gens)}",
            ("tests/test_projgroup.py::test_walk_columns_are_the_generator_products",
@@ -95,14 +99,14 @@ CATALOGUE = (
            "return tuple(a[i] for i in b)", "return tuple(b[i] for i in a)",
            (GALMODEL + "test_permutation_table_is_composition",)),
     Mutant("group_inverse_is_the_identity_map", "galmodel.py",
-           "self.inverse = [col.index(e) for col in columns]", "self.inverse = list(range(len(columns)))",
+           "tuple(col.index(e) for col in columns)", "tuple(range(len(columns)))",
            (GALMODEL + "test_group_inverses_and_identity",)),
     Mutant("from_table_transposed", "galmodel.py",
-           "columns = [[index[table[a][b]] for a in index] for b in index]",
-           "columns = [[index[table[b][a]] for a in index] for b in index]",
+           "lambda a, b: table[a][b]", "lambda a, b: table[b][a]",
            (GALMODEL + "test_from_table_matches_reference",)),
     Mutant("extend_generator_map_multiplies_on_the_left", "galmodel.py",
-           "op(out[edge[0]], gen_values[edge[1]])", "op(gen_values[edge[1]], out[edge[0]])",
+           "op(out[elements[parent[j]]], gen_values[step[j]])",
+           "op(gen_values[step[j]], out[elements[parent[j]]])",
            (GALMODEL + "test_extend_generator_map_is_the_word_product",)),
     # the search up to conjugacy
     Mutant("search_result_unsorted", "galmodel.py",
@@ -123,8 +127,8 @@ CATALOGUE = (
            (GALMODEL + "test_candidates_are_the_images_of_dividing_order",)),
     # homomorphism and cocycle checks, model validation
     Mutant("is_homomorphism_checks_the_first_generator_only", "galmodel.py",
-           "map(self.index.__getitem__, self.generators()))",
-           "map(self.index.__getitem__, self.generators()[:1]))",
+           "map(self.index.__getitem__, self.gens.values()))",
+           "map(self.index.__getitem__, list(self.gens.values())[:1]))",
            (GALMODEL + "test_is_homomorphism_walks_every_generator",)),
     Mutant("check_cocycle_without_the_w_part", "twists.py",
            "and grp.is_homomorphism(ws, SIGNS.right))", "and True)",

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import UNREADABLE_MODEL_BYTES
 from modtwist import cli, galmodel, selftest
 from modtwist.arith import InvariantError, kronecker
 from modtwist.cli import (
@@ -463,6 +464,17 @@ def test_malformed_model_is_usage_error(
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["centralizer", "cocycle-check", "twist-plan 4 3"])
+def test_model_file_that_is_no_json_text_is_usage_error(capsys, tmp_path, command):
+    # bytes that are not UTF-8, nesting past the recursion limit and a
+    # 5,000-digit integer give an error line, not a traceback
+    for name, data in UNREADABLE_MODEL_BYTES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert main([*command.split(), str(path)]) == EXIT_USAGE, name
+        assert capsys.readouterr().err.startswith("error: not valid JSON: "), name
+
+
 # conj = s has order 3 and chi(conj) = 1: two validation errors
 TWO_ERROR_MODEL = {
     "p": 3,
@@ -545,6 +557,15 @@ TWO_ERROR_MODEL = {
         pytest.param(["cocycle-check", "{dir}/incompatible_k.json", "--k", "k"], EXIT_PARITY,
                      "error: build_xi: chi_k components require det rho = eps (cyclotomic)\n",
                      id="k_parity"),
+        # a field that no character of the model has, at every level, before the parity check
+        pytest.param(["twist-plan", "4", "3", "{dir}/good.json", "--k", "7"], EXIT_MODEL,
+                     "error: model has no character with field 7\n", id="twist_plan_unknown_field"),
+        pytest.param(["twist-plan", "2", "3", "{dir}/incompatible_k.json", "--k=-1,5"], EXIT_MODEL,
+                     "error: model has no character with field 5\n",
+                     id="twist_plan_unknown_field_non_cyclotomic"),
+        pytest.param(["twist-plan", "2", "3", "{dir}/good.json", "--k", "7"], EXIT_MODEL,
+                     "error: model has no character with field 7\n",
+                     id="twist_plan_unknown_field_parity"),
         pytest.param(["twist-plan", "4", "3", "{dir}/good.json", "--k", "x"], EXIT_USAGE,
                      "error: --k must be comma-separated integers, got 'x'\n", id="non_integer_k"),
         pytest.param(["structure", "3", "37"], EXIT_USAGE,

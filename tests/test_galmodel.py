@@ -34,7 +34,7 @@ from modtwist.galmodel import (
     validate_model,
 )
 from modtwist import galmodel
-from modtwist.projgroup import ProjMat, pgl2, spanning_tree, t_matrix
+from modtwist.projgroup import NumberedGroup, ProjMat, pgl2, spanning_tree, t_matrix
 from modtwist.twists import model_corpus
 
 STORED_MODELS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "data").glob("models_p*.jsonl"))
@@ -175,21 +175,23 @@ def _generated(gens, mul, one) -> set:
 
 
 def _assert_is_the_group(g, elements, product, inverse, gens):
-    """g numbers ``elements`` in this order, and its table, inverses and
-    tree are those of ``product(i, j)``, the number of elements[i] *
+    """g numbers ``elements`` in this order, and its columns, inverses and
+    walk are those of ``product(i, j)``, the number of elements[i] *
     elements[j], on all pairs, of ``inverse(i)`` and of the generators
-    ``gens``."""
+    ``gens``: the walk is the spanning tree's, by number."""
     n = len(elements)
     assert g.elements == tuple(elements) and g.index == {x: i for i, x in enumerate(elements)}
-    assert g.columns == [[product(i, j) for i in range(n)] for j in range(n)]
-    assert [g.right(j) for j in range(n)] == g.columns
-    assert g.inverse == [inverse(i) for i in range(n)]
+    assert [list(g.right(j)) for j in range(n)] == [[product(i, j) for i in range(n)] for j in range(n)]
+    assert g.inverse == tuple(inverse(i) for i in range(n))
     assert g.gens == gens
 
     def mul(a, b):
         return elements[product(g.index[a], g.index[b])]
 
-    assert list(g.tree.items()) == list(spanning_tree(g.identity, gens, mul).items())
+    tree = spanning_tree(g.identity, gens, mul)
+    assert [g.elements[j] for j in g.walk] == list(tree)
+    assert [(g.parent[g.index[y]], g.step[g.index[y]]) for y in tree] == [
+        (None, None) if edge is None else (g.index[edge[0]], edge[1]) for edge in tree.values()]
 
 
 def _permutation_groups() -> list:
@@ -238,8 +240,7 @@ def test_from_table_matches_reference(z18_tables):
          (s3.identity, 0), {"s": ((1, 0, 2), 0), "t": ((1, 2, 0), 1)}),
     ]
     for elements, table, identity, gens in tables:
-        g = FiniteGroup.from_table(elements, table, identity)
-        g.set_generators(gens)
+        g = FiniteGroup.from_table(elements, table, identity, gens)
         index = {x: i for i, x in enumerate(elements)}
         _assert_is_the_group(
             g, elements, lambda i, j: index[table[elements[i]][elements[j]]],
@@ -399,10 +400,11 @@ def _assert_validates_as_the_reference(cases, validate):
 
 @functools.lru_cache(maxsize=None)
 def _without_generators(g):
-    """A table group with g's elements, in g's order, and no generators, on
-    which ``validate_model`` scans all pairs."""
+    """A table group with g's elements, in g's order, built without
+    generators, so that every element is one: ``is_homomorphism`` reads
+    every pair there."""
     table = {a: {b: g.mul(a, b) for b in g.elements} for a in g.elements}
-    return FiniteGroup.from_table(g.elements, table, g.identity, g.name)
+    return FiniteGroup.from_table(g.elements, table, g.identity, name=g.name)
 
 
 def test_validate_model_matches_reference_on_corrupted_corpus(corrupted_corpus3):
@@ -420,9 +422,10 @@ def test_validate_model_matches_reference_on_corrupted_corpus_p5(variant):
 
 
 def test_validate_model_scans_all_pairs_without_generators(corrupted_corpus3, variant):
-    # model_corpus(3) also on a table group without generators, where
-    # validate_model scans all pairs without is_homomorphism first
-    assert not _without_generators(model_corpus(3)[0].group).gens
+    # model_corpus(3) also on a table group built without generators, whose
+    # every element is one, so that is_homomorphism scans all pairs
+    grp = model_corpus(3)[0].group
+    assert list(_without_generators(grp).gens.values()) == list(grp.elements)
     _assert_validates_as_the_reference(
         corrupted_corpus3, lambda mm: validate_model(variant(mm, group=_without_generators(mm.group))))
 
@@ -621,9 +624,8 @@ def _s3_table_group():
     s3 = symmetric_group(3)
     label = {x: "".join(map(str, x)) for x in s3.elements}
     table = {label[x]: {label[y]: label[s3.mul(x, y)] for y in s3.elements} for x in s3.elements}
-    g = FiniteGroup.from_table(list(table), table, label[s3.identity], name="S3table")
-    g.set_generators({"t": "120", "s": "102"})
-    return g
+    return FiniteGroup.from_table(list(table), table, label[s3.identity], {"t": "120", "s": "102"},
+                                  name="S3table")
 
 
 SEARCH_GROUPS = [
@@ -640,6 +642,65 @@ Q8 = FiniteGroup.from_permutations(
     {"i": (1, 4, 7, 2, 5, 0, 3, 6), "j": (2, 3, 4, 5, 6, 7, 0, 1)}, name="Q8")
 
 
+def test_table_group_keeps_the_table_numbering():
+    # labels listed neither sorted nor in the order the generators reach
+    # them are numbered by their place in the list: the walk's key
+    s3 = _s3_table_group()
+    labels = ["201", "012", "210", "120", "021", "102"]
+    table = {a: {b: s3.mul(a, b) for b in labels} for a in labels}
+    g = FiniteGroup.from_table(labels, table, "012", {"t": "120", "s": "102"})
+    assert g.elements == tuple(labels) and g.index == {x: i for i, x in enumerate(labels)}
+    assert [g.elements[j] for j in g.walk] != labels != sorted(labels)
+    assert all(g.elements[g.right(j)[i]] == table[x][y]
+               for i, x in enumerate(labels) for j, y in enumerate(labels))
+
+
+def _walk_cases():
+    """(group, the same elements walked from every element as generators),
+    for the permutation and table groups of the searches and pgl2(3), (5)."""
+    cases = [pytest.param(g, _without_generators(g), id=g.name) for g in SEARCH_GROUPS + [C2_CUBED, Q8]]
+    for p in (3, 5):
+        full = pgl2(p)
+        every = {str(x): x for x in full.elements}
+        whole = NumberedGroup(full.identity, every, operator.mul, key=operator.attrgetter("rep"))
+        cases.append(pytest.param(full, whole, id=f"PGL2-{p}"))
+    return cases
+
+
+@pytest.mark.parametrize("group, whole", _walk_cases())
+def test_walking_from_the_generators_or_every_element_numbers_alike(group, whole):
+    # the walk of every element reaches each in one step and numbers them by
+    # key as the walk of the generators does: the same elements, numbers and
+    # columns, whatever the tree
+    assert len(whole.gens) == whole.order == group.order and whole.gens != group.gens
+    assert whole.elements == group.elements and whole.index == group.index
+    assert [whole.right(j) for j in range(group.order)] == [group.right(j) for j in range(group.order)]
+
+
+def _walked_groups(z18):
+    """(group, its law on elements), the law not read off the group: pgl2(p)
+    for p = 3..13, the permutation groups and the table groups."""
+    out = [(pgl2(p), operator.mul) for p in (3, 5, 7, 11, 13)]
+    out += [(g, _compose) for g in SEARCH_GROUPS + [C2_CUBED, Q8, symmetric_group(5)] if g.name != "S3table"]
+    s3 = _s3_table_group()
+    perm = {x: tuple(map(int, x)) for x in s3.elements}
+    out.append((s3, lambda a, b: "".join(map(str, _compose(perm[a], perm[b])))))
+    out.append((FiniteGroup.from_table(range(18), z18, 0, {"g": 1}), lambda a, b: (a + b) % 18))
+    return out
+
+
+def test_walk_lists_each_number_once_with_its_parent_first(z18_tables):
+    # walk is a permutation of the numbers from the identity's, every parent
+    # comes before its child, and parent and step rebuild every element
+    for g, law in _walked_groups(z18_tables[0]):
+        assert sorted(g.walk) == list(range(g.order)) and g.walk[0] == g.index[g.identity]
+        place = {j: i for i, j in enumerate(g.walk)}
+        assert (g.parent[g.walk[0]], g.step[g.walk[0]]) == (None, None)
+        for j in g.walk[1:]:
+            assert place[g.parent[j]] < place[j], g
+            assert law(g.elements[g.parent[j]], g.gens[g.step[j]]) == g.elements[j], g
+
+
 @pytest.mark.parametrize("group, p", [
     pytest.param(group, p, id=f"{group.name}-{p}")
     for group in SEARCH_GROUPS for p in (3, 5, 7) if p < 7 or group.order <= 6
@@ -649,7 +710,7 @@ def test_all_homs_to_pgl2_matches_brute_force(group, p):
     want = _reference_homs_to_pgl2(group, p)
     assert got == want
     assert [list(f) for f in got] == [list(f) for f in want]
-    assert all(list(f) == list(group.tree) for f in got)
+    assert all(list(f) == [group.elements[j] for j in group.walk] for f in got)
 
 
 @pytest.mark.parametrize("group", SEARCH_GROUPS + [C2_CUBED], ids=lambda g: g.name)
@@ -701,12 +762,12 @@ def test_all_homs_to_pgl2_matches_the_product_search(group, p):
     # the same homomorphisms in the same order, keys in the same order, as
     # the brute force over every tuple of images, also for S4 at p = 7, at
     # p = 11 and for C2^3, which takes a third generator's path; each hom's
-    # keys come in group.tree order
+    # keys come in group.walk order
     got = all_homs_to_pgl2(group, p)
     want = _reference_homs_to_pgl2(group, p)
     assert got == want
     assert [list(f) for f in got] == [list(f) for f in want]
-    assert all(list(f) == list(group.tree) for f in got)
+    assert all(list(f) == [group.elements[j] for j in group.walk] for f in got)
 
 
 @pytest.mark.parametrize("group, p", PRODUCT_SEARCH_CASES)
@@ -733,7 +794,7 @@ def test_all_homs_to_pgl2_is_closed_under_conjugation_with_whole_orbit_counts(gr
                 if k not in seen:
                     seen.add(k)
                     queue.append(k)
-    gens = [list(group.tree).index(x) for x in group.gens.values()]
+    gens = [group.walk.index(group.index[x]) for x in group.gens.values()]
     full = pgl2(p)
     total = sum(Fraction(len(full.centralizer(full.index[f[i]] for i in gens)), full.order) for f in homs)
     assert total == orbits
@@ -842,35 +903,49 @@ def test_is_homomorphism_matches_reference_on_corpus_rho_chi_and_corruptions(p):
     assert verdicts[True, True] > 0 and verdicts[True, False] > 0 and verdicts[False, True] > 0
 
 
-def test_is_homomorphism_rejects_a_group_without_generators():
+def test_is_homomorphism_on_a_table_group_built_without_generators():
+    # no group is without generators: a table group built without them takes
+    # every element as one, and the trivial group's one generator is the
+    # identity, so is_homomorphism reads the identity's edges and rejects a
+    # map with f(1) = -1, which a check over no generators would pass
     table = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
     g = FiniteGroup.from_table(["e", "a"], table, "e")
-    with pytest.raises(ValueError, match="no generators"):
-        g.is_homomorphism([0, 1], SIGNS.right)
+    assert g.gens == {"e": "e", "a": "a"}
+    assert [g.is_homomorphism(f, SIGNS.right) for f in ([0, 0], [0, 1], [1, 0], [1, 1])] == [
+        True, True, False, False]
     t = trivial_group()
-    t.set_generators({})
-    with pytest.raises(ValueError, match="no generators"):
-        t.is_homomorphism([1], SIGNS.right)
+    assert [t.is_homomorphism(f, SIGNS.right) for f in ([0], [1])] == [True, False]
 
 
-def test_set_generators_refuses_generators_that_do_not_generate():
-    g = klein_four()
-    with pytest.raises(ValueError, match="^generators do not generate the group$"):
-        g.set_generators({"a": (1, 0, 3, 2)})
-    assert set(g.gens) == {"a", "b"}  # unchanged
+def test_from_table_refuses_generators_that_do_not_generate():
+    # or that are not elements: a LookupError, apart from the table's
+    # ValueErrors, raised as the group is built
+    k4 = klein_four()
+    table = {a: {b: k4.mul(a, b) for b in k4.elements} for a in k4.elements}
+    with pytest.raises(LookupError, match="^generators do not generate the group$"):
+        FiniteGroup.from_table(k4.elements, table, k4.identity, {"a": (1, 0, 3, 2)})
+    with pytest.raises(KeyError, match="^'x'$"):
+        FiniteGroup.from_table(k4.elements, table, k4.identity, {"a": (1, 0, 3, 2), "x": "x"})
+    assert FiniteGroup.from_table(k4.elements, table, k4.identity, k4.gens).gens == k4.gens
 
 
 def test_from_permutations_needs_a_generator():
+    # as every group does: a check over no generators would pass vacuously
     with pytest.raises(ValueError, match="^from_permutations: need at least one generator$"):
         FiniteGroup.from_permutations({})
+    with pytest.raises(ValueError, match="^a group needs at least one generator$"):
+        FiniteGroup((0,), {}, galmodel._compose)
 
 
 def test_maps_on_generators_need_generators_and_their_values():
+    # a table group built without generators takes every element as one;
+    # only a is on a walk edge, the identity e on none, so a map needs a's
     table = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
     bare = FiniteGroup.from_table(["e", "a"], table, "e", name="C2")
-    for call in (bare.generator_names, lambda: bare.extend_generator_map({}, operator.mul, 1)):
-        with pytest.raises(ValueError, match="^C2: group has no generators$"):
-            call()
+    assert bare.generator_names() == ["a"]
+    with pytest.raises(ValueError, match=r"^extend_generator_map: no value for generator\(s\) \['a'\]$"):
+        bare.extend_generator_map({}, operator.mul, 1)
+    assert bare.extend_generator_map({"a": -1}, operator.mul, 1) == {"e": 1, "a": -1}
     with pytest.raises(ValueError, match=r"^extend_generator_map: no value for generator\(s\) \['b'\]$"):
         klein_four().extend_generator_map({"a": -1}, operator.mul, 1)
 

@@ -5,7 +5,9 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import UNREADABLE_MODEL_BYTES
 from modtwist import genus_XNp, modelfile, wgroup
 from modtwist.arith import Level
 from modtwist.galmodel import FiniteGaloisModel, FiniteGroup, validate_model
@@ -297,8 +299,9 @@ def test_models_over_one_group_share_it(parsed_corpus):
     assert len(shared) == 4
     for grp in shared.values():
         fresh = FiniteGroup.from_permutations(grp.gens, name=grp.name)
-        assert grp.elements == fresh.elements and grp.columns == fresh.columns
-        assert grp.inverse == fresh.inverse and grp.tree == fresh.tree and grp.gens == fresh.gens
+        assert grp.elements == fresh.elements and grp.gens == fresh.gens and grp.inverse == fresh.inverse
+        assert [grp.right(j) for j in range(grp.order)] == [fresh.right(j) for j in range(fresh.order)]
+        assert (grp.walk, grp.parent, grp.step) == (fresh.walk, fresh.parent, fresh.step)
 
 
 def test_twist_plan_on_a_shared_group_equals_a_fresh_one(parsed_corpus):
@@ -371,3 +374,86 @@ def test_conj_may_be_a_table_label_that_names_no_generator():
     doc = dict(TABLE_MODEL, group=dict(TABLE_GROUP, generators={"g": "a"}),
                rho={"g": [[0, 1], [1, 0]]}, chi={"g": 2}, conj="a")
     assert parse_and_validate(json.dumps(doc)).conj == "a"
+
+
+UNREADABLE_ERRORS = {
+    "not_utf8": "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 19: invalid start byte",
+    "nested": "not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a "
+              "unicode string",
+    "long_integer": "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+                    "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
+}
+
+
+def test_parse_refuses_files_that_are_no_json_text(tmp_path):
+    # each raised UnicodeDecodeError, RecursionError or ValueError past the parser
+    assert set(UNREADABLE_ERRORS) == set(UNREADABLE_MODEL_BYTES)
+    for name, data in UNREADABLE_MODEL_BYTES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        with pytest.raises(ModelParseError, match=f"^{re.escape(UNREADABLE_ERRORS[name])}$"):
+            parse_model(path)
+
+
+def _fuzz_documents() -> list:
+    """Model documents to corrupt: 20 stored models of each p, the
+    permutation and the table model of this file."""
+    data = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+    stored = [json.loads(line) for p in (3, 5)
+              for line in (data / f"models_p{p}.jsonl").read_text().splitlines()[:20]]
+    return stored + [GOOD_MODEL, TABLE_MODEL]
+
+
+def _paths(doc, prefix=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+FUZZ_DOCUMENTS = _fuzz_documents()
+
+
+def _parses_or_refuses(source) -> None:
+    """parse_and_validate returns a model or raises ModelParseError, nothing else."""
+    try:
+        parse_and_validate(source)
+    except ModelParseError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.sampled_from(FUZZ_DOCUMENTS), where=st.integers(min_value=0), value=JSON_VALUES)
+def test_fuzzed_model_documents_parse_or_raise_model_parse_error(doc, where, value):
+    # one value of a stored or sample model, at any depth, replaced by a drawn JSON value
+    paths = list(_paths(doc))
+    _parses_or_refuses(json.dumps(_replaced(doc, paths[where % len(paths)], value)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.binary(max_size=64))
+@example(data=UNREADABLE_MODEL_BYTES["not_utf8"])
+@example(data=UNREADABLE_MODEL_BYTES["nested"])
+@example(data=UNREADABLE_MODEL_BYTES["long_integer"])
+def test_fuzzed_model_bytes_parse_or_raise_model_parse_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_bytes(data)
+    _parses_or_refuses(path)

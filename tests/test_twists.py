@@ -242,18 +242,21 @@ def test_centralizer_verdict_matches_image_reference(p):
         assert centralizer_verdict(m) is want, (m.group.name, p)
 
 
-def test_checks_on_generators_reject_a_group_without_generators():
+def test_checks_on_generators_of_a_table_group_built_without_generators():
+    # every element is a generator there, the identity too, and each check
+    # gives what it gives on the same table generated by a alone
     table = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "e"}}
-    grp = FiniteGroup.from_table(["e", "a"], table, "e")
-    m = FiniteGaloisModel(
-        group=grp, p=3, rho={"e": ProjMat.identity(3), "a": ProjMat(0, 1, 1, 0, 3)},
-        chi={"e": 1, "a": 2},
-    )
-    xi = build_xi(m)
-    for check in (lambda: check_cocycle(xi), lambda: cohomologous(xi, xi),
-                  lambda: centralizer_verdict(m)):
-        with pytest.raises(ValueError, match="no generators"):
-            check()
+    results = []
+    for gens in (None, {"a": "a"}):
+        grp = FiniteGroup.from_table(["e", "a"], table, "e", gens)
+        m = FiniteGaloisModel(
+            group=grp, p=3, rho={"e": ProjMat.identity(3), "a": ProjMat(0, 1, 1, 0, 3)},
+            chi={"e": 1, "a": 2},
+        )
+        xi = build_xi(m)
+        results.append((check_cocycle(xi), cohomologous(xi, xi), centralizer_verdict(m)))
+    assert results[0] == results[1]
+    assert results[0][0] is True and results[0][1] is not None
 
 
 def test_corpus_size():
@@ -340,11 +343,11 @@ def test_cohomologous_rejects_mismatched_ambient():
         cohomologous(build_xi(m1), build_xi(m2))
 
 
-def _twist_refusals():
-    """(call, message) by id: a bad variant or chi_k for build_xi, and
-    cocycles over models on different groups for cohomologous."""
-    m = COMPATIBLE[0]
-    other = next(mm for mm in COMPATIBLE if mm.group is not m.group)
+def _twist_refusals(m=None, other=None):
+    """(call, message) by id, for m and a model other on another group: a
+    bad variant or chi_k for build_xi, and cocycles over models on different
+    groups for cohomologous.  The ids need no model, so that collecting them
+    needs no corpus."""
     return {
         "unknown_variant": (lambda: build_xi(m, "twisted"), "build_xi: unknown variant 'twisted'"),
         "chi_k_zero": (lambda: build_xi(m, k_char={s: 0 for s in m.group.elements}),
@@ -358,7 +361,8 @@ def _twist_refusals():
 
 @pytest.mark.parametrize("case", sorted(_twist_refusals()))
 def test_twist_refusals_raise_value_error(case):
-    call, message = _twist_refusals()[case]
+    m = COMPATIBLE[0]
+    call, message = _twist_refusals(m, next(mm for mm in COMPATIBLE if mm.group is not m.group))[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
         call()
     assert type(err.value) is ValueError
@@ -451,6 +455,21 @@ def test_twist_plan_k_fields(variant):
     assert any("k=-1" in name for name in plan.curves)
 
 
+def test_twist_plan_refuses_a_field_no_character_has(variant):
+    # at every level, before the parity check: a field that adds no curve
+    # would otherwise be dropped without a word
+    def with_field_minus_1(mm):
+        return variant(mm, characters={"k": QuadraticCharacter(values={s: 1 for s in mm.group.elements},
+                                                               field=-1)})
+
+    m = with_field_minus_1(COMPATIBLE[0])
+    incompatible = with_field_minus_1(next(mm for mm in CORPUS if not mm.det_is_epsilon()))
+    for level, model in ((Level(7, 3), m), (Level(5, 3), incompatible), (Level(2, 3), m)):
+        with pytest.raises(ValueError, match="^model has no character with field 7$"):
+            twist_plan(level, model, k_fields=(-1, 7))
+    assert len(twist_plan(Level(7, 3), m, k_fields=(-1,)).curves) == 4
+
+
 def test_twist_plan_parity_errors():
     incompatible = next(m for m in CORPUS if not m.det_is_epsilon())
     compatible = COMPATIBLE[0]
@@ -519,7 +538,7 @@ def test_twist_value_conjugation():
         i = m.group.index[s]
         assert (ks[i], ws[i]) == (index[g * hv if m.epsilon(s) == -1 else g], w), s
     assert elems[ks[m.group.index[m.group.identity]]].is_identity()
-    gens = [m.group.index[s] for s in m.group.generators()]
+    gens = [m.group.index[s] for s in m.group.gens.values()]
     assert _untwisted(xi, m, gens) == ([ks[i] for i in gens], [ws[i] for i in gens])
 
 
